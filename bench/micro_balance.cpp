@@ -5,8 +5,9 @@
 // Two comparisons, same scenario:
 //  - static vs work-stealing at shards=4. The static partition hands the
 //    three hot hosts to ONE shard as a contiguous block (ceil(12/4) = 3) and
-//    leaves the other shards idle; the cost-sorted work-stealing order
-//    spreads them across shards. Needs >= 2 cores to show as wall time.
+//    leaves the other shards idle; work-stealing claims the head of the
+//    batch one task at a time and so spreads them across shards. Needs >= 2
+//    cores to show as wall time.
 //  - idle fast path on vs off at shards=1. Quiescent hosts take the O(1)
 //    hypervisor/node-manager early-out, so per-quantum engine work shrinks
 //    even on a single core.

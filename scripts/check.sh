@@ -31,8 +31,8 @@ echo "== TSan, sharded (PERFCLOUD_SHARDS=4) =="
 # sanitizer sweeps as everything else.
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
-# Default schedule is work-stealing, so this sweep runs the cost-sorted
-# CAS-claim path (growing chunks, EWMA rebalance) under TSan everywhere.
+# Default schedule is work-stealing, so this sweep runs the CAS-claim path
+# (growing chunks) under TSan everywhere.
 PERFCLOUD_SHARDS=4 ctest --preset tsan -j "$(nproc)" "$@"
 # And the static claim discipline, via the scheduler/fast-path tests
 # (label "perf") which also drive full multi-host scenarios.

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
-#include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -17,9 +14,6 @@ namespace {
 
 /// Shard counts above this are certainly a typo, not a machine.
 constexpr unsigned kMaxShards = 4096;
-
-/// EWMA weight of the latest runtime measurement in a task's cost estimate.
-constexpr double kCostAlpha = 0.25;
 
 }  // namespace
 
@@ -75,7 +69,9 @@ void Engine::set_shards(unsigned shards) {
 }
 
 EventHandle Engine::at(SimTime t, EventQueue::Callback cb) {
-  if (t < now_) {
+  // Negated so NaN is rejected too: a NaN key breaks the time core's
+  // strict weak ordering.
+  if (!(t >= now_)) {
     throw std::invalid_argument("Engine::at: time " + std::to_string(t.seconds()) +
                                 " is before now " + std::to_string(now_.seconds()));
   }
@@ -83,8 +79,8 @@ EventHandle Engine::at(SimTime t, EventQueue::Callback cb) {
 }
 
 EventHandle Engine::after(double dt, EventQueue::Callback cb) {
-  if (dt < 0.0) {
-    throw std::invalid_argument("Engine::after: negative delay " + std::to_string(dt));
+  if (!(dt >= 0.0)) {
+    throw std::invalid_argument("Engine::after: negative or NaN delay " + std::to_string(dt));
   }
   return queue_.schedule(now_ + dt, std::move(cb));
 }
@@ -140,56 +136,7 @@ void Engine::run_shard_tasks(ShardedPeriodic& sp, SimTime now) {
     return;
   }
   if (pool_ == nullptr) pool_ = std::make_unique<ShardPool>(shards_);
-  const std::size_t n = tasks.size();
-
-  if (schedule_ == ShardSchedule::kStatic) {
-    pool_->run(n, [&](std::size_t i) { tasks[i](now); }, ShardSchedule::kStatic);
-    return;
-  }
-
-  // Grow the cost model for tasks registered since the last firing. New
-  // tasks start at +inf cost so the next rebalance claims them first and
-  // their first measurement replaces the sentinel outright.
-  const bool grew = sp.cost_ns_.size() < n;
-  while (sp.cost_ns_.size() < n) {
-    sp.order_.push_back(static_cast<std::uint32_t>(sp.cost_ns_.size()));
-    sp.cost_ns_.push_back(std::numeric_limits<double>::infinity());
-    sp.last_cost_ns_.push_back(0.0);
-  }
-
-  // Rebalance only at deterministic epochs (and when the task set grew), on
-  // the engine thread. The costs feeding the sort are wall-clock and thus
-  // nondeterministic — safe because claim order cannot affect any output,
-  // only wall-clock time (see ShardSchedule's determinism contract).
-  if (grew || sp.firings_ % ShardedPeriodic::kRebalancePeriod == 0) {
-    std::stable_sort(sp.order_.begin(), sp.order_.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       if (sp.cost_ns_[a] != sp.cost_ns_[b]) {
-                         return sp.cost_ns_[a] > sp.cost_ns_[b];
-                       }
-                       return a < b;
-                     });
-  }
-  ++sp.firings_;
-
-  pool_->run(
-      n,
-      [&](std::size_t i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        tasks[i](now);
-        const auto t1 = std::chrono::steady_clock::now();
-        // Disjoint slot per task; the pool's barrier handshake orders this
-        // write before the engine thread's reads below.
-        sp.last_cost_ns_[i] =
-            static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-      },
-      ShardSchedule::kWorkStealing, &sp.order_);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const double last = sp.last_cost_ns_[i];
-    double& cost = sp.cost_ns_[i];
-    cost = std::isinf(cost) ? last : kCostAlpha * last + (1.0 - kCostAlpha) * cost;
-  }
+  pool_->run(tasks.size(), [&](std::size_t i) { tasks[i](now); }, schedule_);
 }
 
 void Engine::fire_due_periodics(SimTime t) {

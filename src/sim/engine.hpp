@@ -26,13 +26,6 @@ namespace perfcloud::sim {
 /// tasks, or another host. Cross-host mutation belongs in the barrier
 /// function, which runs alone.
 ///
-/// Under the work-stealing schedule the engine measures each task's runtime,
-/// folds it into a per-task EWMA, and re-sorts the claim order heavy-first
-/// at deterministic rebalance epochs (every kRebalancePeriod firings, on the
-/// engine thread). The measurements are wall-clock and therefore
-/// nondeterministic — which is safe precisely because claim order is not
-/// allowed to affect any output (see ShardSchedule).
-///
 /// Tasks may be appended between firings (hosts registering during setup);
 /// appending from inside a task or barrier is not allowed.
 class ShardedPeriodic {
@@ -47,17 +40,6 @@ class ShardedPeriodic {
   friend class Engine;
   std::vector<Fn> tasks_;
   Fn barrier_;
-  // Work-stealing scheduler state, maintained by the engine thread between
-  // pool runs. cost_ns_ is an EWMA of measured runtimes (new tasks start at
-  // +inf so the next rebalance schedules them first and measures them);
-  // last_cost_ns_ slots are written by whichever shard ran the task (the
-  // barrier handshake orders those writes before the engine thread reads);
-  // order_ is the heavy-first claim order.
-  static constexpr std::uint64_t kRebalancePeriod = 16;
-  std::vector<double> cost_ns_;
-  std::vector<double> last_cost_ns_;
-  std::vector<std::uint32_t> order_;
-  std::uint64_t firings_ = 0;
 };
 
 /// Owns the simulated clock and the event queue, and drives periodic
@@ -88,10 +70,10 @@ class Engine {
   [[nodiscard]] Rng& rng() { return rng_; }
 
   /// Schedule a one-shot event at absolute time `t`.
-  /// Throws std::invalid_argument if `t` is in the past (t < now()).
+  /// Throws std::invalid_argument if `t` is in the past (t < now()) or NaN.
   EventHandle at(SimTime t, EventQueue::Callback cb);
   /// Schedule a one-shot event `dt` seconds from now.
-  /// Throws std::invalid_argument if `dt` is negative.
+  /// Throws std::invalid_argument if `dt` is negative or NaN.
   EventHandle after(double dt, EventQueue::Callback cb);
   bool cancel(EventHandle h) { return queue_.cancel(h); }
 
@@ -176,10 +158,8 @@ class Engine {
   [[nodiscard]] SimTime next_periodic_time() const;
 
   /// Run a sharded group's tasks for the quantum ending at `now`: inline in
-  /// index order with one shard, across the pool (created lazily) otherwise.
-  /// Under kWorkStealing this also maintains the group's cost model: tasks
-  /// are timed, costs folded into per-task EWMAs, and the claim order
-  /// re-sorted heavy-first at deterministic rebalance epochs.
+  /// index order with one shard, across the pool (created lazily) under the
+  /// engine's claim discipline otherwise.
   void run_shard_tasks(ShardedPeriodic& sp, SimTime now);
   static unsigned shards_from_env();
   static ShardSchedule schedule_from_env();

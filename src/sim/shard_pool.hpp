@@ -14,12 +14,10 @@
 //    single expensive task (a straggler-victim + antagonist host) serializes
 //    behind everything else in its block while the other shards idle at the
 //    barrier.
-//  - kWorkStealing: indices are claimed from one shared atomic cursor in
-//    growing chunks, following an optional caller-provided order (the engine
-//    passes a cost-sorted heavy-first order). Heavy tasks are claimed singly
-//    at the head; the cheap tail is claimed in chunks to keep cursor traffic
-//    low. A heavy task then occupies exactly one shard while every other
-//    shard drains the rest.
+//  - kWorkStealing: indices are claimed in order from one shared atomic
+//    cursor in growing chunks: the first ~2*shards claims take one task
+//    each, later ones take more to keep cursor traffic low. A heavy task
+//    then occupies one shard while every other shard drains the rest.
 //
 // Determinism: which worker runs which task — and in which order — is
 // scheduling-dependent under BOTH disciplines, but because tasks are
@@ -62,13 +60,11 @@ class ShardPool {
   }
 
   /// Run body(0..n-1) across the pool and wait for all of them (the
-  /// barrier). `order`, when non-null, must be a permutation of [0, n) and
-  /// gives the claim order (the engine passes cost-desc); null claims in
-  /// index order. If any task throws, the remaining tasks still run, the
-  /// barrier completes, and the first exception captured is rethrown here.
+  /// barrier). Tasks are claimed in index order. If any task throws, the
+  /// remaining tasks still run, the barrier completes, and the first
+  /// exception captured is rethrown here.
   void run(std::size_t n, const std::function<void(std::size_t)>& body,
-           ShardSchedule schedule = ShardSchedule::kWorkStealing,
-           const std::vector<std::uint32_t>* order = nullptr);
+           ShardSchedule schedule = ShardSchedule::kWorkStealing);
 
  private:
   void worker_loop();
@@ -97,7 +93,6 @@ class ShardPool {
   std::uint32_t generation_ = 0;
   bool shutdown_ = false;
   const std::function<void(std::size_t)>* body_ = nullptr;
-  const std::vector<std::uint32_t>* order_ = nullptr;
   std::size_t n_ = 0;
   ShardSchedule schedule_ = ShardSchedule::kWorkStealing;
   std::exception_ptr error_;  // first failure of the running batch

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -144,12 +145,17 @@ TEST(Engine, AtInThePastThrows) {
   e.at(SimTime(1.0), [](SimTime) {});
   e.run_until(SimTime(2.0));
   EXPECT_THROW(e.at(SimTime(1.5), [](SimTime) {}), std::invalid_argument);
+  EXPECT_THROW(e.at(SimTime(std::numeric_limits<double>::quiet_NaN()), [](SimTime) {}),
+               std::invalid_argument);
   e.at(SimTime(2.0), [](SimTime) {});  // exactly now is fine
+  e.at(SimTime::infinity(), [](SimTime) {});  // never fires, but legal
 }
 
 TEST(Engine, AfterNegativeDelayThrows) {
   Engine e;
   EXPECT_THROW(e.after(-0.1, [](SimTime) {}), std::invalid_argument);
+  EXPECT_THROW(e.after(std::numeric_limits<double>::quiet_NaN(), [](SimTime) {}),
+               std::invalid_argument);
   e.after(0.0, [](SimTime) {});  // zero delay is fine
 }
 
@@ -208,8 +214,7 @@ TEST(Engine, ShardedPeriodicParallelMatchesSequential) {
     e.set_shards(shards);
     e.set_schedule(schedule);
     // One result slot per task: tasks write disjoint elements, so the
-    // parallel sweep is race-free and comparable bit-for-bit. Long enough
-    // to cross the work-stealing rebalance epochs.
+    // parallel sweep is race-free and comparable bit-for-bit.
     std::vector<double> slots(16, 0.0);
     ShardedPeriodic& sp = e.every_sharded(1.0, SimTime(1.0));
     for (std::size_t i = 0; i < slots.size(); ++i) {

@@ -137,9 +137,8 @@ TEST(ShardDeterminism, TraceIsIdenticalForAnyShardCount) {
 }
 
 /// The same golden-trace gate across claim disciplines: the static baseline
-/// partition and the cost-sorted work-stealing scheduler may only differ in
-/// wall-clock time, never in a single output bit — the EWMA cost model and
-/// its rebalance epochs feed claim order and nothing else.
+/// partition and the work-stealing chunk claims may only differ in
+/// wall-clock time, never in a single output bit.
 TEST(ShardDeterminism, TraceIsIdenticalAcrossSchedulers) {
   const RunTrace ws = run_scenario(4, "", true, sim::ShardSchedule::kWorkStealing);
   const RunTrace st = run_scenario(4, "", true, sim::ShardSchedule::kStatic);
