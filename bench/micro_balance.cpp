@@ -1,25 +1,22 @@
-// Load-balance microbenchmark for the shard scheduler and the idle-host
-// fast path, on a deliberately skewed cluster: all workers (and all
-// antagonists) packed onto the first 3 of 12 hosts, the other 9 idle.
+// Load-balance microbenchmark for the shard pool and the idle-host fast
+// path, on a deliberately skewed cluster: all workers (and all antagonists)
+// packed onto the first 3 of 12 hosts, the other 9 idle.
 //
-// Two comparisons, same scenario:
-//  - static vs work-stealing at shards=4. The static partition hands the
-//    three hot hosts to ONE shard as a contiguous block (ceil(12/4) = 3) and
-//    leaves the other shards idle; work-stealing claims the head of the
-//    batch one task at a time and so spreads them across shards. Needs >= 2
-//    cores to show as wall time.
+// Runs, same scenario:
+//  - shards=4. The pool claims the head of the batch one task at a time, so
+//    the three hot hosts spread across shards. Needs >= 2 cores to show as
+//    wall time.
 //  - idle fast path on vs off at shards=1. Quiescent hosts take the O(1)
 //    hypervisor/node-manager early-out, so per-quantum engine work shrinks
 //    even on a single core.
 //
-// Every run must produce an identical result fingerprint — a scheduler or
+// Every run must produce an identical result fingerprint — a shard count or
 // fast path that changed an output would be a correctness bug, so the bench
 // hard-fails on any mismatch. Results go to stdout and BENCH_balance.json.
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,8 +65,7 @@ struct RunResult {
   double final_time_s = 0.0;
 };
 
-RunResult run_once(const std::string& label, unsigned shards,
-                   std::optional<sim::ShardSchedule> schedule, bool fastpath) {
+RunResult run_once(const std::string& label, unsigned shards, bool fastpath) {
   ScopedFastpath guard(fastpath);
   exp::ClusterParams p;
   p.hosts = kHosts;
@@ -78,7 +74,6 @@ RunResult run_once(const std::string& label, unsigned shards,
   p.seed = kSeed;
   p.tick_dt = kTickDt;
   p.shards = shards;
-  p.schedule = schedule;
 
   const double t0 = now_seconds();
   exp::Cluster c = exp::make_cluster(p);
@@ -141,20 +136,18 @@ int main() {
             << "hardware threads available: " << std::thread::hardware_concurrency() << "\n\n";
 
   std::vector<RunResult> results;
-  const auto run = [&](const std::string& label, unsigned shards,
-                       std::optional<sim::ShardSchedule> schedule, bool fastpath) {
+  const auto run = [&](const std::string& label, unsigned shards, bool fastpath) {
     std::cout << "  " << label << " ..." << std::flush;
-    results.push_back(run_once(label, shards, schedule, fastpath));
+    results.push_back(run_once(label, shards, fastpath));
     std::cout << " " << results.back().wall_s << " s wall\n";
   };
-  run("shards=4 static", 4, sim::ShardSchedule::kStatic, true);
-  run("shards=4 work-stealing", 4, sim::ShardSchedule::kWorkStealing, true);
-  run("shards=1 fastpath off", 1, std::nullopt, false);
-  run("shards=1 fastpath on", 1, std::nullopt, true);
+  run("shards=4", 4, true);
+  run("shards=1 fastpath off", 1, false);
+  run("shards=1 fastpath on", 1, true);
   std::cout << "\n";
 
-  // Determinism gate: scheduler choice, shard count, and the idle fast path
-  // may change wall-clock time only. A tolerance would hide real bugs.
+  // Determinism gate: shard count and the idle fast path may change
+  // wall-clock time only. A tolerance would hide real bugs.
   const RunResult& base = results.front();
   for (std::size_t i = 1; i < results.size(); ++i) {
     const RunResult& r = results[i];
@@ -172,14 +165,8 @@ int main() {
   }
   t.print(std::cout);
 
-  const double balance_speedup = results[0].wall_s / results[1].wall_s;
-  const double fastpath_speedup = results[2].wall_s / results[3].wall_s;
-  std::cout << "\nwork-stealing vs static at shards=4: " << balance_speedup << "x\n"
-            << "idle fast path at shards=1:          " << fastpath_speedup << "x\n";
-  if (std::thread::hardware_concurrency() < 2) {
-    std::cout << "\nnote: only 1 hardware thread available — the static-vs-work-stealing\n"
-                 "comparison measures overhead, not balance; the fast-path number stands.\n";
-  }
+  const double fastpath_speedup = results[1].wall_s / results[2].wall_s;
+  std::cout << "\nidle fast path at shards=1: " << fastpath_speedup << "x\n";
   std::cout << "\nfingerprint: " << base.completed << "/" << kJobs << " jobs completed, JCT sum "
             << base.jct_sum << " s, efficiency " << base.efficiency << ", final sim time "
             << base.final_time_s << " s (identical across all configurations)\n";
@@ -197,7 +184,6 @@ int main() {
          << (i + 1 < results.size() ? ",\n" : "\n");
   }
   json << "  ],\n"
-       << "  \"work_stealing_speedup_over_static\": " << balance_speedup << ",\n"
        << "  \"idle_fastpath_speedup\": " << fastpath_speedup << ",\n"
        << "  \"fingerprint_identical\": true,\n"
        << "  \"jct_sum_s\": " << base.jct_sum << ",\n"

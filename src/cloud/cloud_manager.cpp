@@ -1,6 +1,7 @@
 #include "cloud/cloud_manager.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -87,7 +88,14 @@ void CloudManager::set_migration_model(MigrationModel model) {
   if (!migrations_.empty()) {
     throw std::logic_error("cannot change the migration model mid-migration");
   }
-  if (model.enabled() && model.downtime_s < 0.0) {
+  // Checked before enabled(): a NaN or negative bandwidth would otherwise
+  // read as "disabled" and silently turn migrations instantaneous.
+  if (!(std::isfinite(model.bandwidth_bps) && model.bandwidth_bps >= 0.0)) {
+    throw std::invalid_argument("migration bandwidth must be finite and non-negative");
+  }
+  // Negated so NaN is rejected too: it would only surface mid-migration,
+  // when the pause is scheduled at a NaN time.
+  if (model.enabled() && !(model.downtime_s >= 0.0)) {
     throw std::invalid_argument("migration downtime must be non-negative");
   }
   migration_model_ = model;

@@ -41,7 +41,10 @@ struct VmRecord {
 /// DESTINATION host's disk serves the page stream, then a stop-and-copy
 /// pause of `downtime_s` (Vm::set_paused) before the VM switches hosts.
 struct MigrationModel {
-  double bandwidth_bps = 0.0;  ///< 0 disables the model (instantaneous).
+  /// 0 disables the model (instantaneous). set_migration_model throws
+  /// std::invalid_argument unless this is finite and >= 0, and, when the
+  /// model is enabled, unless downtime_s >= 0.
+  double bandwidth_bps = 0.0;
   double downtime_s = 0.5;     ///< Stop-and-copy pause; 0 skips the pause.
   [[nodiscard]] bool enabled() const { return bandwidth_bps > 0.0; }
 };

@@ -1,6 +1,7 @@
 #include "exp/cluster.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "cloud/placement.hpp"
@@ -16,12 +17,19 @@ virt::Vm& Cluster::vm(int vm_id) {
 }
 
 Cluster make_cluster(const ClusterParams& params) {
+  // A zero factor leaves a host with no cycles (CPU-bound tasks there never
+  // progress); a negative or NaN one poisons every grant on it.
+  for (const double f : params.host_speed_factors) {
+    if (!(std::isfinite(f) && f > 0.0)) {
+      throw std::invalid_argument("host_speed_factors: " + std::to_string(f) +
+                                  " is not a finite factor > 0");
+    }
+  }
   Cluster c;
   c.params = params;
   c.engine = std::make_unique<sim::Engine>(
       params.seed, params.timeq.value_or(sim::time_queue_from_env()));
   if (params.shards > 0) c.engine->set_shards(params.shards);
-  if (params.schedule.has_value()) c.engine->set_schedule(*params.schedule);
   c.cloud = std::make_unique<cloud::CloudManager>(*c.engine);
 
   for (int h = 0; h < params.hosts; ++h) {
@@ -36,7 +44,9 @@ Cluster make_cluster(const ClusterParams& params) {
     c.hosts.push_back(cfg.name);
   }
 
-  if (params.migration.enabled()) c.cloud->set_migration_model(params.migration);
+  // Unconditional, so a malformed (e.g. NaN-bandwidth) model is rejected
+  // rather than read as disabled.
+  c.cloud->set_migration_model(params.migration);
 
   virt::VmConfig shape;
   shape.vcpus = params.vm_vcpus;

@@ -48,10 +48,6 @@ struct ClusterParams {
   /// reads PERFCLOUD_SHARDS (1 when unset). Results are byte-identical for
   /// any value; >1 only buys wall-clock time on multi-host clusters.
   unsigned shards = 0;
-  /// Claim discipline for the shard sweeps. Unset keeps the engine's
-  /// default (PERFCLOUD_SCHED, work-stealing when unset). Like `shards`,
-  /// results are byte-identical either way.
-  std::optional<sim::ShardSchedule> schedule;
   /// Time-core backend (event queue + periodic re-arming). Unset keeps the
   /// engine's default (PERFCLOUD_TIMEQ, wheel when unset). Like `shards`,
   /// results are byte-identical either way.
@@ -74,7 +70,8 @@ struct ClusterParams {
   /// cycled over the hosts; factor f scales the host's CPU clock by f.
   /// Empty means homogeneous. A VM on a 0.6x host really is ~40 % slower —
   /// the hardware-heterogeneity stragglers PerfCloud cannot fix and
-  /// speculative execution can.
+  /// speculative execution can. make_cluster throws std::invalid_argument
+  /// unless every factor is finite and > 0.
   std::vector<double> host_speed_factors;
   /// When set, enable_perfcloud also arms the cluster-wide migration policy
   /// (src/policy/) with these parameters, after the node managers start.

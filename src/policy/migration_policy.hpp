@@ -19,7 +19,7 @@
 // pipeline (registered AFTER the node managers, so it reads the control
 // state they just published — same injection discipline as src/faults/).
 // Every decision is an EmitSink event under one "policy" source; byte-
-// identical across shard counts, schedulers, and emission modes.
+// identical across shard counts and emission modes.
 #pragma once
 
 #include <cstdint>

@@ -21,7 +21,6 @@ Engine::Engine(std::uint64_t seed, TimeQueueKind timeq)
     : timeq_(timeq),
       queue_(timeq),
       shards_(shards_from_env()),
-      schedule_(schedule_from_env()),
       rng_(seed) {}
 
 unsigned Engine::shards_from_env() {
@@ -42,18 +41,6 @@ unsigned Engine::shards_from_env() {
                                 std::to_string(kMaxShards) + "])");
   }
   return static_cast<unsigned>(v);
-}
-
-ShardSchedule Engine::schedule_from_env() {
-  const char* env = std::getenv("PERFCLOUD_SCHED");
-  if (env == nullptr) return ShardSchedule::kWorkStealing;
-  const std::string s(env);
-  if (s == "static") return ShardSchedule::kStatic;
-  if (s == "ws" || s == "work-stealing" || s == "work_stealing") {
-    return ShardSchedule::kWorkStealing;
-  }
-  throw std::invalid_argument("PERFCLOUD_SCHED='" + s +
-                              "' is not a valid schedule (expected 'static' or 'ws')");
 }
 
 void Engine::set_shards(unsigned shards) {
@@ -136,7 +123,7 @@ void Engine::run_shard_tasks(ShardedPeriodic& sp, SimTime now) {
     return;
   }
   if (pool_ == nullptr) pool_ = std::make_unique<ShardPool>(shards_);
-  pool_->run(tasks.size(), [&](std::size_t i) { tasks[i](now); }, schedule_);
+  pool_->run(tasks.size(), [&](std::size_t i) { tasks[i](now); });
 }
 
 void Engine::fire_due_periodics(SimTime t) {

@@ -112,13 +112,6 @@ class Engine {
   /// periodic has fired).
   void set_shards(unsigned shards);
 
-  /// Claim discipline for sharded batches. Defaults to PERFCLOUD_SCHED
-  /// ("static", or "ws"/"work-stealing"/"work_stealing"; anything else
-  /// throws std::invalid_argument) or work-stealing when unset. Results are
-  /// byte-identical under either schedule; only wall-clock time differs.
-  [[nodiscard]] ShardSchedule schedule() const { return schedule_; }
-  void set_schedule(ShardSchedule schedule) { schedule_ = schedule; }
-
   /// Run until the queue drains or `t_end` is reached, whichever is first.
   /// Returns the final simulated time.
   SimTime run_until(SimTime t_end);
@@ -158,11 +151,9 @@ class Engine {
   [[nodiscard]] SimTime next_periodic_time() const;
 
   /// Run a sharded group's tasks for the quantum ending at `now`: inline in
-  /// index order with one shard, across the pool (created lazily) under the
-  /// engine's claim discipline otherwise.
+  /// index order with one shard, across the pool (created lazily) otherwise.
   void run_shard_tasks(ShardedPeriodic& sp, SimTime now);
   static unsigned shards_from_env();
-  static ShardSchedule schedule_from_env();
 
   SimTime now_{0.0};
   /// Declared before queue_/periodic_due_: both backends key off it.
@@ -181,7 +172,6 @@ class Engine {
   std::vector<PeriodicFn> post_barrier_hooks_;
   std::vector<PeriodicFn> run_end_hooks_;
   unsigned shards_;
-  ShardSchedule schedule_;
   std::unique_ptr<ShardPool> pool_;
   Rng rng_;
   bool stopped_ = false;

@@ -14,8 +14,8 @@ TimeQueueKind time_queue_from_env() {
   const std::string s(env);
   if (s == "wheel") return TimeQueueKind::kWheel;
   if (s == "heap") return TimeQueueKind::kHeap;
-  // Reject garbage loudly, like PERFCLOUD_SHARDS/PERFCLOUD_SCHED: a typo
-  // silently picking a backend would defeat the A/B determinism gates.
+  // Reject garbage loudly, like PERFCLOUD_SHARDS: a typo silently picking a
+  // backend would defeat the A/B determinism gates.
   throw std::invalid_argument("PERFCLOUD_TIMEQ='" + s +
                               "' is not a valid time-queue kind (expected 'wheel' or 'heap')");
 }

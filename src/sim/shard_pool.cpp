@@ -7,16 +7,12 @@
 
 namespace perfcloud::sim {
 
-const char* to_string(ShardSchedule s) {
-  return s == ShardSchedule::kStatic ? "static" : "work-stealing";
-}
-
 namespace {
 
-/// Chunk size for a work-stealing claim starting at task index `pos`. The
-/// first ~2*shards claims take one task each so a heavy task near the head
-/// never drags neighbours onto its shard; the tail is claimed in linearly
-/// growing chunks to keep CAS traffic low.
+/// Chunk size for a claim starting at task index `pos`. The first ~2*shards
+/// claims take one task each so a heavy task near the head never drags
+/// neighbours onto its shard; the tail is claimed in linearly growing chunks
+/// to keep CAS traffic low.
 std::size_t ws_chunk(std::size_t pos, unsigned shards) {
   return std::clamp<std::size_t>(pos / (2 * static_cast<std::size_t>(shards)),
                                  std::size_t{1}, std::size_t{64});
@@ -41,8 +37,7 @@ ShardPool::~ShardPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ShardPool::run(std::size_t n, const std::function<void(std::size_t)>& body,
-                    ShardSchedule schedule) {
+void ShardPool::run(std::size_t n, const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
   if (n > 0xffffffffull) throw std::invalid_argument("ShardPool: batch too large");
   std::uint32_t gen;
@@ -50,7 +45,6 @@ void ShardPool::run(std::size_t n, const std::function<void(std::size_t)>& body,
     std::lock_guard<std::mutex> lk(mu_);
     body_ = &body;
     n_ = n;
-    schedule_ = schedule;
     error_ = nullptr;
     gen = ++generation_;
     remaining_.store(n, std::memory_order_relaxed);
@@ -83,19 +77,13 @@ void ShardPool::drain_batch(std::uint32_t gen) {
   // dereferenced, so a stale copy is safe.
   const std::function<void(std::size_t)>* body;
   std::size_t n;
-  ShardSchedule schedule;
   unsigned shards;
   {
     std::lock_guard<std::mutex> lk(mu_);
     body = body_;
     n = n_;
-    schedule = schedule_;
     shards = this->shards();
   }
-
-  // kStatic cuts the batch into `shards` contiguous blocks; a claim takes a
-  // whole block. kWorkStealing claims growing chunks (the head singly).
-  const std::size_t static_block = (n + shards - 1) / std::max(shards, 1u);
 
   for (;;) {
     std::uint64_t cur = claim_.load(std::memory_order_acquire);
@@ -105,9 +93,7 @@ void ShardPool::drain_batch(std::uint32_t gen) {
       if (static_cast<std::uint32_t>(cur >> 32) != gen) return;  // superseded batch
       pos = static_cast<std::size_t>(cur & 0xffffffffull);
       if (pos >= n) return;  // batch fully claimed
-      const std::size_t chunk =
-          schedule == ShardSchedule::kStatic ? static_block : ws_chunk(pos, shards);
-      count = std::min(chunk, n - pos);
+      count = std::min(ws_chunk(pos, shards), n - pos);
       if (claim_.compare_exchange_weak(cur, pack(gen, static_cast<std::uint32_t>(pos + count)),
                                        std::memory_order_acq_rel, std::memory_order_acquire)) {
         break;

@@ -8,23 +8,19 @@
 // members, per-host RNG streams) plus read-only shared data, never the
 // engine, the event queue, or another host.
 //
-// Two claim disciplines:
-//  - kStatic: the batch is cut into `shards` contiguous blocks and each
-//    participant takes one whole block — the classic static partition. A
-//    single expensive task (a straggler-victim + antagonist host) serializes
-//    behind everything else in its block while the other shards idle at the
-//    barrier.
-//  - kWorkStealing: indices are claimed in order from one shared atomic
-//    cursor in growing chunks: the first ~2*shards claims take one task
-//    each, later ones take more to keep cursor traffic low. A heavy task
-//    then occupies one shard while every other shard drains the rest.
+// Claim discipline: indices are claimed in order from one shared atomic
+// cursor in growing chunks. The first ~2*shards claims take one task each,
+// later ones take more to keep cursor traffic low. A heavy task near the
+// head (a straggler-victim + antagonist host) then occupies one shard while
+// every other shard drains the rest, instead of serializing its neighbours
+// behind it as a static partition into contiguous blocks would.
 //
 // Determinism: which worker runs which task — and in which order — is
-// scheduling-dependent under BOTH disciplines, but because tasks are
-// confined to disjoint state and all cross-host logic (barrier phase, sink
-// drain) runs sequentially after the barrier in (time, source-index) order,
-// simulation results are byte-identical for any shard count and either
-// schedule (pinned by the ShardDeterminism tests and scripts/check.sh).
+// scheduling-dependent, but because tasks are confined to disjoint state and
+// all cross-host logic (barrier phase, sink drain) runs sequentially after
+// the barrier in (time, source-index) order, simulation results are
+// byte-identical for any shard count (pinned by the ShardDeterminism tests
+// and scripts/check.sh).
 #pragma once
 
 #include <atomic>
@@ -37,13 +33,6 @@
 #include <vector>
 
 namespace perfcloud::sim {
-
-/// Claim discipline for a sharded batch. kWorkStealing is the engine
-/// default; kStatic is kept as the measurable baseline (bench/micro_balance)
-/// and as a second schedule for the output-identity gates.
-enum class ShardSchedule { kStatic, kWorkStealing };
-
-[[nodiscard]] const char* to_string(ShardSchedule s);
 
 class ShardPool {
  public:
@@ -63,8 +52,7 @@ class ShardPool {
   /// barrier). Tasks are claimed in index order. If any task throws, the
   /// remaining tasks still run, the barrier completes, and the first
   /// exception captured is rethrown here.
-  void run(std::size_t n, const std::function<void(std::size_t)>& body,
-           ShardSchedule schedule = ShardSchedule::kWorkStealing);
+  void run(std::size_t n, const std::function<void(std::size_t)>& body);
 
  private:
   void worker_loop();
@@ -94,7 +82,6 @@ class ShardPool {
   bool shutdown_ = false;
   const std::function<void(std::size_t)>* body_ = nullptr;
   std::size_t n_ = 0;
-  ShardSchedule schedule_ = ShardSchedule::kWorkStealing;
   std::exception_ptr error_;  // first failure of the running batch
 
   // (generation << 32) | next-claim-index. The single CAS target every

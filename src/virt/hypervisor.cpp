@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 #include <string>
@@ -10,7 +9,7 @@
 namespace perfcloud::virt {
 
 namespace {
-std::atomic<bool> g_idle_fastpath{std::getenv("PERFCLOUD_NO_IDLE_FASTPATH") == nullptr};
+std::atomic<bool> g_idle_fastpath{true};
 }  // namespace
 
 bool idle_fastpath_enabled() { return g_idle_fastpath.load(std::memory_order_relaxed); }

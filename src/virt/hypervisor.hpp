@@ -14,9 +14,9 @@
 namespace perfcloud::virt {
 
 /// Global kill switch for the idle-host fast paths (hypervisor tick
-/// early-out, node-manager quiescent step). On by default; off when the
-/// PERFCLOUD_NO_IDLE_FASTPATH environment variable is set. The override is
-/// process-wide — bench/micro_balance and the state-identity tests A/B it.
+/// early-out, node-manager quiescent step). On by default. The override is
+/// process-wide — bench/micro_balance and the state-identity tests A/B it
+/// against the full tick.
 [[nodiscard]] bool idle_fastpath_enabled();
 void set_idle_fastpath_enabled(bool enabled);
 

@@ -209,10 +209,9 @@ TEST(Engine, ShardedPeriodicKeepsRegistrationOrderWithPlainPeriodics) {
 }
 
 TEST(Engine, ShardedPeriodicParallelMatchesSequential) {
-  const auto run = [](unsigned shards, ShardSchedule schedule) {
+  const auto run = [](unsigned shards) {
     Engine e;
     e.set_shards(shards);
-    e.set_schedule(schedule);
     // One result slot per task: tasks write disjoint elements, so the
     // parallel sweep is race-free and comparable bit-for-bit.
     std::vector<double> slots(16, 0.0);
@@ -225,16 +224,13 @@ TEST(Engine, ShardedPeriodicParallelMatchesSequential) {
     e.run_until(SimTime(40.5));
     return slots;
   };
-  const std::vector<double> sequential = run(1, ShardSchedule::kWorkStealing);
-  EXPECT_EQ(sequential, run(4, ShardSchedule::kWorkStealing));
-  EXPECT_EQ(sequential, run(4, ShardSchedule::kStatic));
+  EXPECT_EQ(run(1), run(4));
 }
 
 TEST(Engine, TasksAddedBetweenFiringsJoinTheWorkStealingOrder) {
   for (const unsigned shards : {1u, 4u}) {
     Engine e;
     e.set_shards(shards);
-    e.set_schedule(ShardSchedule::kWorkStealing);
     std::vector<double> slots(8, 0.0);
     ShardedPeriodic& sp = e.every_sharded(1.0, SimTime(1.0));
     for (std::size_t i = 0; i < 4; ++i) {

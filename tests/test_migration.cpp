@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -230,8 +231,21 @@ TEST(LiveMigration, PageStreamLoadsTheDestinationDisk) {
 
 TEST(LiveMigration, ModelValidationAndInFlightGuards) {
   TwoHostRig rig;
-  EXPECT_THROW(rig.cloud.set_migration_model({.bandwidth_bps = 1e9, .downtime_s = -0.1}),
-               std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const MigrationModel bad[] = {
+      {.bandwidth_bps = 1e9, .downtime_s = -0.1}, {.bandwidth_bps = 1e9, .downtime_s = nan},
+      {.bandwidth_bps = nan, .downtime_s = 0.5},  {.bandwidth_bps = -1e9, .downtime_s = 0.5},
+      {.bandwidth_bps = inf, .downtime_s = 0.5},
+  };
+  for (const MigrationModel& m : bad) {
+    EXPECT_THROW(rig.cloud.set_migration_model(m), std::invalid_argument)
+        << "bandwidth " << m.bandwidth_bps << ", downtime " << m.downtime_s;
+    exp::ClusterParams p;
+    p.migration = m;
+    EXPECT_THROW(exp::make_cluster(p), std::invalid_argument)
+        << "bandwidth " << m.bandwidth_bps << ", downtime " << m.downtime_s;
+  }
   rig.cloud.set_migration_model({.bandwidth_bps = 1e9, .downtime_s = 0.5});
   const virt::Vm& vm = rig.cloud.boot_vm("h0", virt::VmConfig{});
   rig.cloud.start_ticking(0.1);
@@ -473,6 +487,11 @@ TEST(Heterogeneity, SpeedFactorsScaleHostClocks) {
   EXPECT_DOUBLE_EQ(c.cloud->host("host-0").server().config().cpu.clock_hz, base);
   EXPECT_DOUBLE_EQ(c.cloud->host("host-1").server().config().cpu.clock_hz, 0.5 * base);
   EXPECT_DOUBLE_EQ(c.cloud->host("host-2").server().config().cpu.clock_hz, base);  // cycled
+  // A zero, negative or NaN factor would leave a host without usable cycles.
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    p.host_speed_factors = {1.0, bad};
+    EXPECT_THROW(exp::make_cluster(p), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Heterogeneity, SlowHostCreatesStragglers) {

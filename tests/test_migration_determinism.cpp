@@ -2,7 +2,7 @@
 // where escalation actually fires and live migrations (pre-copy, page-stream
 // inflow, stop-and-copy pause, handoff, node-manager state retirement) are
 // in flight while jobs run must produce EXACTLY the same results for any
-// shard count, either claim discipline, and sync or async emission.
+// shard count and for sync or async emission.
 // Migrations mutate cross-host state (two hypervisors, the registry, every
 // listener) — precisely the machinery with the most ways to go
 // schedule-dependent, hence its own golden gate next to the general one in
@@ -55,14 +55,12 @@ void append_series(RunTrace& trace, const sim::TimeSeries& s) {
 }
 
 RunTrace run_scenario(unsigned shards, const std::string& sink_tag = "",
-                      bool sink_async = true,
-                      sim::ShardSchedule schedule = sim::ShardSchedule::kWorkStealing) {
+                      bool sink_async = true) {
   exp::ClusterParams p;
   p.hosts = 4;
   p.workers = 6;
   p.seed = 77;
   p.shards = shards;
-  p.schedule = schedule;
   p.placement = exp::Placement::kPacked;  // all six workers land on host-0
   p.migration = {.bandwidth_bps = 2.0e9, .downtime_s = 0.25};
   exp::Cluster c = exp::make_cluster(p);
@@ -153,14 +151,6 @@ TEST(MigrationDeterminism, TraceIsIdenticalForAnyShardCount) {
 
   // Run-to-run determinism of the parallel path itself.
   EXPECT_EQ(run_scenario(4), sharded);
-}
-
-TEST(MigrationDeterminism, TraceIsIdenticalAcrossSchedulers) {
-  const RunTrace ws = run_scenario(4, "", true, sim::ShardSchedule::kWorkStealing);
-  const RunTrace st = run_scenario(4, "", true, sim::ShardSchedule::kStatic);
-  EXPECT_GE(ws.migrations_completed, 2);
-  EXPECT_EQ(ws, st);
-  EXPECT_EQ(run_scenario(1, "", true, sim::ShardSchedule::kStatic), ws);
 }
 
 TEST(MigrationDeterminism, SinkFilesAreIdenticalAcrossModesAndShardCounts) {

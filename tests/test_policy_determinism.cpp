@@ -2,8 +2,8 @@
 // scenario where the throttle-escalation trigger actually fires, timed
 // policy migrations are in flight while jobs run, AND a chaos plan crashes
 // the preferred destination mid-copy (aborting a policy migration) must
-// produce EXACTLY the same results for any shard count, either claim
-// discipline, and sync or async emission — sink files byte for byte. The
+// produce EXACTLY the same results for any shard count and for sync or
+// async emission — sink files byte for byte. The
 // policy folds cross-host state (every monitor, every controller, the
 // registry) each interval, which is the most schedule-dependent surface the
 // repo has; hence its own golden gate next to the migration and faults ones.
@@ -59,14 +59,12 @@ void append_series(RunTrace& trace, const sim::TimeSeries& s) {
 }
 
 RunTrace run_scenario(unsigned shards, bool with_faults, const std::string& sink_tag = "",
-                      bool sink_async = true,
-                      sim::ShardSchedule schedule = sim::ShardSchedule::kWorkStealing) {
+                      bool sink_async = true) {
   exp::ClusterParams p;
   p.hosts = 4;
   p.workers = 6;
   p.seed = 911;
   p.shards = shards;
-  p.schedule = schedule;
   p.placement = exp::Placement::kPacked;  // all workers on host-0
   // Timed migrations, slow enough that a crash can land mid-copy.
   p.migration = {.bandwidth_bps = 100.0e6, .downtime_s = 0.5};
@@ -165,9 +163,6 @@ TEST(PolicyDeterminism, TraceIsIdenticalForAnyShardCountAndScheduler) {
   const RunTrace sharded = run_scenario(4, false);
   EXPECT_EQ(sequential, sharded);
   EXPECT_EQ(run_scenario(4, false), sharded);  // run-to-run of the parallel path
-
-  const RunTrace st = run_scenario(4, false, "", true, sim::ShardSchedule::kStatic);
-  EXPECT_EQ(sequential, st);
 }
 
 TEST(PolicyDeterminism, ChaosAbortRunIsIdenticalAcrossShardCounts) {

@@ -1,6 +1,5 @@
 // Strict environment parsing for the shard scheduler: garbage values of
-// PERFCLOUD_SHARDS / PERFCLOUD_SCHED must fail loudly at Engine
-// construction, never fall back silently (a typo degrading a CI run to
+// PERFCLOUD_SHARDS must fail loudly at Engine construction, never fall back silently (a typo degrading a CI run to
 // sequential execution is exactly the failure mode that hides for months).
 #include <gtest/gtest.h>
 
@@ -68,27 +67,6 @@ TEST(SchedulerEnv, GarbageShardsErrorNamesTheVariable) {
   }
 }
 
-TEST(SchedulerEnv, UnsetScheduleDefaultsToWorkStealing) {
-  ScopedEnv env("PERFCLOUD_SCHED", nullptr);
-  EXPECT_EQ(Engine().schedule(), ShardSchedule::kWorkStealing);
-}
-
-TEST(SchedulerEnv, ScheduleSpellingsParse) {
-  for (const char* ws : {"ws", "work-stealing", "work_stealing"}) {
-    ScopedEnv env("PERFCLOUD_SCHED", ws);
-    EXPECT_EQ(Engine().schedule(), ShardSchedule::kWorkStealing) << ws;
-  }
-  ScopedEnv env("PERFCLOUD_SCHED", "static");
-  EXPECT_EQ(Engine().schedule(), ShardSchedule::kStatic);
-}
-
-TEST(SchedulerEnv, GarbageScheduleThrows) {
-  for (const char* bad : {"Static", "dynamic", "", "ws "}) {
-    ScopedEnv env("PERFCLOUD_SCHED", bad);
-    EXPECT_THROW(Engine{}, std::invalid_argument) << "PERFCLOUD_SCHED='" << bad << "'";
-  }
-}
-
 TEST(SchedulerEnv, SetShardsRejectsOutOfRange) {
   ScopedEnv env("PERFCLOUD_SHARDS", nullptr);
   Engine e;
@@ -96,14 +74,6 @@ TEST(SchedulerEnv, SetShardsRejectsOutOfRange) {
   EXPECT_THROW(e.set_shards(5000), std::invalid_argument);
   e.set_shards(4096);  // the documented ceiling itself is accepted
   EXPECT_EQ(e.shards(), 4096u);
-}
-
-TEST(SchedulerEnv, SetScheduleOverridesEnvDefault) {
-  ScopedEnv env("PERFCLOUD_SCHED", "static");
-  Engine e;
-  EXPECT_EQ(e.schedule(), ShardSchedule::kStatic);
-  e.set_schedule(ShardSchedule::kWorkStealing);
-  EXPECT_EQ(e.schedule(), ShardSchedule::kWorkStealing);
 }
 
 }  // namespace

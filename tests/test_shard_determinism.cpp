@@ -52,14 +52,12 @@ void append_series(RunTrace& trace, const sim::TimeSeries& s) {
 /// `sink_async`) is attached for the whole run and its output files are
 /// captured into the returned trace.
 RunTrace run_scenario(unsigned shards, const std::string& sink_tag = "",
-                      bool sink_async = true,
-                      sim::ShardSchedule schedule = sim::ShardSchedule::kWorkStealing) {
+                      bool sink_async = true) {
   exp::ClusterParams p;
   p.hosts = 4;
   p.workers = 12;
   p.seed = 2024;
   p.shards = shards;
-  p.schedule = schedule;
   exp::Cluster c = exp::make_cluster(p);
 
   // Antagonists on three of the four hosts, overlapping the jobs.
@@ -136,18 +134,6 @@ TEST(ShardDeterminism, TraceIsIdenticalForAnyShardCount) {
   EXPECT_EQ(run_scenario(4), sharded);
 }
 
-/// The same golden-trace gate across claim disciplines: the static baseline
-/// partition and the work-stealing chunk claims may only differ in
-/// wall-clock time, never in a single output bit.
-TEST(ShardDeterminism, TraceIsIdenticalAcrossSchedulers) {
-  const RunTrace ws = run_scenario(4, "", true, sim::ShardSchedule::kWorkStealing);
-  const RunTrace st = run_scenario(4, "", true, sim::ShardSchedule::kStatic);
-  EXPECT_FALSE(ws.samples.empty());
-  EXPECT_EQ(ws, st);
-  // And against the sequential reference.
-  EXPECT_EQ(run_scenario(1, "", true, sim::ShardSchedule::kStatic), ws);
-}
-
 /// Same gate for the emission subsystem: the EventSink's files must be
 /// byte-identical between sync and async modes and for any shard count, and
 /// attaching a sink must not perturb the simulation itself.
@@ -156,8 +142,6 @@ TEST(ShardDeterminism, SinkFilesAreIdenticalAcrossModesAndShardCounts) {
   const RunTrace sync1 = run_scenario(1, "sync1", /*sink_async=*/false);
   const RunTrace async1 = run_scenario(1, "async1", /*sink_async=*/true);
   const RunTrace async4 = run_scenario(4, "async4", /*sink_async=*/true);
-  const RunTrace static4 =
-      run_scenario(4, "static4", /*sink_async=*/true, sim::ShardSchedule::kStatic);
 
   // The sink actually produced output.
   EXPECT_FALSE(sync1.trace_csv.empty());
@@ -175,8 +159,6 @@ TEST(ShardDeterminism, SinkFilesAreIdenticalAcrossModesAndShardCounts) {
   EXPECT_EQ(async1.events_jsonl, sync1.events_jsonl);
   EXPECT_EQ(async4.trace_csv, sync1.trace_csv);
   EXPECT_EQ(async4.events_jsonl, sync1.events_jsonl);
-  EXPECT_EQ(static4.trace_csv, sync1.trace_csv);
-  EXPECT_EQ(static4.events_jsonl, sync1.events_jsonl);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // (PERFCLOUD_TIMEQ=heap) must produce EXACTLY the same results — job
 // completion times, deviation-signal series, cap series, final simulated
 // time, and the EventSink's files byte for byte — across shard counts,
-// claim disciplines, emission modes, and a six-fault chaos plan. The wheel
+// emission modes, and a six-fault chaos plan. The wheel
 // may only change wall-clock time, never a single output bit.
 #include <gtest/gtest.h>
 
@@ -65,15 +65,13 @@ faults::FaultPlan chaos_plan() {
 /// One full control run under an explicit time-queue backend. A sink is
 /// always attached (its files are the strongest equality witness); `plan`
 /// non-null arms the chaos plan on top.
-RunTrace run_scenario(sim::TimeQueueKind timeq, unsigned shards, sim::ShardSchedule schedule,
-                      bool sink_async, const std::string& sink_tag,
-                      const faults::FaultPlan* plan = nullptr) {
+RunTrace run_scenario(sim::TimeQueueKind timeq, unsigned shards, bool sink_async,
+                      const std::string& sink_tag, const faults::FaultPlan* plan = nullptr) {
   exp::ClusterParams p;
   p.hosts = 4;
   p.workers = 12;
   p.seed = 3131;
   p.shards = shards;
-  p.schedule = schedule;
   p.timeq = timeq;
   exp::Cluster c = exp::make_cluster(p);
 
@@ -145,11 +143,9 @@ RunTrace run_scenario(sim::TimeQueueKind timeq, unsigned shards, sim::ShardSched
 
 constexpr auto kWheel = sim::TimeQueueKind::kWheel;
 constexpr auto kHeap = sim::TimeQueueKind::kHeap;
-constexpr auto kWs = sim::ShardSchedule::kWorkStealing;
-constexpr auto kStatic = sim::ShardSchedule::kStatic;
 
 TEST(TimeQueueDeterminism, WheelMatchesHeapAcrossShardsSchedulersAndSinkModes) {
-  const RunTrace heap = run_scenario(kHeap, 1, kWs, /*sink_async=*/false, "heap-s1-ws-sync");
+  const RunTrace heap = run_scenario(kHeap, 1, /*sink_async=*/false, "heap-s1-sync");
 
   // The scenario exercises what it gates on: jobs completed, monitors
   // produced samples, the sink wrote both files.
@@ -160,16 +156,15 @@ TEST(TimeQueueDeterminism, WheelMatchesHeapAcrossShardsSchedulersAndSinkModes) {
 
   // The wheel against the heap reference, across every execution mode the
   // engine offers. Full-trace equality includes the files byte for byte.
-  EXPECT_EQ(run_scenario(kWheel, 1, kWs, false, "wheel-s1-ws-sync"), heap);
-  EXPECT_EQ(run_scenario(kWheel, 4, kWs, true, "wheel-s4-ws-async"), heap);
-  EXPECT_EQ(run_scenario(kWheel, 4, kStatic, true, "wheel-s4-static-async"), heap);
+  EXPECT_EQ(run_scenario(kWheel, 1, false, "wheel-s1-sync"), heap);
+  EXPECT_EQ(run_scenario(kWheel, 4, true, "wheel-s4-async"), heap);
   // And the heap under the sharded/async mode, closing the square.
-  EXPECT_EQ(run_scenario(kHeap, 4, kWs, true, "heap-s4-ws-async"), heap);
+  EXPECT_EQ(run_scenario(kHeap, 4, true, "heap-s4-async"), heap);
 }
 
 TEST(TimeQueueDeterminism, WheelMatchesHeapUnderChaosPlan) {
   const faults::FaultPlan plan = chaos_plan();
-  const RunTrace heap = run_scenario(kHeap, 1, kWs, false, "chaos-heap-s1", &plan);
+  const RunTrace heap = run_scenario(kHeap, 1, false, "chaos-heap-s1", &plan);
 
   // Faults really fired, jobs still completed under them, and the fault
   // records are in the stream the files witness. (cap_commands_dropped is
@@ -178,8 +173,8 @@ TEST(TimeQueueDeterminism, WheelMatchesHeapUnderChaosPlan) {
   for (const double jct : heap.jcts) EXPECT_GT(jct, 0.0);
   EXPECT_NE(heap.events_jsonl.find("\"inject host_crash host=host-3\""), std::string::npos);
 
-  EXPECT_EQ(run_scenario(kWheel, 1, kWs, false, "chaos-wheel-s1", &plan), heap);
-  EXPECT_EQ(run_scenario(kWheel, 4, kWs, true, "chaos-wheel-s4-async", &plan), heap);
+  EXPECT_EQ(run_scenario(kWheel, 1, false, "chaos-wheel-s1", &plan), heap);
+  EXPECT_EQ(run_scenario(kWheel, 4, true, "chaos-wheel-s4-async", &plan), heap);
 }
 
 }  // namespace
