@@ -5,38 +5,43 @@
 
 namespace perfcloud::hw {
 
-std::vector<double> weighted_fair_allocate(double capacity, std::span<const Claim> claims) {
+namespace {
+
+/// A claimant's effective demand. Recomputed where needed instead of stored:
+/// the same expression yields the same double every time.
+double want(const Claim& c) { return std::min(c.demand, std::max(0.0, c.cap)); }
+
+}  // namespace
+
+void weighted_fair_allocate(double capacity, std::span<const Claim> claims,
+                            std::span<double> granted) {
+  assert(granted.size() == claims.size());
   const std::size_t n = claims.size();
-  std::vector<double> granted(n, 0.0);
-  if (n == 0 || capacity <= 0.0) return granted;
+  std::fill(granted.begin(), granted.end(), 0.0);
+  if (n == 0 || capacity <= 0.0) return;
+  assert(std::all_of(claims.begin(), claims.end(),
+                     [](const Claim& c) { return c.demand >= 0.0 && c.weight > 0.0; }));
 
-  std::vector<double> want(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    assert(claims[i].demand >= 0.0);
-    assert(claims[i].weight > 0.0);
-    want[i] = std::min(claims[i].demand, std::max(0.0, claims[i].cap));
-  }
-
-  std::vector<bool> frozen(n, false);
   double remaining = capacity;
-  // Each round freezes at least one claimant, so at most n rounds.
+  // Each round freezes at least one claimant, so at most n rounds. A frozen
+  // claimant holds exactly its want, so the `granted >= want` test skips it.
   for (std::size_t round = 0; round < n; ++round) {
     double active_weight = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!frozen[i] && granted[i] < want[i]) active_weight += claims[i].weight;
+      if (granted[i] < want(claims[i])) active_weight += claims[i].weight;
     }
     if (active_weight <= 0.0 || remaining <= 1e-15) break;
 
     bool any_frozen = false;
     double handed_out = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (frozen[i] || granted[i] >= want[i]) continue;
+      const double w = want(claims[i]);
+      if (granted[i] >= w) continue;
       const double share = remaining * claims[i].weight / active_weight;
-      const double room = want[i] - granted[i];
+      const double room = w - granted[i];
       if (share >= room) {
-        granted[i] = want[i];
+        granted[i] = w;
         handed_out += room;
-        frozen[i] = true;
         any_frozen = true;
       } else {
         granted[i] += share;
@@ -46,7 +51,6 @@ std::vector<double> weighted_fair_allocate(double capacity, std::span<const Clai
     remaining -= handed_out;
     if (!any_frozen) break;  // everyone got exactly their proportional share
   }
-  return granted;
 }
 
 }  // namespace perfcloud::hw

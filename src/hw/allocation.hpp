@@ -3,7 +3,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace perfcloud::hw {
 
@@ -17,13 +16,15 @@ struct Claim {
 /// Distribute `capacity` over the claims by weighted max-min fairness:
 /// repeatedly hand every unsatisfied claimant its weight-proportional share,
 /// freeze anyone whose demand (or cap) is met, and redistribute the surplus.
+/// Writes one grant per claim into `granted` (same size as `claims`) and
+/// needs no scratch memory.
 ///
 /// Properties (verified by tests):
 ///  - no claimant receives more than min(demand, cap);
 ///  - total allocated = min(capacity, total effective demand);
 ///  - work-conserving: capacity left over only if everyone is satisfied;
 ///  - weight-proportional between permanently unsatisfied claimants.
-[[nodiscard]] std::vector<double> weighted_fair_allocate(double capacity,
-                                                         std::span<const Claim> claims);
+void weighted_fair_allocate(double capacity, std::span<const Claim> claims,
+                            std::span<double> granted);
 
 }  // namespace perfcloud::hw

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "hw/tenant.hpp"
 
@@ -27,11 +26,12 @@ class CpuScheduler {
   /// Core-seconds available per tick of length dt.
   [[nodiscard]] double capacity(double dt) const { return cfg_.cores * dt; }
 
-  /// Allocate core-seconds for one tick. Returns one grant per demand,
-  /// in order. Only the CPU fields of the grant are filled in here;
-  /// instruction retirement is computed by the memory model afterwards
-  /// (CPI depends on LLC/bandwidth contention).
-  [[nodiscard]] std::vector<double> allocate(double dt, std::span<const TenantDemand> demands) const;
+  /// Allocate core-seconds for one tick: writes one grant per demand, in
+  /// order, into `core_seconds` (same size as `demands`). Instruction
+  /// retirement is computed by the memory model afterwards (CPI depends on
+  /// LLC/bandwidth contention). Scratch comes from the thread's arena.
+  void allocate(double dt, std::span<const TenantDemand> demands,
+                std::span<double> core_seconds) const;
 
  private:
   CpuConfig cfg_;

@@ -1,10 +1,12 @@
 #include "hw/disk.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 #include "hw/allocation.hpp"
+#include "sim/arena.hpp"
 
 namespace perfcloud::hw {
 
@@ -15,10 +17,16 @@ void BlockDevice::set_throughput_degradation(double factor) {
   degradation_ = factor;
 }
 
-std::vector<DiskGrant> BlockDevice::serve(double dt, std::span<const TenantDemand> demands) {
+void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
+                        std::span<DiskGrant> grants) {
+  assert(demands.size() == grants.size());
   const std::size_t n = demands.size();
-  std::vector<DiskGrant> grants(n);
-  if (n == 0 || dt <= 0.0) return grants;
+  if (n == 0 || dt <= 0.0) {
+    std::fill(grants.begin(), grants.end(), DiskGrant{});
+    return;
+  }
+  sim::Arena& arena = sim::scratch_arena();
+  const sim::ArenaScope scratch(arena);
 
   const double t_op = 1.0 / (cfg_.iops_capacity * degradation_);  // seek/queue cost per op
   const double inv_bw = 1.0 / (cfg_.bw_capacity * degradation_);  // transfer cost per byte
@@ -33,8 +41,8 @@ std::vector<DiskGrant> BlockDevice::serve(double dt, std::span<const TenantDeman
 
   // 1. Apply blkio throttles: scale ops and bytes together so the request
   //    mix is preserved (the throttler delays whole requests).
-  std::vector<double> ops(n);
-  std::vector<double> bytes(n);
+  sim::ArenaVec<double> ops(arena, n);
+  sim::ArenaVec<double> bytes(arena, n);
   for (std::size_t i = 0; i < n; ++i) {
     const TenantDemand& d = demands[i];
     double scale = 1.0;
@@ -51,7 +59,7 @@ std::vector<DiskGrant> BlockDevice::serve(double dt, std::span<const TenantDeman
 
   // 2. Convert to device-seconds (each op costs a seek plus its transfer)
   //    and water-fill the device's dt seconds of service capacity.
-  std::vector<Claim> claims(n);
+  sim::ArenaVec<Claim> claims(arena, n);
   double total_need = 0.0;
   double bursty_need = 0.0;  // device-seconds offered by deep-queue tenants
   for (std::size_t i = 0; i < n; ++i) {
@@ -62,7 +70,8 @@ std::vector<DiskGrant> BlockDevice::serve(double dt, std::span<const TenantDeman
     // a fair shallow queue, 1 - 1/weight, times its offered device time.
     bursty_need += (1.0 - 1.0 / std::max(demands[i].io_weight, 1.0)) * need;
   }
-  const std::vector<double> granted_sec = weighted_fair_allocate(dt, claims);
+  sim::ArenaVec<double> granted_sec(arena, n);
+  weighted_fair_allocate(dt, claims, granted_sec);
 
   const double rho = total_need / dt;
   last_utilization_ = rho;
@@ -74,8 +83,7 @@ std::vector<DiskGrant> BlockDevice::serve(double dt, std::span<const TenantDeman
     const double need = claims[i].demand;
     const double scale = need > 0.0 ? granted_sec[i] / need : 0.0;
     DiskGrant& g = grants[i];
-    g.ops = ops[i] * scale;
-    g.bytes = bytes[i] * scale;
+    g = DiskGrant{.ops = ops[i] * scale, .bytes = bytes[i] * scale};
 
     if (g.ops > 0.0) {
       const double my_share = total_need > 0.0 ? need / total_need : 0.0;
@@ -90,7 +98,6 @@ std::vector<DiskGrant> BlockDevice::serve(double dt, std::span<const TenantDeman
       g.wait_seconds = g.ops * per_op_service * qfactor * jitter * cfg_.wait_scale;
     }
   }
-  return grants;
 }
 
 }  // namespace perfcloud::hw

@@ -81,8 +81,10 @@ class BlockDevice {
   /// Serve one tick of demand. Per-tenant throttle caps are applied first
   /// (scaling ops and bytes together), then device time (seek + transfer
   /// cost) is allocated by weighted fair sharing. Tenant order must be
-  /// stable across ticks: jitter state is keyed by position.
-  [[nodiscard]] std::vector<DiskGrant> serve(double dt, std::span<const TenantDemand> demands);
+  /// stable across ticks: jitter state is keyed by position. Writes one
+  /// grant per demand into `grants` (same size as `demands`); scratch comes
+  /// from the thread's arena.
+  void serve(double dt, std::span<const TenantDemand> demands, std::span<DiskGrant> grants);
 
   /// Device utilization of the last served tick (demand over capacity; can
   /// exceed 1 when oversubscribed).

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "hw/allocation.hpp"
+#include "sim/arena.hpp"
 
 namespace perfcloud::hw {
 
@@ -12,12 +13,18 @@ namespace {
 constexpr double kCacheLineBytes = 64.0;
 }
 
-std::vector<MemoryGrant> MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
-                                               std::span<const double> cpu_core_seconds) {
+void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
+                           std::span<const double> cpu_core_seconds,
+                           std::span<MemoryGrant> grants) {
   assert(demands.size() == cpu_core_seconds.size());
+  assert(demands.size() == grants.size());
   const std::size_t n = demands.size();
-  std::vector<MemoryGrant> grants(n);
-  if (n == 0 || dt <= 0.0) return grants;
+  if (n == 0 || dt <= 0.0) {
+    std::fill(grants.begin(), grants.end(), MemoryGrant{});
+    return;
+  }
+  sim::Arena& arena = sim::scratch_arena();
+  const sim::ArenaScope scratch(arena);
 
   if (jitter_z_.size() < n) jitter_z_.resize(n, 0.0);
   while (placement_factor_.size() < n) {
@@ -34,7 +41,7 @@ std::vector<MemoryGrant> MemorySystem::compute(double dt, std::span<const Tenant
   //    streams through it fastest), so a CPU-capped aggressor loses its
   //    occupancy along with its CPU time. The insertion potential is the
   //    tenant's granted CPU time times its intrinsic traffic intensity.
-  std::vector<double> potential(n, 0.0);
+  sim::ArenaVec<double> potential(arena, n);
   double total_potential = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     potential[i] = cpu_core_seconds[i] * demands[i].mem_bw_per_cpu_sec;
@@ -42,7 +49,7 @@ std::vector<MemoryGrant> MemorySystem::compute(double dt, std::span<const Tenant
   }
 
   // 2. Miss fractions and DRAM traffic demand.
-  std::vector<double> traffic(n, 0.0);
+  sim::ArenaVec<double> traffic(arena, n);
   double total_traffic = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const TenantDemand& d = demands[i];
@@ -72,11 +79,12 @@ std::vector<MemoryGrant> MemorySystem::compute(double dt, std::span<const Tenant
   // with a small demand is served in full under any load (its measured
   // traffic — and LLC miss rate — stays flat no matter who else streams),
   // while the big streamers split what remains.
-  std::vector<Claim> bw_claims(n);
+  sim::ArenaVec<Claim> bw_claims(arena, n);
   for (std::size_t i = 0; i < n; ++i) {
     bw_claims[i] = Claim{.demand = traffic[i], .weight = 1.0, .cap = traffic[i]};
   }
-  const std::vector<double> bw_granted = weighted_fair_allocate(bw_capacity_tick, bw_claims);
+  sim::ArenaVec<double> bw_granted(arena, n);
+  weighted_fair_allocate(bw_capacity_tick, bw_claims, bw_granted);
 
   // 3. Effective CPI with contention inflation and correlated jitter.
   for (std::size_t i = 0; i < n; ++i) {
@@ -97,7 +105,6 @@ std::vector<MemoryGrant> MemorySystem::compute(double dt, std::span<const Tenant
     const double bw_term = cfg_.bw_cpi_coeff * saturation * d.mem_sensitivity;
     g.cpi = d.cpi_base * (1.0 + (miss_term + bw_term) * placement_factor_[i]) * jitter;
   }
-  return grants;
 }
 
 }  // namespace perfcloud::hw

@@ -62,10 +62,12 @@ class MemorySystem {
 
   [[nodiscard]] const MemoryConfig& config() const { return cfg_; }
 
-  /// `cpu_core_seconds[i]` is the CPU time granted to demands[i] this tick.
-  /// Tenant order must be stable across ticks (jitter state is positional).
-  [[nodiscard]] std::vector<MemoryGrant> compute(double dt, std::span<const TenantDemand> demands,
-                                                 std::span<const double> cpu_core_seconds);
+  /// `cpu_core_seconds[i]` is the CPU time granted to demands[i] this tick;
+  /// one grant per demand is written into `grants` (all three spans the
+  /// same size). Tenant order must be stable across ticks (jitter state is
+  /// positional). Scratch comes from the thread's arena.
+  void compute(double dt, std::span<const TenantDemand> demands,
+               std::span<const double> cpu_core_seconds, std::span<MemoryGrant> grants);
 
   /// Bandwidth utilization (demand over capacity) of the last tick.
   [[nodiscard]] double last_bw_utilization() const { return last_bw_utilization_; }

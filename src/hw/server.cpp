@@ -1,7 +1,10 @@
 #include "hw/server.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
+
+#include "sim/arena.hpp"
 
 namespace perfcloud::hw {
 
@@ -20,39 +23,47 @@ double Server::last_bw_utilization() const {
   return u;
 }
 
-std::vector<TenantGrant> Server::arbitrate(double dt, std::span<const TenantDemand> demands) {
+void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
+                       std::span<TenantGrant> grants) {
+  assert(demands.size() == grants.size());
   const std::size_t n = demands.size();
-  std::vector<TenantGrant> grants(n);
-  if (n == 0) return grants;
+  if (n == 0) return;
+  sim::Arena& arena = sim::scratch_arena();
+  const sim::ArenaScope scratch(arena);
 
   // CPU first: instruction retirement depends on the memory model, which in
   // turn needs to know how much CPU time each tenant ran.
-  const std::vector<double> cpu_sec = cpu_.allocate(dt, demands);
+  sim::ArenaVec<double> cpu_sec(arena, n);
+  cpu_.allocate(dt, demands, cpu_sec);
 
   // Memory contention is per NUMA socket: partition the tenants, run each
   // socket's model on its residents, and scatter the results back. The
   // partition order is stable (ascending original index), which keeps the
   // per-slot jitter state attached to the same tenant over time as long as
   // the resident set is stable.
-  std::vector<MemoryGrant> mem(n);
+  sim::ArenaVec<MemoryGrant> mem(arena, n);
+  sim::ArenaVec<TenantDemand> socket_demands(arena, n);
+  sim::ArenaVec<double> socket_cpu(arena, n);
+  sim::ArenaVec<MemoryGrant> socket_mem(arena, n);
+  sim::ArenaVec<std::size_t> index(arena, n);
   for (int s = 0; s < cfg_.sockets; ++s) {
-    std::vector<TenantDemand> socket_demands;
-    std::vector<double> socket_cpu;
-    std::vector<std::size_t> index;
+    std::size_t k = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const int node = std::clamp(demands[i].numa_node, 0, cfg_.sockets - 1);
       if (node != s) continue;
-      socket_demands.push_back(demands[i]);
-      socket_cpu.push_back(cpu_sec[i]);
-      index.push_back(i);
+      socket_demands[k] = demands[i];
+      socket_cpu[k] = cpu_sec[i];
+      index[k] = i;
+      ++k;
     }
-    if (index.empty()) continue;
-    const std::vector<MemoryGrant> socket_grants =
-        memory_[static_cast<std::size_t>(s)].compute(dt, socket_demands, socket_cpu);
-    for (std::size_t k = 0; k < index.size(); ++k) mem[index[k]] = socket_grants[k];
+    if (k == 0) continue;
+    memory_[static_cast<std::size_t>(s)].compute(dt, {socket_demands.data(), k},
+                                                 {socket_cpu.data(), k}, {socket_mem.data(), k});
+    for (std::size_t j = 0; j < k; ++j) mem[index[j]] = socket_mem[j];
   }
 
-  const std::vector<DiskGrant> disk = disk_.serve(dt, demands);
+  sim::ArenaVec<DiskGrant> disk(arena, n);
+  disk_.serve(dt, demands, disk);
 
   const double clock = cpu_.config().clock_hz;
   for (std::size_t i = 0; i < n; ++i) {
@@ -67,7 +78,6 @@ std::vector<TenantGrant> Server::arbitrate(double dt, std::span<const TenantDema
     g.io_bytes = disk[i].bytes;
     g.io_wait_seconds = disk[i].wait_seconds;
   }
-  return grants;
 }
 
 }  // namespace perfcloud::hw

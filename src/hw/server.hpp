@@ -32,8 +32,8 @@ struct ServerConfig {
 };
 
 /// One bare-metal host (the paper's Dell R630). The hypervisor presents the
-/// demand vector of its resident VMs each tick; the server returns what each
-/// VM actually received, from which cgroup counters are accumulated.
+/// demands of its resident VMs each tick; the server writes what each VM
+/// actually received, from which cgroup counters are accumulated.
 class Server {
  public:
   Server(ServerConfig cfg, sim::Rng rng);
@@ -41,10 +41,12 @@ class Server {
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
   [[nodiscard]] const std::string& name() const { return cfg_.name; }
 
-  /// Arbitrate one tick. Demand order must be stable across ticks (per-slot
-  /// jitter state in the disk and memory models is positional).
-  [[nodiscard]] std::vector<TenantGrant> arbitrate(double dt,
-                                                   std::span<const TenantDemand> demands);
+  /// Arbitrate one tick: writes one grant per demand into `grants` (same
+  /// size as `demands`). Demand order must be stable across ticks (per-slot
+  /// jitter state in the disk and memory models is positional). Scratch
+  /// comes from the thread's arena, so a warmed tick never allocates.
+  void arbitrate(double dt, std::span<const TenantDemand> demands,
+                 std::span<TenantGrant> grants);
 
   [[nodiscard]] double last_disk_utilization() const { return disk_.last_utilization(); }
 

@@ -5,6 +5,9 @@
 // ArenaVec and the pool resets it when the participant leaves the batch, so
 // in steady state a quantum performs zero heap allocations for scratch.
 //
+// Under AddressSanitizer the arena poisons everything past its bump
+// position, so scratch read after its ArenaScope rewound is reported.
+//
 // Growth: when a block is exhausted a new block of twice the size is
 // chained on — previous allocations stay valid for the rest of the quantum.
 // reset() rewinds to offset zero and, if the arena ever chained, replaces
@@ -96,6 +99,9 @@ class ArenaVec {
 
  public:
   explicit ArenaVec(Arena& arena) : arena_(arena) {}
+  /// `n` value-initialized elements — the fixed-size scratch and output
+  /// columns of the per-tick hardware models.
+  ArenaVec(Arena& arena, std::size_t n) : arena_(arena) { resize(n); }
 
   void push_back(const T& v) {
     if (size_ == capacity_) grow();

@@ -2,9 +2,12 @@
 
 #include <atomic>
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 #include <string>
+
+#include "sim/arena.hpp"
 
 namespace perfcloud::virt {
 
@@ -95,8 +98,8 @@ const Vm& Hypervisor::require(int vm_id) const {
 }
 
 void Hypervisor::begin_migration_in(int vm_id, double bytes_per_sec) {
-  if (bytes_per_sec <= 0.0) {
-    throw std::invalid_argument("migration bandwidth must be positive");
+  if (!(std::isfinite(bytes_per_sec) && bytes_per_sec > 0.0)) {
+    throw std::invalid_argument("migration bandwidth must be finite and positive");
   }
   for (const MigrationInflow& f : migration_in_) {
     if (f.vm_id == vm_id) {
@@ -142,7 +145,9 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
   // arbitrate/account/apply round is a no-op — skip it.
   if (idle_fastpath_enabled() && is_quiescent(now)) return;
 
-  std::vector<hw::TenantDemand> demands;
+  sim::Arena& arena = sim::scratch_arena();
+  const sim::ArenaScope scratch(arena);
+  sim::ArenaVec<hw::TenantDemand> demands(arena);
   demands.reserve(vms_.size() + migration_in_.size());
   for (const auto& vm : vms_) {
     hw::TenantDemand d{};
@@ -171,7 +176,8 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
     demands.push_back(d);
   }
 
-  const std::vector<hw::TenantGrant> grants = server_.arbitrate(dt, demands);
+  sim::ArenaVec<hw::TenantGrant> grants(arena, demands.size());
+  server_.arbitrate(dt, {demands.data(), demands.size()}, grants);
   for (std::size_t i = 0; i < vms_.size(); ++i) {
     Vm& vm = *vms_[i];
     vm.cgroup().account(grants[i]);
@@ -180,6 +186,7 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
 }
 
 void Hypervisor::set_vcpu_quota(int vm_id, double cores) {
+  if (!(cores >= 0.0)) throw std::invalid_argument("vCPU quota must be >= 0 cores");
   require(vm_id).cgroup().set_cpu_quota_cores(cores);
   note_activity();
 }
@@ -190,6 +197,7 @@ void Hypervisor::clear_vcpu_quota(int vm_id) {
 }
 
 void Hypervisor::set_blkio_throttle(int vm_id, sim::Bytes bytes_per_sec) {
+  if (!(bytes_per_sec >= 0.0)) throw std::invalid_argument("blkio throttle must be >= 0 bytes/s");
   require(vm_id).cgroup().set_blkio_throttle_bps(bytes_per_sec);
   note_activity();
 }

@@ -84,7 +84,8 @@ class Hypervisor {
   /// inflates the neighbours' iowait — but receives no guest-visible
   /// grants and is not rate-adaptive (the cost model fixes the copy
   /// duration; congestion shows up as neighbour interference, not as a
-  /// longer copy). Throws on duplicate vm_id or non-positive bandwidth.
+  /// longer copy). Throws std::logic_error on a duplicate vm_id and
+  /// std::invalid_argument unless bytes_per_sec is finite and > 0.
   void begin_migration_in(int vm_id, double bytes_per_sec);
   /// End the flow (migration finished or aborted); unknown id is a no-op.
   void end_migration_in(int vm_id);
@@ -95,10 +96,13 @@ class Hypervisor {
   void set_disk_degradation(double factor);
 
   // --- libvirt-style API used by the node manager ---
-  /// Apply a CPU hard cap (vcpu_quota) in cores. Throws if the VM is unknown.
+  /// Apply a CPU hard cap (vcpu_quota) in cores. Throws
+  /// std::invalid_argument if the VM is unknown or cores is NaN or negative
+  /// (0 starves the VM; +inf is no cap).
   void set_vcpu_quota(int vm_id, double cores);
   void clear_vcpu_quota(int vm_id);
-  /// Apply a blkio throttle in bytes/second.
+  /// Apply a blkio throttle in bytes/second. Throws std::invalid_argument if
+  /// the VM is unknown or the rate is NaN or negative (0 blocks all I/O).
   void set_blkio_throttle(int vm_id, sim::Bytes bytes_per_sec);
   void clear_blkio_throttle(int vm_id);
   /// Read the VM's cumulative cgroup counters (blkio + perf_event + cpuacct).

@@ -5,6 +5,13 @@
 namespace perfcloud::hw {
 namespace {
 
+std::vector<double> allocate(const CpuScheduler& s, double dt,
+                             std::span<const TenantDemand> demands) {
+  std::vector<double> g(demands.size());
+  s.allocate(dt, demands, g);
+  return g;
+}
+
 CpuScheduler make_sched(int cores = 4) {
   CpuConfig cfg;
   cfg.cores = cores;
@@ -27,7 +34,7 @@ TEST(CpuScheduler, CapacityScalesWithDt) {
 TEST(CpuScheduler, UndersubscribedFullGrant) {
   const CpuScheduler s = make_sched(4);
   const std::vector<TenantDemand> d = {cpu_demand(1.0), cpu_demand(2.0)};
-  const auto g = s.allocate(1.0, d);
+  const auto g = allocate(s, 1.0, d);
   EXPECT_DOUBLE_EQ(g[0], 1.0);
   EXPECT_DOUBLE_EQ(g[1], 2.0);
 }
@@ -35,7 +42,7 @@ TEST(CpuScheduler, UndersubscribedFullGrant) {
 TEST(CpuScheduler, OversubscribedFairSplit) {
   const CpuScheduler s = make_sched(4);
   const std::vector<TenantDemand> d = {cpu_demand(10.0), cpu_demand(10.0)};
-  const auto g = s.allocate(1.0, d);
+  const auto g = allocate(s, 1.0, d);
   EXPECT_DOUBLE_EQ(g[0], 2.0);
   EXPECT_DOUBLE_EQ(g[1], 2.0);
 }
@@ -43,14 +50,14 @@ TEST(CpuScheduler, OversubscribedFairSplit) {
 TEST(CpuScheduler, QuotaCapsGrantEvenWhenIdle) {
   const CpuScheduler s = make_sched(8);
   const std::vector<TenantDemand> d = {cpu_demand(5.0, /*cap=*/1.0)};
-  const auto g = s.allocate(1.0, d);
+  const auto g = allocate(s, 1.0, d);
   EXPECT_DOUBLE_EQ(g[0], 1.0);
 }
 
 TEST(CpuScheduler, QuotaScalesWithTickLength) {
   const CpuScheduler s = make_sched(8);
   const std::vector<TenantDemand> d = {cpu_demand(5.0, /*cap=*/2.0)};
-  const auto g = s.allocate(0.5, d);
+  const auto g = allocate(s, 0.5, d);
   EXPECT_DOUBLE_EQ(g[0], 1.0);  // 2 cores * 0.5 s
 }
 
@@ -58,7 +65,7 @@ TEST(CpuScheduler, WeightsRespectedUnderContention) {
   const CpuScheduler s = make_sched(4);
   std::vector<TenantDemand> d = {cpu_demand(100.0), cpu_demand(100.0)};
   d[0].cpu_weight = 3.0;
-  const auto g = s.allocate(1.0, d);
+  const auto g = allocate(s, 1.0, d);
   EXPECT_DOUBLE_EQ(g[0], 3.0);
   EXPECT_DOUBLE_EQ(g[1], 1.0);
 }
@@ -66,7 +73,7 @@ TEST(CpuScheduler, WeightsRespectedUnderContention) {
 TEST(CpuScheduler, NoDemandNoGrant) {
   const CpuScheduler s = make_sched(4);
   const std::vector<TenantDemand> d = {cpu_demand(0.0), cpu_demand(1.0)};
-  const auto g = s.allocate(1.0, d);
+  const auto g = allocate(s, 1.0, d);
   EXPECT_DOUBLE_EQ(g[0], 0.0);
   EXPECT_DOUBLE_EQ(g[1], 1.0);
 }

@@ -8,6 +8,25 @@
 namespace perfcloud::hw {
 namespace {
 
+std::vector<TenantGrant> arbitrate(Server& s, double dt, std::span<const TenantDemand> demands) {
+  std::vector<TenantGrant> g(demands.size());
+  s.arbitrate(dt, demands, g);
+  return g;
+}
+
+std::vector<DiskGrant> serve(BlockDevice& disk, double dt, std::span<const TenantDemand> demands) {
+  std::vector<DiskGrant> g(demands.size());
+  disk.serve(dt, demands, g);
+  return g;
+}
+
+std::vector<MemoryGrant> compute(MemorySystem& mem, double dt, std::span<const TenantDemand> demands,
+                                 std::span<const double> cpu_core_seconds) {
+  std::vector<MemoryGrant> g(demands.size());
+  mem.compute(dt, demands, cpu_core_seconds, g);
+  return g;
+}
+
 TenantDemand random_demand(sim::Rng& rng) {
   TenantDemand d;
   d.cpu_core_seconds = rng.uniform(0.0, 8.0);
@@ -36,7 +55,7 @@ TEST_P(ServerProperties, ArbitrationInvariants) {
     std::vector<TenantDemand> demands;
     for (int i = 0; i < n; ++i) demands.push_back(random_demand(rng));
     const double dt = rng.uniform(0.05, 1.0);
-    const auto grants = server.arbitrate(dt, demands);
+    const auto grants = arbitrate(server, dt, demands);
     ASSERT_EQ(grants.size(), demands.size());
 
     double cpu_total = 0.0;
@@ -96,7 +115,7 @@ TEST_P(DiskConservation, DeviceTimeNeverOversubscribed) {
     std::vector<TenantDemand> demands;
     for (int i = 0; i < n; ++i) demands.push_back(random_demand(rng));
     const double dt = rng.uniform(0.05, 0.5);
-    const auto grants = disk.serve(dt, demands);
+    const auto grants = serve(disk, dt, demands);
 
     double device_seconds = 0.0;
     for (const DiskGrant& g : grants) {
@@ -123,7 +142,7 @@ TEST_P(MemoryConservation, BandwidthAndMissInvariants) {
       cpu.push_back(rng.uniform(0.0, 4.0));
     }
     const double dt = rng.uniform(0.05, 0.5);
-    const auto grants = mem.compute(dt, demands, cpu);
+    const auto grants = compute(mem, dt, demands, cpu);
 
     double bw_total = 0.0;
     for (std::size_t i = 0; i < grants.size(); ++i) {

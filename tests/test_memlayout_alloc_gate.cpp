@@ -5,12 +5,15 @@
 // performed zero heap allocations. The headline gate: one steady-state
 // control quantum of a warmed node manager — monitor sample, detection,
 // deviation-signal appends, incremental identification against a live
-// suspect, identification bookkeeping — allocates nothing. check.sh runs
-// these tests as a release-build gate.
+// suspect, identification bookkeeping — allocates nothing. The same holds for
+// one warmed host tick — demand collection, CPU/memory/disk arbitration and
+// accounting — whose scratch is carved from the thread's arena. check.sh
+// runs these tests as a release-build gate.
 #include <gtest/gtest.h>
 
 #include <string_view>
 
+#include "cloud/cloud_manager.hpp"
 #include "exp/cluster.hpp"
 #include "exp/event_sink.hpp"
 #include "sim/alloc_gauge.hpp"
@@ -117,6 +120,65 @@ TEST(AllocGate, SteadyStateQuantumPerformsZeroHeapAllocations) {
       << "steady-state quantum allocated: " << (after.allocs - before.allocs) << " allocations, "
       << (after.bytes - before.bytes) << " bytes over " << kQuanta << " quanta";
   EXPECT_EQ(after.frees - before.frees, 0u);
+}
+
+TEST(AllocGate, WarmedHostTickPerformsZeroHeapAllocations) {
+  ASSERT_TRUE(sim::alloc_gauge_linked());
+
+  // A busy host: six Hadoop workers inside terasort tasks far too long to
+  // finish in the window (task churn is episodic and may allocate), fio
+  // under a blkio throttle, STREAM, and an incoming migration page stream.
+  // Two sockets take the per-socket gather path of Server::arbitrate.
+  for (const int sockets : {1, 2}) {
+    SCOPED_TRACE(sockets);
+    exp::ClusterParams p;
+    p.workers = 6;
+    p.seed = 43;
+    p.shards = 1;
+    p.server.sockets = sockets;
+    exp::Cluster c = exp::make_cluster(p);
+    const int fio = exp::add_fio(c, "host-0");
+    exp::add_stream(c, "host-0", wl::StreamBenchmark::Params{.threads = 4});
+    wl::JobSpec job = wl::make_terasort(12, 6);
+    for (wl::StageSpec& stage : job.stages) {
+      for (wl::PhaseSpec& phase : stage.task.phases) {
+        phase.instructions *= 1000.0;
+        phase.io_ops *= 1000.0;
+        phase.io_bytes *= 1000.0;
+      }
+    }
+    c.framework->submit(job);
+    exp::run_for(c, 20.0);  // tasks placed and running
+
+    virt::Hypervisor& hv = c.cloud->host("host-0");
+    hv.set_blkio_throttle(fio, 20.0e6);
+    hv.begin_migration_in(9999, 50.0e6);
+    ASSERT_FALSE(hv.is_quiescent(c.engine->now()));
+
+    // Drive ticks by hand (the engine is idle, so this thread owns the host).
+    constexpr double kDt = 0.1;
+    sim::SimTime now = c.engine->now();
+    for (int i = 0; i < 20; ++i) {
+      now += kDt;
+      hv.tick(now, kDt);
+    }
+    const double cpu_before = hv.dom_stats(c.worker_vm_ids.front()).cpu_time_s;
+
+    const sim::AllocGaugeSnapshot before = sim::alloc_gauge_read();
+    constexpr int kTicks = 50;
+    for (int i = 0; i < kTicks; ++i) {
+      now += kDt;
+      hv.tick(now, kDt);
+    }
+    const sim::AllocGaugeSnapshot after = sim::alloc_gauge_read();
+
+    // The window really arbitrated work.
+    EXPECT_GT(hv.dom_stats(c.worker_vm_ids.front()).cpu_time_s, cpu_before);
+    EXPECT_EQ(after.allocs - before.allocs, 0u)
+        << "warmed host tick allocated: " << (after.allocs - before.allocs) << " allocations, "
+        << (after.bytes - before.bytes) << " bytes over " << kTicks << " ticks";
+    EXPECT_EQ(after.frees - before.frees, 0u);
+  }
 }
 
 TEST(AllocGate, UnresolvableCollisionQuantumIsAllocationFree) {

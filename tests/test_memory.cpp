@@ -6,6 +6,13 @@
 namespace perfcloud::hw {
 namespace {
 
+std::vector<MemoryGrant> compute(MemorySystem& mem, double dt, std::span<const TenantDemand> demands,
+                                 std::span<const double> cpu_core_seconds) {
+  std::vector<MemoryGrant> g(demands.size());
+  mem.compute(dt, demands, cpu_core_seconds, g);
+  return g;
+}
+
 MemoryConfig tight_llc() {
   MemoryConfig cfg;
   cfg.llc_size = 32.0 * 1024 * 1024;
@@ -32,7 +39,7 @@ TEST(MemorySystem, FittingWorkingSetHasBaseCpi) {
   MemorySystem mem = make_mem();
   const std::vector<TenantDemand> d = {mem_demand(8.0 * 1024 * 1024, 0.5e9, 1.2)};
   const std::vector<double> cpu = {1.0};
-  const auto g = mem.compute(1.0, d, cpu);
+  const auto g = compute(mem, 1.0, d, cpu);
   EXPECT_DOUBLE_EQ(g[0].miss_fraction, 0.0);
   EXPECT_NEAR(g[0].cpi, 1.2, 1e-9);
 }
@@ -41,7 +48,7 @@ TEST(MemorySystem, OversizedWorkingSetMisses) {
   MemorySystem mem = make_mem();
   const std::vector<TenantDemand> d = {mem_demand(64.0 * 1024 * 1024, 0.5e9)};
   const std::vector<double> cpu = {1.0};
-  const auto g = mem.compute(1.0, d, cpu);
+  const auto g = compute(mem, 1.0, d, cpu);
   // LLC-competing set = 64 MiB - 2.5 MiB private; 32 MiB of it fits.
   const double llc_set = (64.0 - 2.5) * 1024 * 1024;
   EXPECT_NEAR(g[0].miss_fraction, 1.0 - 32.0 * 1024 * 1024 / llc_set, 1e-9);
@@ -55,7 +62,7 @@ TEST(MemorySystem, PrivateCacheResidentSetNeverMisses) {
   const std::vector<TenantDemand> d = {mem_demand(2.0 * 1024 * 1024, 0.05e9),
                                        mem_demand(1e12, 8.0e9)};
   const std::vector<double> cpu = {1.0, 8.0};
-  const auto g = mem.compute(1.0, d, cpu);
+  const auto g = compute(mem, 1.0, d, cpu);
   EXPECT_DOUBLE_EQ(g[0].miss_fraction, 0.0);
 }
 
@@ -66,7 +73,7 @@ TEST(MemorySystem, SmallConsumerBandwidthNeverSqueezed) {
   const std::vector<TenantDemand> d = {mem_demand(2.0 * 1024 * 1024, 0.05e9),
                                        mem_demand(1e12, 40.0e9)};
   const std::vector<double> cpu = {1.0, 8.0};
-  const auto g = mem.compute(1.0, d, cpu);
+  const auto g = compute(mem, 1.0, d, cpu);
   const double small_demand = 1.0 * 0.05e9 * 0.1;  // traffic floor applies
   EXPECT_NEAR(g[0].bw_bytes, small_demand, 1.0);
 }
@@ -77,7 +84,7 @@ TEST(MemorySystem, BigNeighbourSqueezesShare) {
   const std::vector<TenantDemand> d = {mem_demand(16.0 * 1024 * 1024, 0.5e9),
                                        mem_demand(16.0 * 1024 * 1024 * 1024, 8.0e9)};
   const std::vector<double> cpu = {1.0, 8.0};
-  const auto g = mem.compute(1.0, d, cpu);
+  const auto g = compute(mem, 1.0, d, cpu);
   EXPECT_GT(g[0].miss_fraction, 0.9);
   EXPECT_GT(g[0].cpi, 1.4);
 }
@@ -87,7 +94,7 @@ TEST(MemorySystem, IdleTenantHoldsNoCache) {
   const std::vector<TenantDemand> d = {mem_demand(16.0 * 1024 * 1024, 0.5e9),
                                        mem_demand(1e12, 8.0e9)};
   const std::vector<double> cpu = {1.0, 0.0};  // the monster is idle
-  const auto g = mem.compute(1.0, d, cpu);
+  const auto g = compute(mem, 1.0, d, cpu);
   EXPECT_DOUBLE_EQ(g[0].miss_fraction, 0.0);
   EXPECT_DOUBLE_EQ(g[1].llc_misses, 0.0);
 }
@@ -100,11 +107,11 @@ TEST(MemorySystem, BandwidthSaturationInflatesCpi) {
   const TenantDemand hog = mem_demand(1e12, 10.0e9);
 
   const std::vector<double> cpu1 = {1.0};
-  const auto g1 = calm.compute(1.0, {&victim, 1}, cpu1);
+  const auto g1 = compute(calm, 1.0, {&victim, 1}, cpu1);
 
   const std::vector<TenantDemand> both = {victim, hog};
   const std::vector<double> cpu2 = {1.0, 8.0};
-  const auto g2 = busy.compute(1.0, both, cpu2);
+  const auto g2 = compute(busy, 1.0, both, cpu2);
 
   EXPECT_GT(g2[0].cpi, g1[0].cpi * 1.2);
   EXPECT_GT(busy.last_bw_utilization(), 1.0);
@@ -114,7 +121,7 @@ TEST(MemorySystem, TrafficScaledDownAtSaturation) {
   MemorySystem mem = make_mem();
   const std::vector<TenantDemand> d = {mem_demand(1e12, 10.0e9), mem_demand(1e12, 10.0e9)};
   const std::vector<double> cpu = {8.0, 8.0};
-  const auto g = mem.compute(1.0, d, cpu);
+  const auto g = compute(mem, 1.0, d, cpu);
   const double total_bw = g[0].bw_bytes + g[1].bw_bytes;
   EXPECT_LE(total_bw, 50.0e9 + 1e6);
 }
@@ -123,7 +130,7 @@ TEST(MemorySystem, MissesTrackTraffic) {
   MemorySystem mem = make_mem();
   const std::vector<TenantDemand> d = {mem_demand(1e9, 2.0e9)};
   const std::vector<double> cpu = {2.0};
-  const auto g = mem.compute(1.0, d, cpu);
+  const auto g = compute(mem, 1.0, d, cpu);
   EXPECT_NEAR(g[0].llc_misses, g[0].bw_bytes / 64.0, 1e-6);
   EXPECT_GT(g[0].llc_misses, 0.0);
 }
@@ -133,7 +140,7 @@ TEST(MemorySystem, SensitivityScalesPenalty) {
   const std::vector<TenantDemand> d = {mem_demand(1e9, 1.0e9, 1.0, 0.5),
                                        mem_demand(1e9, 1.0e9, 1.0, 2.0)};
   const std::vector<double> cpu = {1.0, 1.0};
-  const auto g = mem.compute(1.0, d, cpu);
+  const auto g = compute(mem, 1.0, d, cpu);
   // Same miss fraction, different CPI inflation.
   EXPECT_NEAR(g[0].miss_fraction, g[1].miss_fraction, 1e-9);
   EXPECT_GT(g[1].cpi, g[0].cpi * 1.5);
@@ -151,10 +158,10 @@ TEST(MemorySystem, CpiJitterSpreadsUnderForeignPressureOnly) {
   sim::RunningStats cpi_crowded;
   for (int t = 0; t < 300; ++t) {
     const std::vector<double> cpu1 = {1.0};
-    cpi_alone.add(alone.compute(0.1, {&solo, 1}, cpu1)[0].cpi);
+    cpi_alone.add(compute(alone, 0.1, {&solo, 1}, cpu1)[0].cpi);
     const std::vector<TenantDemand> both = {solo, hog};
     const std::vector<double> cpu2 = {1.0, 8.0};
-    cpi_crowded.add(crowded.compute(0.1, both, cpu2)[0].cpi);
+    cpi_crowded.add(compute(crowded, 0.1, both, cpu2)[0].cpi);
   }
   EXPECT_LT(cpi_alone.stddev(), 0.02);
   EXPECT_GT(cpi_crowded.stddev(), 5.0 * cpi_alone.stddev() + 0.05);
@@ -162,7 +169,7 @@ TEST(MemorySystem, CpiJitterSpreadsUnderForeignPressureOnly) {
 
 TEST(MemorySystem, EmptyTenantsSafe) {
   MemorySystem mem = make_mem();
-  const auto g = mem.compute(1.0, {}, {});
+  const auto g = compute(mem, 1.0, {}, {});
   EXPECT_TRUE(g.empty());
 }
 

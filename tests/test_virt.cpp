@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "virt/hypervisor.hpp"
 
@@ -144,6 +146,14 @@ TEST(Hypervisor, VcpuQuotaLimitsCpu) {
   Hypervisor hv(quiet_server(), sim::Rng(1));
   Vm& vm = hv.boot(VmConfig{.id = 1, .vcpus = 2});
   vm.attach(std::make_unique<ConstantGuest>(busy_demand()));
+  // A NaN quota would silently starve the VM; NaN and negative are rejected
+  // and leave the cgroup untouched. 0 (full throttle) and +inf stay legal.
+  EXPECT_THROW(hv.set_vcpu_quota(1, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(hv.set_vcpu_quota(1, -0.5), std::invalid_argument);
+  EXPECT_EQ(vm.cgroup().cpu_quota_cores(), hw::kNoCap);
+  EXPECT_NO_THROW(hv.set_vcpu_quota(1, 0.0));
+  EXPECT_NO_THROW(hv.set_vcpu_quota(1, std::numeric_limits<double>::infinity()));
   hv.set_vcpu_quota(1, 0.5);
   for (int t = 1; t <= 10; ++t) hv.tick(sim::SimTime(t * 0.1), 0.1);
   EXPECT_NEAR(hv.dom_stats(1).cpu_time_s, 0.5, 1e-6);
@@ -156,6 +166,15 @@ TEST(Hypervisor, BlkioThrottleLimitsBytes) {
   Hypervisor hv(quiet_server(), sim::Rng(1));
   Vm& vm = hv.boot(VmConfig{.id = 1, .vcpus = 2});
   vm.attach(std::make_unique<ConstantGuest>(busy_demand()));
+  // A NaN throttle would read as uncapped in the block device; NaN and
+  // negative are rejected and leave the cgroup untouched. 0 and +inf stay
+  // legal.
+  EXPECT_THROW(hv.set_blkio_throttle(1, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(hv.set_blkio_throttle(1, -65536.0), std::invalid_argument);
+  EXPECT_EQ(vm.cgroup().blkio_throttle_bps(), hw::kNoCap);
+  EXPECT_NO_THROW(hv.set_blkio_throttle(1, 0.0));
+  EXPECT_NO_THROW(hv.set_blkio_throttle(1, std::numeric_limits<double>::infinity()));
   hv.set_blkio_throttle(1, 65536.0);  // 1 op/s worth
   for (int t = 1; t <= 10; ++t) hv.tick(sim::SimTime(t * 0.1), 0.1);
   EXPECT_LE(hv.dom_stats(1).io_service_bytes, 65536.0 + 1e-6);
@@ -178,6 +197,23 @@ TEST(Hypervisor, GuestReceivesGrants) {
   for (int t = 1; t <= 10; ++t) hv.tick(sim::SimTime(t * 0.1), 0.1);
   EXPECT_GT(raw->total_instructions, 0.0);
   EXPECT_GT(raw->total_io_bytes, 0.0);
+}
+
+TEST(Hypervisor, MigrationInflowRejectsNonFiniteBandwidth) {
+  // A NaN or infinite page stream would poison every tenant's disk grant on
+  // the destination host; only a finite positive rate is a valid flow.
+  Hypervisor hv(quiet_server(), sim::Rng(1));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 0.0, -1.0e8}) {
+    EXPECT_THROW(hv.begin_migration_in(7, bad), std::invalid_argument) << bad;
+  }
+  EXPECT_EQ(hv.migration_inflow_count(), 0u);
+  hv.begin_migration_in(7, 1.0e8);
+  EXPECT_EQ(hv.migration_inflow_count(), 1u);
+  EXPECT_THROW(hv.begin_migration_in(7, 1.0e8), std::logic_error);
+  hv.end_migration_in(7);
+  EXPECT_EQ(hv.migration_inflow_count(), 0u);
 }
 
 }  // namespace
