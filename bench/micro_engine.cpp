@@ -13,11 +13,6 @@
 //     Seed implementation: re-align + re-sum the window per suspect per tick
 //     (the batch path, still in the tree); new implementation: the
 //     incremental RollingCorrelation path.
-//  3. time-queue A/B — the current engine under both PERFCLOUD_TIMEQ
-//     backends (binary heap vs hierarchical timer wheel) at 1k/10k/100k
-//     live periodic activities, horizon scaled so every population fires
-//     the same total count. Pure re-arm throughput: the heap pays
-//     O(log n) per fire, the wheel an O(1) level-0 relink.
 //
 // Results go to stdout and BENCH_engine.json.
 #include <algorithm>
@@ -278,66 +273,6 @@ std::pair<double, double> run_identifier_ticks(bool use_incremental) {
   return {elapsed / kTicks * 1e9, checksum};
 }
 
-// --- Workload 3: wheel-vs-heap periodic re-arm A/B --------------------------
-
-constexpr double kAbTargetFirings = 1.0e6;
-
-struct TimeqAb {
-  int live = 0;
-  std::uint64_t firings = 0;
-  double heap_fps = 0.0;   // firings per wall second, heap backend
-  double wheel_fps = 0.0;  // firings per wall second, wheel backend
-  double speedup = 0.0;    // wheel_fps / heap_fps
-};
-
-/// `live` periodic activities with periods uniform in [0.5, 2.0] s (all
-/// inside the wheel's level-0 span, the steady-state re-arm case), run long
-/// enough that the population fires ~kAbTargetFirings times in total.
-/// Repetitions alternate backends and each backend keeps its best wall time
-/// — the 1-core CI box shares its CPU, and best-of-N interleaved is the
-/// only ordering that keeps a background burst from crowning a winner.
-TimeqAb run_timeq_ab(int live) {
-  constexpr int kReps = 5;
-  const double mean_period = 1.25;
-  const double horizon = kAbTargetFirings * mean_period / live;
-  const auto run = [&](sim::TimeQueueKind kind) {
-    sim::Engine eng(99, kind);
-    sim::Rng rng(1234);  // same stream either way: identical populations
-    std::uint64_t fired = 0;
-    for (int i = 0; i < live; ++i) {
-      eng.every(rng.uniform(0.5, 2.0), [&fired](sim::SimTime) { ++fired; },
-                sim::SimTime(rng.uniform(0.0, 0.5)));
-    }
-    const double t0 = now_seconds();
-    eng.run_until(sim::SimTime(horizon));
-    return std::pair<std::uint64_t, double>{fired, now_seconds() - t0};
-  };
-  std::uint64_t heap_fired = 0;
-  std::uint64_t wheel_fired = 0;
-  double heap_best = 1.0e30;
-  double wheel_best = 1.0e30;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto [hf, hs] = run(sim::TimeQueueKind::kHeap);
-    const auto [wf, ws] = run(sim::TimeQueueKind::kWheel);
-    heap_fired = hf;
-    wheel_fired = wf;
-    heap_best = std::min(heap_best, hs);
-    wheel_best = std::min(wheel_best, ws);
-  }
-  if (heap_fired != wheel_fired) {
-    std::cerr << "timeq A/B divergence at " << live << " live periodics: heap fired "
-              << heap_fired << ", wheel fired " << wheel_fired << "\n";
-    std::exit(1);
-  }
-  TimeqAb r;
-  r.live = live;
-  r.firings = heap_fired;
-  r.heap_fps = static_cast<double>(heap_fired) / heap_best;
-  r.wheel_fps = static_cast<double>(wheel_fired) / wheel_best;
-  r.speedup = r.wheel_fps / r.heap_fps;
-  return r;
-}
-
 }  // namespace
 
 int main() {
@@ -367,17 +302,6 @@ int main() {
             << "  correlation checksum delta (agreement check): " << (batch_sum - incr_sum)
             << "\n\n";
 
-  std::vector<TimeqAb> ab;
-  for (const int live : {1000, 10000, 100000}) ab.push_back(run_timeq_ab(live));
-  std::cout << "time-queue A/B (periodic re-arm, PERFCLOUD_TIMEQ heap vs wheel, ~"
-            << static_cast<std::uint64_t>(kAbTargetFirings) << " firings each):\n";
-  for (const TimeqAb& r : ab) {
-    std::cout << "  " << r.live << " live periodics: heap "
-              << static_cast<std::uint64_t>(r.heap_fps) << " firings/s, wheel "
-              << static_cast<std::uint64_t>(r.wheel_fps) << " firings/s, speedup " << r.speedup
-              << "x\n";
-  }
-
   std::ofstream json("BENCH_engine.json");
   json << "{\n"
        << "  \"hw_context\": " << bench::hw_context_json() << ",\n"
@@ -395,15 +319,7 @@ int main() {
        << "    \"ns_per_tick_incremental\": " << incr_ns << ",\n"
        << "    \"speedup\": " << ident_speedup << ",\n"
        << "    \"correlation_checksum_delta\": " << (batch_sum - incr_sum) << "\n"
-       << "  },\n"
-       << "  \"timeq_ab\": [\n";
-  for (std::size_t i = 0; i < ab.size(); ++i) {
-    json << "    {\"live_periodics\": " << ab[i].live << ", \"firings\": " << ab[i].firings
-         << ", \"firings_per_sec_heap\": " << ab[i].heap_fps
-         << ", \"firings_per_sec_wheel\": " << ab[i].wheel_fps
-         << ", \"speedup\": " << ab[i].speedup << "}" << (i + 1 < ab.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n"
+       << "  }\n"
        << "}\n";
   std::cout << "\nwrote BENCH_engine.json\n";
   return 0;

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Full check: the test suite under ASan+UBSan (plus a sharded perf-label
 # sweep), the same suite under TSan with the host shard sweeps actually
-# parallel (PERFCLOUD_SHARDS=4, wheel time core pinned), the
-# zero-steady-state-allocation gate on the release build, and determinism
-# gates diffing real bench output across shard counts, emission modes, and
-# time-queue backends (wheel vs heap).
+# parallel (PERFCLOUD_SHARDS=4), the zero-steady-state-allocation gate on
+# the release build, and determinism gates diffing real bench output across
+# shard counts and emission modes.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 
@@ -34,14 +33,8 @@ cmake --build --preset tsan -j "$(nproc)"
 # the parallel half, which is exactly the boundary a racy shard handoff
 # would corrupt.
 PERFCLOUD_SHARDS=4 ctest --preset tsan -j "$(nproc)" "$@"
-# The perf-label tests with the timer-wheel time core pinned explicitly
-# (it is the default, but the pin keeps this sweep meaningful if the
-# default ever changes): the wheel feeds the sharded periodics that every
-# thread handoff above hangs off, so TSan must see the wheel-driven
-# schedule, not just the heap reference.
-PERFCLOUD_SHARDS=4 PERFCLOUD_TIMEQ=wheel ctest --preset tsan -L perf -j "$(nproc)"
 
-echo "== shard count + time queue determinism gate =="
+echo "== shard count determinism gate =="
 # A multi-host figure bench must emit byte-identical stdout for any shard
 # count; wall-clock time is the only thing sharding is allowed to change.
 cmake --preset release
@@ -51,18 +44,13 @@ trap 'rm -rf "$tmpdir"' EXIT
 PERFCLOUD_SHARDS=1 ./build-release/bench/ext_heterogeneous > "$tmpdir/shards1.txt" 2> /dev/null
 PERFCLOUD_SHARDS=4 ./build-release/bench/ext_heterogeneous > "$tmpdir/shards4.txt" 2> /dev/null
 diff "$tmpdir/shards1.txt" "$tmpdir/shards4.txt"
-# The heap time-queue backend against the wheel-driven baseline (the wheel
-# is the default, so shards1.txt above already used it): swapping the time
-# core may change wall-clock only, never an output byte.
-PERFCLOUD_TIMEQ=heap ./build-release/bench/ext_heterogeneous \
-  > "$tmpdir/shards1-heap.txt" 2> /dev/null
-diff "$tmpdir/shards1.txt" "$tmpdir/shards1-heap.txt"
-echo "ext_heterogeneous: byte-identical output across shard counts and time queues"
+echo "ext_heterogeneous: byte-identical output across shard counts"
 
 echo "== zero-steady-state-allocation gate =="
 # The release build (no sanitizer allocator inflating counts) runs the
 # AllocGate suite: a warmed control quantum — monitor, detect, identify,
-# bookkeeping — must perform zero heap allocations, and the suite
+# bookkeeping — a warmed host tick and the engine's periodic re-arm must
+# perform zero heap allocations, and the suite
 # self-checks that the counting operator-new hook is linked and counting
 # before trusting any zero.
 cmake --build --preset release -j "$(nproc)" --target pc_perf_tests
@@ -120,7 +108,7 @@ echo "== fault-plan determinism gate =="
 # Faults may only change what the simulation does, never whether it is
 # deterministic.
 cmake --build --preset release -j "$(nproc)" --target chaos_resilience
-for mode in s1-async s4-async s1-sync s1-heap-async; do
+for mode in s1-async s4-async s1-sync; do
   mkdir -p "$tmpdir/chaos-$mode"
 done
 PERFCLOUD_SHARDS=1 ./build-release/examples/chaos_resilience \
@@ -129,15 +117,8 @@ PERFCLOUD_SHARDS=4 ./build-release/examples/chaos_resilience \
   "$tmpdir/chaos-s4-async" async > "$tmpdir/chaos-s4-async/stdout.txt"
 PERFCLOUD_SHARDS=1 ./build-release/examples/chaos_resilience \
   "$tmpdir/chaos-s1-sync" sync > "$tmpdir/chaos-s1-sync/stdout.txt"
-# The heap time-queue backend under the full chaos plan: fault timers,
-# crash cleanups, and blackout windows are all scheduled through the time
-# core, so this is the harshest place for the wheel (the default above)
-# and the heap to disagree by even one bit.
-PERFCLOUD_SHARDS=1 PERFCLOUD_TIMEQ=heap ./build-release/examples/chaos_resilience \
-  "$tmpdir/chaos-s1-heap-async" async > "$tmpdir/chaos-s1-heap-async/stdout.txt"
 for f in stdout.txt chaos_trace.csv chaos_events.jsonl; do
   diff "$tmpdir/chaos-s1-async/$f" "$tmpdir/chaos-s4-async/$f"
   diff "$tmpdir/chaos-s1-async/$f" "$tmpdir/chaos-s1-sync/$f"
-  diff "$tmpdir/chaos-s1-async/$f" "$tmpdir/chaos-s1-heap-async/$f"
 done
-echo "chaos_resilience: byte-identical across shard counts, emission modes and time queues"
+echo "chaos_resilience: byte-identical across shard counts and emission modes"

@@ -1,4 +1,5 @@
 // PerfCloud configuration: the paper's parameter set (§III-C, §III-D).
+// NodeManager validates it at construction (see its constructor).
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,9 @@
 #include "core/node_manager.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "sim/arena.hpp"
 
@@ -11,13 +14,41 @@ const sim::TimeSeries NodeManager::kEmptySeries{};
 namespace {
 constexpr double kMinIoBaselineBps = 1.0e6;   // never throttle below-noise usage to zero
 constexpr double kMinCpuBaselineCores = 0.2;
+
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("PerfCloudConfig: ") + what);
+}
+
+/// Reject settings that would otherwise fail silently or deep inside a run.
+const PerfCloudConfig& validated(const PerfCloudConfig& cfg) {
+  require(cfg.correlation_window > 0, "correlation_window must be > 0");
+  // Fewer points than that and Pearson degenerates (two points are always
+  // +-1), so every suspect would "correlate".
+  require(cfg.correlation_window >= cfg.min_correlation_samples,
+          "correlation_window must be >= min_correlation_samples");
+  // A bound shorter than the window truncates what identification sees.
+  require(cfg.monitor_series_capacity == 0 ||
+              cfg.monitor_series_capacity >= cfg.correlation_window,
+          "monitor_series_capacity must be 0 (unbounded) or >= correlation_window");
+  require(cfg.ewma_alpha > 0.0 && cfg.ewma_alpha <= 1.0, "ewma_alpha must be in (0, 1]");
+  // Comparisons against NaN are always false: detection or identification
+  // would never fire.
+  require(!std::isnan(cfg.io_deviation_threshold), "io_deviation_threshold is NaN");
+  require(!std::isnan(cfg.cpi_deviation_threshold), "cpi_deviation_threshold is NaN");
+  require(!std::isnan(cfg.correlation_threshold), "correlation_threshold is NaN");
+  // CUBIC's k = cbrt(beta * cap / gamma): a zero, negative or non-finite
+  // gamma makes the recovery curve infinite or NaN and freezes the cap.
+  require(std::isfinite(cfg.gamma) && cfg.gamma > 0.0, "gamma must be finite and > 0");
+  return cfg;
+}
+
 }  // namespace
 
 NodeManager::NodeManager(cloud::CloudManager& cloud, std::string host_name, PerfCloudConfig cfg)
     : cloud_(cloud),
       host_(std::move(host_name)),
       hv_(cloud.host(host_)),
-      cfg_(cfg),
+      cfg_(validated(cfg)),
       monitor_(hv_, cfg),
       detector_(cfg),
       identifier_(cfg) {}

@@ -43,6 +43,10 @@ class NodeManager {
   /// Interned application id (see cloud::CloudManager::app_interner()).
   using AppId = sim::Interner::Id;
 
+  /// Throws std::invalid_argument if `cfg` is unusable: correlation_window
+  /// zero or below min_correlation_samples, monitor_series_capacity in
+  /// [1, correlation_window), ewma_alpha outside (0, 1], a NaN detection or
+  /// correlation threshold, or gamma not finite and > 0.
   NodeManager(cloud::CloudManager& cloud, std::string host_name, PerfCloudConfig cfg = {});
 
   NodeManager(const NodeManager&) = delete;

@@ -27,8 +27,7 @@ Cluster make_cluster(const ClusterParams& params) {
   }
   Cluster c;
   c.params = params;
-  c.engine = std::make_unique<sim::Engine>(
-      params.seed, params.timeq.value_or(sim::time_queue_from_env()));
+  c.engine = std::make_unique<sim::Engine>(params.seed);
   if (params.shards > 0) c.engine->set_shards(params.shards);
   c.cloud = std::make_unique<cloud::CloudManager>(*c.engine);
 

@@ -48,10 +48,6 @@ struct ClusterParams {
   /// reads PERFCLOUD_SHARDS (1 when unset). Results are byte-identical for
   /// any value; >1 only buys wall-clock time on multi-host clusters.
   unsigned shards = 0;
-  /// Time-core backend (event queue + periodic re-arming). Unset keeps the
-  /// engine's default (PERFCLOUD_TIMEQ, wheel when unset). Like `shards`,
-  /// results are byte-identical either way.
-  std::optional<sim::TimeQueueKind> timeq;
   /// When > 0, workers are spread over only the first `worker_host_limit`
   /// hosts, leaving the rest empty — the deliberately skewed clusters of
   /// bench/micro_balance (one hot shard-task, many quiescent hosts).

@@ -17,11 +17,7 @@ constexpr unsigned kMaxShards = 4096;
 
 }  // namespace
 
-Engine::Engine(std::uint64_t seed, TimeQueueKind timeq)
-    : timeq_(timeq),
-      queue_(timeq),
-      shards_(shards_from_env()),
-      rng_(seed) {}
+Engine::Engine(std::uint64_t seed) : shards_(shards_from_env()), rng_(seed) {}
 
 unsigned Engine::shards_from_env() {
   const char* env = std::getenv("PERFCLOUD_SHARDS");
@@ -77,27 +73,12 @@ void Engine::every(double period, PeriodicFn fn, SimTime start) {
     throw std::invalid_argument("Engine::every: non-positive period " + std::to_string(period));
   }
   const SimTime first = start >= now_ ? start : now_;
+  if (!(first + period > first)) {
+    throw std::invalid_argument("Engine::every: period is below the time resolution at first fire "
+                                "time " + std::to_string(first.seconds()));
+  }
   periodics_.push_back(Periodic{period, std::move(fn), first});
-  push_due(first, periodics_.size() - 1);
-}
-
-void Engine::push_due(SimTime next, std::size_t index) {
-  if (timeq_ == TimeQueueKind::kWheel) {
-    // Registration index as both key and payload: unique per outstanding
-    // entry and exactly the heap's (next, index) tie-break, so batches of
-    // simultaneous periodics fire in the same order under either backend.
-    periodic_due_.insert(next.seconds(), index, index);
-  } else {
-    due_.push(DueEntry{next, index});
-  }
-}
-
-SimTime Engine::next_periodic_time() const {
-  if (timeq_ == TimeQueueKind::kWheel) {
-    const TimerWheel::Entry* e = periodic_due_.peek();
-    return e == nullptr ? SimTime::infinity() : SimTime(e->t);
-  }
-  return due_.empty() ? SimTime::infinity() : due_.top().next;
+  due_.push(DueEntry{first, periodics_.size() - 1});
 }
 
 ShardedPeriodic& Engine::every_sharded(double period, SimTime start) {
@@ -131,20 +112,6 @@ void Engine::fire_due_periodics(SimTime t) {
   // or before t. A periodic callback may register further periodics; `every`
   // pushes their due node, and they start no earlier than `now_`, so they
   // join this batch in the correct order if due.
-  if (timeq_ == TimeQueueKind::kWheel) {
-    TimerWheel::Entry e;
-    while (true) {
-      const TimerWheel::Entry* head = periodic_due_.peek();
-      if (head == nullptr || SimTime(head->t) > t) return;
-      periodic_due_.pop(e);
-      now_ = SimTime(e.t);
-      Periodic& p = periodics_[e.payload];
-      p.next = p.next + p.period;
-      periodic_due_.insert(p.next.seconds(), e.payload, e.payload);
-      p.fn(now_);
-      if (stopped_) return;
-    }
-  }
   while (!due_.empty() && due_.top().next <= t) {
     const DueEntry e = due_.top();
     due_.pop();
@@ -164,7 +131,7 @@ SimTime Engine::run_until(SimTime t_end) {
 SimTime Engine::run_while(const std::function<bool()>& keep_going, SimTime t_end) {
   stopped_ = false;
   while (!stopped_ && keep_going()) {
-    const SimTime next_periodic = next_periodic_time();
+    const SimTime next_periodic = due_.empty() ? SimTime::infinity() : due_.top().next;
     const SimTime next_event = queue_.next_time();
     const SimTime next = std::min(next_periodic, next_event);
     if (next > t_end || next == SimTime::infinity()) {

@@ -50,21 +50,15 @@ class ShardedPeriodic {
 /// order at each multiple of the period — deterministic, which matters
 /// because arbitration must run before monitors sample its results.
 ///
-/// The next-due periodic is tracked by the engine's time core, keyed by
-/// (next_fire, registration_index). With the kHeap backend that is a
-/// min-heap (O(1) peek, O(log P) re-insert per firing); with kWheel (the
-/// default) both the peek and the re-arm are O(1) through a hierarchical
-/// TimerWheel. Firing order — and therefore every output byte — is
-/// identical across backends.
+/// The next-due periodic is tracked by a min-heap keyed by
+/// (next_fire, registration_index): O(1) peek, O(log P) re-insert per
+/// firing. P stays small — hosts share sharded periodics — so the heap is
+/// the whole time core, next to the event queue's own (t, seq) heap.
 class Engine {
  public:
   using PeriodicFn = std::function<void(SimTime)>;
 
-  explicit Engine(std::uint64_t seed = 42, TimeQueueKind timeq = time_queue_from_env());
-
-  /// Backend of the time core (event queue + periodic re-arming), fixed at
-  /// construction: PERFCLOUD_TIMEQ or the explicit constructor argument.
-  [[nodiscard]] TimeQueueKind time_queue() const { return timeq_; }
+  explicit Engine(std::uint64_t seed = 42);
 
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] Rng& rng() { return rng_; }
@@ -81,7 +75,9 @@ class Engine {
   /// time `start` (clamped up to now() if it lies in the past). Runs until
   /// the engine stops; there is no deregistration because entities live as
   /// long as the experiment.
-  /// Throws std::invalid_argument if `period` is not positive.
+  /// Throws std::invalid_argument if `period` is not positive or too small
+  /// to advance the first fire time (`first + period == first` in double
+  /// precision would refire at the same instant forever).
   void every(double period, PeriodicFn fn, SimTime start = SimTime(0.0));
 
   /// Register a sharded periodic: one heap entry for a whole host group.
@@ -146,27 +142,15 @@ class Engine {
   /// Fire all periodics due at or before `t`, in a globally time-ordered,
   /// registration-stable order.
   void fire_due_periodics(SimTime t);
-  /// Hand a periodic's pending fire time to the selected time core.
-  void push_due(SimTime next, std::size_t index);
-  [[nodiscard]] SimTime next_periodic_time() const;
-
   /// Run a sharded group's tasks for the quantum ending at `now`: inline in
   /// index order with one shard, across the pool (created lazily) otherwise.
   void run_shard_tasks(ShardedPeriodic& sp, SimTime now);
   static unsigned shards_from_env();
 
   SimTime now_{0.0};
-  /// Declared before queue_/periodic_due_: both backends key off it.
-  TimeQueueKind timeq_;
   EventQueue queue_;
   std::vector<Periodic> periodics_;
-  /// kHeap backend for the pending fire times.
   std::priority_queue<DueEntry, std::vector<DueEntry>, std::greater<>> due_;
-  /// kWheel backend: key and payload are both the registration index (one
-  /// outstanding entry per periodic; periodics never deregister, so the
-  /// erase path is never used). Mutable: peeking maintains the cached
-  /// minimum.
-  mutable TimerWheel periodic_due_;
   /// unique_ptr for address stability: firing closures hold raw pointers.
   std::vector<std::unique_ptr<ShardedPeriodic>> sharded_;
   std::vector<PeriodicFn> post_barrier_hooks_;

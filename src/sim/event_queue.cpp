@@ -1,26 +1,9 @@
 #include "sim/event_queue.hpp"
 
 #include <cassert>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace perfcloud::sim {
-
-TimeQueueKind time_queue_from_env() {
-  const char* env = std::getenv("PERFCLOUD_TIMEQ");
-  if (env == nullptr) return TimeQueueKind::kWheel;
-  const std::string s(env);
-  if (s == "wheel") return TimeQueueKind::kWheel;
-  if (s == "heap") return TimeQueueKind::kHeap;
-  // Reject garbage loudly, like PERFCLOUD_SHARDS: a typo silently picking a
-  // backend would defeat the A/B determinism gates.
-  throw std::invalid_argument("PERFCLOUD_TIMEQ='" + s +
-                              "' is not a valid time-queue kind (expected 'wheel' or 'heap')");
-}
-
-EventQueue::EventQueue(TimeQueueKind kind) : kind_(kind) {}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNoSlot) {
@@ -39,7 +22,6 @@ void EventQueue::release_slot(std::uint32_t index) {
   Slot& s = slots_[index];
   s.cb = nullptr;  // free captured state eagerly
   s.live = false;
-  s.wheel = TimerWheel::Handle{};
   ++s.generation;  // stale heap entries and handles stop matching
   s.next_free = free_head_;
   free_head_ = index;
@@ -49,13 +31,7 @@ EventHandle EventQueue::schedule(SimTime t, Callback cb) {
   const std::uint32_t index = acquire_slot();
   Slot& s = slots_[index];
   s.cb = std::move(cb);
-  if (kind_ == TimeQueueKind::kWheel) {
-    // The sequence number is the wheel's tie-break key, so simultaneous
-    // events fire in schedule order — exactly the heap's (t, seq) order.
-    s.wheel = wheel_.insert(t.seconds(), next_seq_++, index);
-  } else {
-    heap_.push(Entry{t, next_seq_++, index, s.generation});
-  }
+  heap_.push(Entry{t, next_seq_++, index, s.generation});
   ++live_;
   return EventHandle{index + 1, s.generation};
 }
@@ -65,11 +41,6 @@ bool EventQueue::cancel(EventHandle h) {
   const std::uint32_t index = h.slot - 1;
   Slot& s = slots_[index];
   if (!s.live || s.generation != h.generation) return false;
-  if (kind_ == TimeQueueKind::kWheel) {
-    const bool erased = wheel_.erase(s.wheel);
-    assert(erased);
-    (void)erased;
-  }
   release_slot(index);
   --live_;
   return true;
@@ -85,33 +56,16 @@ void EventQueue::drop_cancelled() const {
 }
 
 bool EventQueue::empty() const {
-  if (kind_ == TimeQueueKind::kWheel) return wheel_.empty();
   drop_cancelled();
   return heap_.empty();
 }
 
 SimTime EventQueue::next_time() const {
-  if (kind_ == TimeQueueKind::kWheel) {
-    const TimerWheel::Entry* e = wheel_.peek();
-    return e == nullptr ? SimTime::infinity() : SimTime(e->t);
-  }
   drop_cancelled();
   return heap_.empty() ? SimTime::infinity() : heap_.top().t;
 }
 
 bool EventQueue::run_next() {
-  if (kind_ == TimeQueueKind::kWheel) {
-    TimerWheel::Entry e;
-    if (!wheel_.pop(e)) return false;
-    const std::uint32_t index = static_cast<std::uint32_t>(e.payload);
-    Slot& s = slots_[index];
-    assert(s.live);
-    Callback fn = std::move(s.cb);
-    release_slot(index);
-    --live_;
-    fn(SimTime(e.t));
-    return true;
-  }
   drop_cancelled();
   if (heap_.empty()) return false;
   const Entry top = heap_.top();

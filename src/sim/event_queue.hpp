@@ -6,23 +6,9 @@
 #include <queue>
 #include <vector>
 
-#include "sim/timer_wheel.hpp"
 #include "sim/types.hpp"
 
 namespace perfcloud::sim {
-
-/// Backend of the simulation time core (event queue + engine periodics):
-/// the O(log n) lazy-cancel min-heap or the O(1) hierarchical timer wheel.
-/// Outputs are byte-identical either way — both order by (time, sequence).
-enum class TimeQueueKind {
-  kHeap,
-  kWheel,
-};
-
-/// Backend selected by PERFCLOUD_TIMEQ ("heap" or "wheel"; anything else —
-/// "Wheel", "fast", "" — throws std::invalid_argument rather than silently
-/// falling back), defaulting to the wheel when unset.
-[[nodiscard]] TimeQueueKind time_queue_from_env();
 
 /// Handle returned when scheduling an event; can be used to cancel it.
 ///
@@ -41,24 +27,14 @@ struct EventHandle {
 /// broken by insertion sequence, so behaviour is deterministic).
 ///
 /// Callbacks live in a slot map: a free-list-indexed vector whose entries
-/// are generation-tagged. The *ordering* of pending times is delegated to
-/// the selected TimeQueueKind backend:
-///  - kHeap: a min-heap of (t, seq) entries; O(log n) schedule/dispatch,
-///    O(1) lazy cancellation (the stale heap entry is skipped later).
-///  - kWheel: a hierarchical TimerWheel keyed by (t, seq) with the slot
-///    index as payload; O(1) schedule, O(1) true cancellation, dispatch
-///    amortized O(1) bucketing plus an O(log b) heap pop within the due
-///    tick (b = events sharing the tick, not the whole queue).
-/// Both backends dispatch in exactly (t, seq) order, so every simulation
-/// output is byte-identical across them. Nothing ever searches or compacts
-/// a sorted callback array.
+/// are generation-tagged. Pending times are ordered by a min-heap of
+/// (t, seq) entries: O(log n) schedule and dispatch, O(1) lazy cancellation
+/// (cancel releases the slot; the stale heap entry no longer matches its
+/// slot's generation and is skipped when it reaches the top). Nothing ever
+/// searches or compacts a sorted callback array.
 class EventQueue {
  public:
   using Callback = std::function<void(SimTime)>;
-
-  explicit EventQueue(TimeQueueKind kind = time_queue_from_env());
-
-  [[nodiscard]] TimeQueueKind kind() const { return kind_; }
 
   /// Schedule `cb` to fire at absolute time `t`. `t` must not be in the past
   /// relative to the last popped event.
@@ -86,7 +62,6 @@ class EventQueue {
     std::uint32_t generation = 1;
     std::uint32_t next_free = kNoSlot;  ///< Free-list link; kNoSlot when live.
     bool live = false;
-    TimerWheel::Handle wheel;  ///< The entry's wheel handle (kWheel only).
   };
 
   struct Entry {
@@ -106,10 +81,7 @@ class EventQueue {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
 
-  TimeQueueKind kind_;
   mutable std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  /// Wheel backend; mutable because peeking maintains its cached minimum.
-  mutable TimerWheel wheel_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;

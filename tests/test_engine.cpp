@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -69,6 +70,31 @@ TEST(Engine, PeriodicBeatsOneShotAtSameTimestamp) {
   e.every(1.0, [&](SimTime) { order.push_back(1); }, SimTime(1.0));
   e.run_until(SimTime(1.5));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+
+  // Five periods whose fire times collide with a train of one-shots: the
+  // dispatch must equal the (time, periodic index, then one-shot schedule
+  // order) merge of both, computed here with the same time arithmetic.
+  Engine many(7);
+  std::vector<std::pair<double, int>> fired;
+  std::vector<std::pair<double, int>> expected;
+  const SimTime horizon(40.0);
+  for (int i = 0; i < 5; ++i) {
+    const double period = 0.7 + 0.3 * i;
+    many.every(period, [&fired, i](SimTime t) { fired.emplace_back(t.seconds(), i); });
+    for (SimTime t(0.0); t <= horizon; t = t + period) expected.emplace_back(t.seconds(), i);
+  }
+  for (int i = 0; i < 20; ++i) {
+    const SimTime t(0.7 * (i + 1));
+    many.at(t, [&fired, i](SimTime at) { fired.emplace_back(at.seconds(), 100 + i); });
+    expected.emplace_back(t.seconds(), 100 + i);
+  }
+  many.run_until(horizon);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(fired, expected);
+  // The case is exercised: some one-shot shares its timestamp with a periodic.
+  EXPECT_NE(std::find(fired.begin(), fired.end(), std::pair<double, int>{0.7, 0}), fired.end());
+  EXPECT_NE(std::find(fired.begin(), fired.end(), std::pair<double, int>{0.7, 100}),
+            fired.end());
 }
 
 TEST(Engine, InterleavesPeriodicsAndEvents) {
@@ -163,6 +189,9 @@ TEST(Engine, EveryNonPositivePeriodThrows) {
   Engine e;
   EXPECT_THROW(e.every(0.0, [](SimTime) {}), std::invalid_argument);
   EXPECT_THROW(e.every(-1.0, [](SimTime) {}), std::invalid_argument);
+  // Positive but below the time resolution at t = 1: it would refire at
+  // t = 1 forever.
+  EXPECT_THROW(e.every(1e-17, [](SimTime) {}, SimTime(1.0)), std::invalid_argument);
 }
 
 TEST(Engine, PeriodicRegisteredFromCallbackJoinsSameBatchInOrder) {

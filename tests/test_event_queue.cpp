@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -35,6 +36,22 @@ TEST(EventQueue, SimultaneousEventsFifo) {
   while (q.run_next()) {
   }
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+
+  // Events joining the same timestamp after an earlier pop still fire after
+  // the ones already waiting there, in schedule order.
+  EventQueue late;
+  order.clear();
+  for (int i = 0; i < 5; ++i) {
+    late.schedule(SimTime(10.0), [&order, i](SimTime) { order.push_back(i); });
+  }
+  late.schedule(SimTime(7.5), [&order](SimTime) { order.push_back(-1); });
+  EXPECT_TRUE(late.run_next());
+  for (int i = 5; i < 10; ++i) {
+    late.schedule(SimTime(10.0), [&order, i](SimTime) { order.push_back(i); });
+  }
+  while (late.run_next()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(EventQueue, CallbackReceivesEventTime) {
@@ -52,6 +69,18 @@ TEST(EventQueue, CancelPreventsFiring) {
   q.schedule(SimTime(2.0), [&](SimTime) { ++fired; });
   EXPECT_TRUE(q.cancel(h));
   while (q.run_next()) {
+  }
+  EXPECT_EQ(fired, 1);
+
+  // Cancelling a later event after an earlier one has popped.
+  EventQueue popped;
+  fired = 0;
+  const EventHandle victim = popped.schedule(SimTime(5.0), [&](SimTime) { fired += 10; });
+  popped.schedule(SimTime(4.5), [&](SimTime) { fired += 1; });
+  EXPECT_TRUE(popped.run_next());
+  EXPECT_TRUE(popped.cancel(victim));
+  EXPECT_FALSE(popped.cancel(victim));
+  while (popped.run_next()) {
   }
   EXPECT_EQ(fired, 1);
 }
@@ -175,6 +204,22 @@ TEST(EventQueue, ManyEventsStressOrdering) {
   }
   ASSERT_EQ(times.size(), 1000u);
   EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+
+  // Far-future deadlines: a live one fires last, a cancelled one never does.
+  times.clear();
+  for (int i = 0; i < 100; ++i) {
+    const double t = static_cast<double>((i * 37) % 100);
+    q.schedule(SimTime(t), [&times](SimTime at) { times.push_back(at.seconds()); });
+  }
+  q.schedule(SimTime(2.0e12), [&times](SimTime at) { times.push_back(at.seconds()); });
+  const EventHandle far =
+      q.schedule(SimTime(3.0e12), [&times](SimTime at) { times.push_back(at.seconds()); });
+  EXPECT_TRUE(q.cancel(far));
+  while (q.run_next()) {
+  }
+  ASSERT_EQ(times.size(), 101u);
+  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+  EXPECT_DOUBLE_EQ(times.back(), 2.0e12);
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 // deviation-signal appends, incremental identification against a live
 // suspect, identification bookkeeping — allocates nothing. The same holds for
 // one warmed host tick — demand collection, CPU/memory/disk arbitration and
-// accounting — whose scratch is carved from the thread's arena. check.sh
-// runs these tests as a release-build gate.
+// accounting — whose scratch is carved from the thread's arena, and for the
+// engine's periodic re-arm. check.sh runs these tests as a release-build
+// gate.
 #include <gtest/gtest.h>
 
 #include <string_view>
@@ -17,6 +18,7 @@
 #include "exp/cluster.hpp"
 #include "exp/event_sink.hpp"
 #include "sim/alloc_gauge.hpp"
+#include "sim/engine.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace perfcloud::core {
@@ -179,6 +181,28 @@ TEST(AllocGate, WarmedHostTickPerformsZeroHeapAllocations) {
         << (after.bytes - before.bytes) << " bytes over " << kTicks << " ticks";
     EXPECT_EQ(after.frees - before.frees, 0u);
   }
+}
+
+TEST(AllocGate, WarmedPeriodicRearmIsAllocationFree) {
+  ASSERT_TRUE(sim::alloc_gauge_linked());
+  sim::Engine eng(5);
+  long fires = 0;
+  for (int i = 0; i < 32; ++i) {
+    eng.every(0.25 + 0.01 * i, [&fires](sim::SimTime) { ++fires; });
+  }
+  // Warm: the due-heap vector at capacity, every periodic re-armed many
+  // times. Each firing pops its heap node and pushes the advanced one back,
+  // which must reuse that capacity.
+  eng.run_until(sim::SimTime(60.0));
+  const long warm_fires = fires;
+
+  const sim::AllocGaugeSnapshot before = sim::alloc_gauge_read();
+  eng.run_until(sim::SimTime(240.0));
+  const sim::AllocGaugeSnapshot after = sim::alloc_gauge_read();
+  EXPECT_EQ(after.allocs - before.allocs, 0u)
+      << "periodic re-arm allocated " << (after.bytes - before.bytes)
+      << " bytes in steady state";
+  EXPECT_GT(fires, warm_fires);
 }
 
 TEST(AllocGate, UnresolvableCollisionQuantumIsAllocationFree) {

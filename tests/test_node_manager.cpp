@@ -1,6 +1,13 @@
 // End-to-end tests of Algorithm 1 on a small simulated host.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "exp/cluster.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -12,6 +19,43 @@ exp::Cluster hadoop_cluster(std::uint64_t seed) {
   p.workers = 6;
   p.seed = seed;
   return exp::make_cluster(p);
+}
+
+TEST(NodeManager, RejectsInvalidConfig) {
+  exp::Cluster c = hadoop_cluster(11);
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(PerfCloudConfig&)>>> bad = {
+      {"correlation_window 0", [](PerfCloudConfig& k) { k.correlation_window = 0; }},
+      {"window below min samples", [](PerfCloudConfig& k) { k.correlation_window = 2; }},
+      {"series capacity below window",
+       [](PerfCloudConfig& k) { k.monitor_series_capacity = k.correlation_window - 1; }},
+      {"series capacity 1", [](PerfCloudConfig& k) { k.monitor_series_capacity = 1; }},
+      {"ewma_alpha 0", [](PerfCloudConfig& k) { k.ewma_alpha = 0.0; }},
+      {"ewma_alpha above 1", [](PerfCloudConfig& k) { k.ewma_alpha = 1.5; }},
+      {"ewma_alpha NaN", [](PerfCloudConfig& k) { k.ewma_alpha = kNaN; }},
+      {"io threshold NaN", [](PerfCloudConfig& k) { k.io_deviation_threshold = kNaN; }},
+      {"cpi threshold NaN", [](PerfCloudConfig& k) { k.cpi_deviation_threshold = kNaN; }},
+      {"correlation threshold NaN", [](PerfCloudConfig& k) { k.correlation_threshold = kNaN; }},
+      {"gamma 0", [](PerfCloudConfig& k) { k.gamma = 0.0; }},
+      {"gamma negative", [](PerfCloudConfig& k) { k.gamma = -0.005; }},
+      {"gamma infinite", [](PerfCloudConfig& k) { k.gamma = kInf; }},
+      {"gamma NaN", [](PerfCloudConfig& k) { k.gamma = kNaN; }},
+  };
+  for (const auto& [name, mutate] : bad) {
+    SCOPED_TRACE(name);
+    PerfCloudConfig cfg;
+    mutate(cfg);
+    EXPECT_THROW(NodeManager(*c.cloud, "host-0", cfg), std::invalid_argument);
+  }
+
+  // The edges of each range are legal.
+  PerfCloudConfig edges;
+  edges.correlation_window = edges.min_correlation_samples;
+  edges.monitor_series_capacity = edges.correlation_window;
+  edges.ewma_alpha = 1.0;
+  EXPECT_NO_THROW(NodeManager(*c.cloud, "host-0", edges));
+  EXPECT_NO_THROW(NodeManager(*c.cloud, "host-0", PerfCloudConfig{}));
 }
 
 TEST(NodeManager, QuietClusterNeverTriggers) {
