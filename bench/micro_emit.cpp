@@ -208,7 +208,7 @@ int main() {
   std::cout << "\n";
 
   // Gate 1: observation must not change the observed — all three runs share
-  // one simulation fingerprint. Exact equality, as in micro_shard.
+  // one simulation fingerprint. Exact equality, no tolerance.
   for (const RunResult& r : results) {
     if (r.jct_sum != none.jct_sum || r.completed != none.completed ||
         r.final_time_s != none.final_time_s) {

@@ -172,9 +172,9 @@ class CloudManager {
 
   // --- Nova-like queries (what the node manager fetches, §III-D.2) ---
   /// Bumped on every registry mutation (boot, migration, crash, restore).
-  /// Node managers cache per-host registry summaries against it so the
-  /// quiescent fast path skips the linear vms_on_host scan between
-  /// placement changes.
+  /// Node managers cache per-host registry summaries against it so their
+  /// per-interval step skips the linear vms_on_host scan between placement
+  /// changes.
   [[nodiscard]] std::uint64_t registry_version() const { return registry_version_; }
   [[nodiscard]] std::vector<VmRecord> vms_on_host(const std::string& host_name) const;
   /// Visit this host's records in registry (boot) order without building a

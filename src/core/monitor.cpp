@@ -83,12 +83,6 @@ std::uint32_t PerformanceMonitor::row(int vm_id) {
 void PerformanceMonitor::sample(sim::SimTime now) {
   const double dt = cfg_.sample_interval_s;
   const double alpha = cfg_.ewma_alpha;
-  // Settledness for the fast path: every VM primed and every delta zero.
-  // Recorded against the hypervisor's activity epoch BEFORE the counter
-  // reads — if activity lands mid-sample the recorded epoch is stale and
-  // can_fast_sample stays false, which is the safe direction.
-  bool all_settled = !blackout_all_ && blackout_.empty();
-  const std::uint64_t epoch = hv_.activity_epoch();
   const bool any_dark = blackout_all_ || !blackout_.empty();
 
   // Phase 1 — gather: one walk over the resident VMs folds the counter
@@ -116,7 +110,6 @@ void PerformanceMonitor::sample(sim::SimTime now) {
     if (has_prev_[r] == 0) {
       prev_[r] = cur;
       has_prev_[r] = 1;
-      all_settled = false;
       continue;
     }
     virt::CgroupStats& prev = prev_[r];
@@ -128,8 +121,6 @@ void PerformanceMonitor::sample(sim::SimTime now) {
     const double d_misses = cur.llc_misses - prev.llc_misses;
     const double d_cpu = cur.cpu_time_s - prev.cpu_time_s;
     prev = cur;
-    all_settled = all_settled && d_wait_ms == 0.0 && d_ops == 0.0 && d_bytes == 0.0 &&
-                  d_cycles == 0.0 && d_instr == 0.0 && d_misses == 0.0 && d_cpu == 0.0;
     rows_.push_back(r);
     d_wait_ms_.push_back(d_wait_ms);
     d_ops_.push_back(d_ops);
@@ -189,31 +180,6 @@ void PerformanceMonitor::sample(sim::SimTime now) {
     const std::uint32_t r = rows_[k];
     io_series_[r].add(now, latest_[r].io_throughput_bps);
   }
-
-  settled_ = all_settled;
-  settled_epoch_ = epoch;
-}
-
-bool PerformanceMonitor::can_fast_sample() const {
-  return settled_ && settled_epoch_ == hv_.activity_epoch() && !blackout_all_ &&
-         blackout_.empty();
-}
-
-void PerformanceMonitor::record_settled(sim::SimTime now) {
-  const double alpha = cfg_.ewma_alpha;
-  for (const auto& vm : hv_.vms()) {
-    const std::uint32_t r = row(vm->id());
-    // Exactly what the zero-delta branch of sample() records: the gated
-    // metrics (iowait, CPI, LLC) skip, the always-on smoothers decay on a
-    // zero sample, and the throughput series gains one point.
-    VmSample sample;
-    sample.io_throughput_bps = ewma_step(ew_io_bps_[r], sd_io_bps_[r], alpha, 0.0);
-    sample.io_ops_per_s = 0.0;
-    sample.cpu_usage_cores = ewma_step(ew_cpu_[r], sd_cpu_[r], alpha, 0.0);
-    io_series_[r].add(now, sample.io_throughput_bps);
-    latest_[r] = sample;
-    has_latest_[r] = 1;
-  }
 }
 
 void PerformanceMonitor::forget_vm(int vm_id) {
@@ -222,10 +188,6 @@ void PerformanceMonitor::forget_vm(int vm_id) {
     free_rows_.push_back(*r);
     row_of_.erase(vm_id);
   }
-  // The row population changed; force the next sample down the full path
-  // (eviction/adoption bumped the hypervisor's activity epoch anyway, but
-  // don't rely on it from here).
-  settled_ = false;
 }
 
 void PerformanceMonitor::set_blackout(int vm_id, bool dark) {
@@ -234,12 +196,10 @@ void PerformanceMonitor::set_blackout(int vm_id, bool dark) {
   } else {
     blackout_.erase(vm_id);
   }
-  settled_ = false;
 }
 
 void PerformanceMonitor::set_blackout_all(bool dark) {
   blackout_all_ = dark;
-  settled_ = false;
 }
 
 const VmSample* PerformanceMonitor::latest(int vm_id) const {

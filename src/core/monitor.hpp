@@ -53,24 +53,9 @@ class PerformanceMonitor {
   /// per interval, after the host's arbitration tick.
   void sample(sim::SimTime now);
 
-  // --- Idle-host fast path ---
-  /// True when the last full sample saw every resident VM fully settled —
-  /// counter baseline primed, all interval deltas zero, no blackout — and no
-  /// hypervisor activity has happened since. While this holds (and the host
-  /// stays quiescent), cgroup counters cannot change, so `record_settled`
-  /// reproduces the next full sample without reading a single counter.
-  [[nodiscard]] bool can_fast_sample() const;
-  /// The fast-path equivalent of `sample(now)`, valid only while
-  /// can_fast_sample(): replays exactly the appends and EWMA decays a full
-  /// sample performs on a settled host (zero deltas feed the throughput and
-  /// CPU smoothers, one io_series point per VM; the gated metrics — iowait,
-  /// CPI, LLC — record nothing, as they would with zero deltas). Series
-  /// stay byte-identical to the slow path.
-  void record_settled(sim::SimTime now);
-
   /// Latest sample of a VM; nullptr before the first sample. The pointer is
-  /// valid until the next sample()/record_settled() call (per-VM state lives
-  /// in dense columns; sampling a never-seen VM may move it).
+  /// valid until the next sample() call (per-VM state lives in dense
+  /// columns; sampling a never-seen VM may move it).
   [[nodiscard]] const VmSample* latest(int vm_id) const;
 
   /// Batch form of latest(): out[i] = latest(ids[i]). One pass over the id
@@ -172,8 +157,6 @@ class PerformanceMonitor {
 
   std::set<int> blackout_;     ///< Individually darkened VM ids.
   bool blackout_all_ = false;  ///< Whole-host blackout.
-  bool settled_ = false;       ///< Last full sample saw only settled VMs.
-  std::uint64_t settled_epoch_ = 0;  ///< hv activity epoch at that sample.
   static const sim::TimeSeries kEmptySeries;
 };
 

@@ -174,36 +174,9 @@ void NodeManager::refresh_view() {
             [&interner](const AppGroup& a, const AppGroup& b) {
               return interner.name(a.app) < interner.name(b.app);
             });
-  cached_protected_apps_ = !view_apps_.empty();
-}
-
-bool NodeManager::try_quiescent_step(sim::SimTime now) {
-  if (!virt::idle_fastpath_enabled()) return false;
-  // Live controllers still step (and actuate) every interval even without
-  // contention — the cubic recovery must run to completion.
-  if (!io_controllers_.empty() || !cpu_controllers_.empty()) return false;
-  if (!hv_.is_quiescent(now) || !monitor_.can_fast_sample()) return false;
-  // A host carrying a protected application appends a deviation-signal
-  // sample (and possibly sink columns) every interval even when idle, so it
-  // must run the full pipeline. The registry view is cached: between
-  // placement changes this check is one integer compare, not a scan.
-  refresh_view();
-  if (cached_protected_apps_) return false;
-
-  // Replay exactly what the full pipeline does on a quiescent, app-free
-  // host: settled monitor samples, cleared scores, no escalation, and the
-  // interval counter. Detection, identification, and control all reduce to
-  // no-ops with no apps and no controllers.
-  monitor_.record_settled(now);
-  escalation_pending_ = false;
-  io_scores_.clear();
-  cpu_scores_.clear();
-  if (sink_ != nullptr) sink_->bump_counter_id(ctr_intervals_);
-  return true;
 }
 
 void NodeManager::local_step(sim::SimTime now) {
-  if (try_quiescent_step(now)) return;
   monitor_.sample(now);
   refresh_view();
 

@@ -68,12 +68,6 @@ class NodeManager {
   /// read-only cloud-registry queries — so the shard sweep runs all hosts'
   /// local steps in parallel. A detected high-priority application collision
   /// is only *recorded* here (escalation migrates VMs across hosts).
-  ///
-  /// Quiescent hosts take an O(1) early-out (try_quiescent_step) that is
-  /// state-identical to the full pipeline: the monitor records the same
-  /// settled samples, the same counters bump, and — with no protected apps,
-  /// no suspects with signal, and no live controllers — detection,
-  /// identification, and control would all have been no-ops.
   void local_step(sim::SimTime now);
 
   /// The cross-host half: if local_step flagged an application collision,
@@ -215,13 +209,6 @@ class NodeManager {
   /// order.
   void refresh_view();
 
-  /// The idle-host fast path: true when this interval was handled without
-  /// touching the registry, the detector, or the controllers. Valid only
-  /// when the hypervisor is quiescent, the monitor's settled state is
-  /// current, no high-priority application resides here (cached against the
-  /// cloud registry version), and no cap controller is live.
-  bool try_quiescent_step(sim::SimTime now);
-
   void run_resource_control(Resource res, bool contended, std::span<const int> antagonists,
                             sim::SimTime now);
   [[nodiscard]] sim::TimeSeries& signal(sim::SlotMap<sim::TimeSeries>& store, AppId app);
@@ -243,8 +230,8 @@ class NodeManager {
   cloud::CloudManager& cloud_;
   std::string host_;
   /// This host's hypervisor, resolved once (it outlives crashes: the object
-  /// survives, only its VMs die) so the per-interval fast path skips the
-  /// cloud manager's name lookup.
+  /// survives, only its VMs die) so the per-interval step skips the cloud
+  /// manager's name lookup.
   virt::Hypervisor& hv_;
   PerfCloudConfig cfg_;
   sim::EmitSink* sink_ = nullptr;
@@ -296,7 +283,6 @@ class NodeManager {
   std::uint64_t view_version_ = 0;
   std::vector<AppGroup> view_apps_;
   std::vector<int> view_suspects_;
-  bool cached_protected_apps_ = true;
   static const sim::TimeSeries kEmptySeries;
 };
 

@@ -49,8 +49,7 @@ struct ClusterParams {
   /// any value; >1 only buys wall-clock time on multi-host clusters.
   unsigned shards = 0;
   /// When > 0, workers are spread over only the first `worker_host_limit`
-  /// hosts, leaving the rest empty — the deliberately skewed clusters of
-  /// bench/micro_balance (one hot shard-task, many quiescent hosts).
+  /// hosts, leaving the rest empty (skewed clusters with quiescent hosts).
   /// 0 spreads over every host.
   int worker_host_limit = 0;
   /// How the worker VMs land on the hosts (see Placement).

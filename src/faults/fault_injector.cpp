@@ -156,9 +156,9 @@ void FaultInjector::apply_vm_stall(const FaultSpec& spec, bool paused) {
 }
 
 void FaultInjector::apply_disk_degrade(const FaultSpec& spec, double factor) {
-  // Through the hypervisor, not the raw server: a degraded disk must end
-  // the host's quiescence so the idle fast path cannot mask the fault.
-  cloud_.host(spec.host).set_disk_degradation(factor);
+  // A degraded disk ends the host's quiescence (Hypervisor::is_quiescent
+  // reads the factor), so the idle early-out cannot mask the fault.
+  cloud_.host(spec.host).server().set_disk_degradation(factor);
 }
 
 void FaultInjector::apply_monitor_blackout(const FaultSpec& spec, bool dark) {

@@ -49,9 +49,6 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
     if (d.io_bytes > 0.0 && d.io_cap_bytes_per_sec != kNoCap) {
       scale = std::min(scale, d.io_cap_bytes_per_sec * dt / d.io_bytes);
     }
-    if (d.io_ops > 0.0 && d.io_cap_iops != kNoCap) {
-      scale = std::min(scale, d.io_cap_iops * dt / d.io_ops);
-    }
     scale = std::clamp(scale, 0.0, 1.0);
     ops[i] = d.io_ops * scale;
     bytes[i] = d.io_bytes * scale;

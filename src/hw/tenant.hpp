@@ -22,7 +22,6 @@ struct TenantDemand {
   sim::Bytes io_bytes = 0.0;
   double io_weight = 1.0;
   sim::Bytes io_cap_bytes_per_sec = kNoCap;  ///< blkio throttle (bytes/s).
-  double io_cap_iops = kNoCap;               ///< blkio throttle (ops/s).
 
   // --- Memory subsystem ---
   sim::Bytes llc_footprint = 0.0;      ///< Working set competing for LLC.

@@ -3,7 +3,7 @@
 // Mirrors the pieces of the Linux cgroup interface PerfCloud reads and
 // writes: the blkio subsystem counters (io_wait_time, io_serviced,
 // io_service_bytes), the perf_event counters (cycles, instructions, LLC
-// misses), the cfs CPU quota, and the blkio throttle knobs.
+// misses), the cfs CPU quota, and the blkio bytes/s throttle.
 #pragma once
 
 #include <string>
@@ -57,15 +57,11 @@ class Cgroup {
   void clear_blkio_throttle() { blkio_throttle_bps_ = hw::kNoCap; }
   [[nodiscard]] sim::Bytes blkio_throttle_bps() const { return blkio_throttle_bps_; }
 
-  void set_blkio_throttle_iops(double iops) { blkio_throttle_iops_ = iops; }
-  [[nodiscard]] double blkio_throttle_iops() const { return blkio_throttle_iops_; }
-
  private:
   std::string name_;
   CgroupStats stats_;
   double cpu_quota_cores_ = hw::kNoCap;
   sim::Bytes blkio_throttle_bps_ = hw::kNoCap;
-  double blkio_throttle_iops_ = hw::kNoCap;
 };
 
 }  // namespace perfcloud::virt

@@ -20,10 +20,6 @@ void set_idle_fastpath_enabled(bool enabled) {
   g_idle_fastpath.store(enabled, std::memory_order_relaxed);
 }
 
-void notify_vm_activity(Hypervisor* hv) {
-  if (hv != nullptr) hv->note_activity();
-}
-
 Vm& Hypervisor::boot(VmConfig cfg) {
   if (find(cfg.id) != nullptr) {
     throw std::invalid_argument("duplicate VM id " + std::to_string(cfg.id));
@@ -31,9 +27,7 @@ Vm& Hypervisor::boot(VmConfig cfg) {
   const int requested = cfg.numa_node;
   vms_.push_back(std::make_unique<Vm>(std::move(cfg)));
   Vm& vm = *vms_.back();
-  vm.set_host(this);
   vm.set_numa_node(requested >= 0 ? requested : pick_numa_node(vm.vcpus()));
-  note_activity();
   return vm;
 }
 
@@ -58,8 +52,6 @@ std::unique_ptr<Vm> Hypervisor::evict(int vm_id) {
     if ((*it)->id() == vm_id) {
       std::unique_ptr<Vm> vm = std::move(*it);
       vms_.erase(it);
-      vm->set_host(nullptr);
-      note_activity();
       return vm;
     }
   }
@@ -71,8 +63,6 @@ Vm& Hypervisor::adopt(std::unique_ptr<Vm> vm) {
     throw std::invalid_argument("duplicate VM id " + std::to_string(vm->id()));
   }
   vms_.push_back(std::move(vm));
-  vms_.back()->set_host(this);
-  note_activity();
   return *vms_.back();
 }
 
@@ -107,17 +97,13 @@ void Hypervisor::begin_migration_in(int vm_id, double bytes_per_sec) {
     }
   }
   migration_in_.push_back(MigrationInflow{vm_id, bytes_per_sec});
-  note_activity();
 }
 
 void Hypervisor::end_migration_in(int vm_id) {
-  const auto removed =
-      std::erase_if(migration_in_, [&](const MigrationInflow& f) { return f.vm_id == vm_id; });
-  if (removed > 0) note_activity();
+  std::erase_if(migration_in_, [&](const MigrationInflow& f) { return f.vm_id == vm_id; });
 }
 
 bool Hypervisor::is_quiescent(sim::SimTime now) const {
-  if (quiescent_) return true;
   // An incoming pre-copy stream keeps the disk busy every tick.
   if (!migration_in_.empty()) return false;
   if (server_.disk_degradation() != 1.0) return false;
@@ -126,23 +112,15 @@ bool Hypervisor::is_quiescent(sim::SimTime now) const {
     const GuestWorkload* guest = vm->guest();
     if (guest != nullptr && !guest->finished(now)) return false;
     const Cgroup& cg = vm->cgroup();
-    if (cg.cpu_quota_cores() != hw::kNoCap || cg.blkio_throttle_bps() != hw::kNoCap ||
-        cg.blkio_throttle_iops() != hw::kNoCap) {
-      return false;
-    }
+    if (cg.cpu_quota_cores() != hw::kNoCap || cg.blkio_throttle_bps() != hw::kNoCap) return false;
   }
-  quiescent_ = true;
   return true;
 }
 
-void Hypervisor::set_disk_degradation(double factor) {
-  server_.set_disk_degradation(factor);
-  note_activity();
-}
-
 void Hypervisor::tick(sim::SimTime now, double dt) {
-  // Idle-host fast path: a quiescent host has all-zero demand, so the whole
-  // arbitrate/account/apply round is a no-op — skip it.
+  // Idle-host early-out: a quiescent host has all-zero demand, so the whole
+  // arbitrate/account/apply round changes no counter — skip it (at the cost
+  // of the noise-stream shift documented on tick()).
   if (idle_fastpath_enabled() && is_quiescent(now)) return;
 
   sim::Arena& arena = sim::scratch_arena();
@@ -160,7 +138,6 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
     const Cgroup& cg = vm->cgroup();
     d.cpu_cap_cores = std::min(cg.cpu_quota_cores(), static_cast<double>(vm->vcpus()));
     d.io_cap_bytes_per_sec = cg.blkio_throttle_bps();
-    d.io_cap_iops = cg.blkio_throttle_iops();
     d.numa_node = vm->numa_node();
     demands.push_back(d);
   }
@@ -188,23 +165,19 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
 void Hypervisor::set_vcpu_quota(int vm_id, double cores) {
   if (!(cores >= 0.0)) throw std::invalid_argument("vCPU quota must be >= 0 cores");
   require(vm_id).cgroup().set_cpu_quota_cores(cores);
-  note_activity();
 }
 
 void Hypervisor::clear_vcpu_quota(int vm_id) {
   require(vm_id).cgroup().clear_cpu_quota();
-  note_activity();
 }
 
 void Hypervisor::set_blkio_throttle(int vm_id, sim::Bytes bytes_per_sec) {
   if (!(bytes_per_sec >= 0.0)) throw std::invalid_argument("blkio throttle must be >= 0 bytes/s");
   require(vm_id).cgroup().set_blkio_throttle_bps(bytes_per_sec);
-  note_activity();
 }
 
 void Hypervisor::clear_blkio_throttle(int vm_id) {
   require(vm_id).cgroup().clear_blkio_throttle();
-  note_activity();
 }
 
 const CgroupStats& Hypervisor::dom_stats(int vm_id) const { return require(vm_id).cgroup().stats(); }

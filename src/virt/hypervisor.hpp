@@ -3,7 +3,6 @@
 // PerfCloud's node manager uses.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -13,10 +12,9 @@
 
 namespace perfcloud::virt {
 
-/// Global kill switch for the idle-host fast paths (hypervisor tick
-/// early-out, node-manager quiescent step). On by default. The override is
-/// process-wide — bench/micro_balance and the state-identity tests A/B it
-/// against the full tick.
+/// Global kill switch for the idle-host tick early-out. On by default. The
+/// override is process-wide — the quiescence tests A/B it against the full
+/// tick.
 [[nodiscard]] bool idle_fastpath_enabled();
 void set_idle_fastpath_enabled(bool enabled);
 
@@ -51,30 +49,24 @@ class Hypervisor {
   [[nodiscard]] const Vm* find(int vm_id) const;
   [[nodiscard]] hw::Server& server() { return server_; }
 
-  /// Advance one arbitration tick ending at `now`. Quiescent hosts take an
-  /// O(1) early-out (see is_quiescent): with no demand anywhere, arbitration
-  /// grants nothing and accounts nothing, so skipping it is state-identical
-  /// on an empty host and unobservable on a host of finished guests (the
-  /// disk's idle jitter stream freezes, but jitter only surfaces through
-  /// served I/O, which quiescence rules out).
+  /// Advance one arbitration tick ending at `now`. A quiescent host (see
+  /// is_quiescent) returns early: with no demand anywhere, arbitration
+  /// grants nothing and accounts nothing, so the skipped tick changes no
+  /// cgroup counter or guest. It is NOT unobservable, though: the full tick
+  /// would still draw the disk's and memory's AR(1) jitter from the
+  /// server's Rng, so a skipped tick leaves every later draw on this host
+  /// shifted once a tenant wakes it. A reactivated host's I/O-wait and CPI
+  /// counters (and the deviation signals built on them) therefore differ
+  /// from an always-full tick; its grants do not.
+  /// Quiescence.ReactivatedHostNoiseDiffersFromFullTick pins this.
   void tick(sim::SimTime now, double dt);
 
-  // --- Quiescence (idle-host fast path) ---
-  /// True when nothing on this host can change simulation state during a
-  /// tick: every resident VM is unpaused with no guest (or a finished one)
-  /// and carries no cgroup cap, and the disk is not degraded by a fault.
-  /// O(1) when the answer was true last time and no activity intervened
-  /// (guest completion is monotone, so quiescence can only end through an
-  /// explicit activity event); O(#vms) otherwise.
+  /// True when nothing on this host can change a counter during a tick:
+  /// every resident VM is unpaused with no guest (or a finished one) and
+  /// carries no cgroup cap, no migration stream is landing, and the disk is
+  /// not degraded by a fault. Computed from current state on every call,
+  /// O(#vms).
   [[nodiscard]] bool is_quiescent(sim::SimTime now) const;
-  /// Counter bumped by every event that can end quiescence — boot, adopt,
-  /// evict, guest attach/detach, pause/unpause, cap set/clear, disk
-  /// degradation. Monitors key their cached "settled" state to it.
-  [[nodiscard]] std::uint64_t activity_epoch() const { return activity_epoch_; }
-  void note_activity() {
-    ++activity_epoch_;
-    quiescent_ = false;
-  }
 
   // --- Live-migration inflows (destination side, DESIGN.md §5j) ---
   /// While a VM's pre-copy is in flight, the destination host's block
@@ -90,10 +82,6 @@ class Hypervisor {
   /// End the flow (migration finished or aborted); unknown id is a no-op.
   void end_migration_in(int vm_id);
   [[nodiscard]] std::size_t migration_inflow_count() const { return migration_in_.size(); }
-
-  /// Fault hook (DiskDegrade), routed through the hypervisor so quiescence
-  /// tracking sees it. 1.0 restores full throughput.
-  void set_disk_degradation(double factor);
 
   // --- libvirt-style API used by the node manager ---
   /// Apply a CPU hard cap (vcpu_quota) in cores. Throws
@@ -124,11 +112,6 @@ class Hypervisor {
   /// resident VMs' demands each tick so the hardware models' positional
   /// jitter state stays attached to the same VM across a migration.
   std::vector<MigrationInflow> migration_in_;
-  std::uint64_t activity_epoch_ = 1;
-  /// Cached "is_quiescent returned true"; cleared by note_activity. Only a
-  /// true answer is cached — false must be recomputed because guests finish
-  /// without notifying anyone.
-  mutable bool quiescent_ = false;
 };
 
 }  // namespace perfcloud::virt

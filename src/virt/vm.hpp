@@ -12,12 +12,6 @@
 
 namespace perfcloud::virt {
 
-class Hypervisor;
-/// Tell `hv` (may be null: detached VM) that a resident VM's activity state
-/// changed — attach/detach/pause. Defined in hypervisor.cpp; forwards to
-/// Hypervisor::note_activity, which ends the host's cached quiescence.
-void notify_vm_activity(Hypervisor* hv);
-
 /// Cloud-administrator-assigned priority (§III): PerfCloud protects
 /// high-priority applications by throttling low-priority antagonists only.
 enum class Priority { kHigh, kLow };
@@ -57,20 +51,9 @@ class Vm {
   [[nodiscard]] int numa_node() const { return numa_node_; }
   void set_numa_node(int node) { numa_node_ = node; }
 
-  /// Hosting hypervisor, set at boot/adoption and cleared at eviction, so
-  /// activity transitions (attach/detach/pause) can end its quiescence.
-  void set_host(Hypervisor* host) { host_ = host; }
-  [[nodiscard]] Hypervisor* host() const { return host_; }
-
   /// Attach (or replace) the guest workload. Ownership transfers to the VM.
-  void attach(std::unique_ptr<GuestWorkload> guest) {
-    guest_ = std::move(guest);
-    notify_vm_activity(host_);
-  }
-  void detach() {
-    guest_.reset();
-    notify_vm_activity(host_);
-  }
+  void attach(std::unique_ptr<GuestWorkload> guest) { guest_ = std::move(guest); }
+  void detach() { guest_.reset(); }
   [[nodiscard]] GuestWorkload* guest() { return guest_.get(); }
   [[nodiscard]] const GuestWorkload* guest() const { return guest_.get(); }
   [[nodiscard]] bool idle(sim::SimTime now) const {
@@ -79,17 +62,13 @@ class Vm {
 
   /// Fault hook (VmStall): a paused VM presents no demand and receives no
   /// grants — its guest's progress freezes until the pause is lifted.
-  void set_paused(bool paused) {
-    paused_ = paused;
-    notify_vm_activity(host_);
-  }
+  void set_paused(bool paused) { paused_ = paused; }
   [[nodiscard]] bool paused() const { return paused_; }
 
  private:
   VmConfig cfg_;
   Cgroup cgroup_;
   std::unique_ptr<GuestWorkload> guest_;
-  Hypervisor* host_ = nullptr;
   int numa_node_ = 0;
   bool paused_ = false;
 };

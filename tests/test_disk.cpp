@@ -76,14 +76,6 @@ TEST(BlockDevice, ThrottleCapsThroughput) {
   EXPECT_NEAR(g[0].ops / 50.0, g[0].bytes / 50.0e6, 1e-9);
 }
 
-TEST(BlockDevice, ThrottleIopsCap) {
-  BlockDevice disk = make_disk();
-  TenantDemand d = io_demand(80.0, 80.0 * 4096);
-  d.io_cap_iops = 20.0;
-  const auto g = serve(disk, 1.0, {&d, 1});
-  EXPECT_LE(g[0].ops, 20.0 + 1e-6);
-}
-
 TEST(BlockDevice, EqualTenantsGetEqualService) {
   BlockDevice disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(400.0, 400.0 * 4096),

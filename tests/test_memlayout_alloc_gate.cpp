@@ -224,8 +224,7 @@ TEST(AllocGate, UnresolvableCollisionQuantumIsAllocationFree) {
   other.priority = virt::Priority::kHigh;
   other.app_id = "other-app";
   c.cloud->boot_vm("host-0", other);
-  // Keep the host busy so every quantum takes the full pipeline (a
-  // quiescent host would skip escalation anyway and prove nothing).
+  // Keep the host busy so every measured quantum samples live counters.
   exp::add_fio(c, "host-0", wl::FioRandomRead::Params{.duration_s = 10000.0});
 
   PerfCloudConfig cfg;

@@ -36,6 +36,17 @@ TEST(Monitor, NoSampleBeforeFirstInterval) {
   EXPECT_EQ(rig.mon->latest(1), nullptr);
   rig.mon->sample(sim::SimTime(10.0));
   EXPECT_NE(rig.mon->latest(1), nullptr);
+  // A blackout forgets the baseline: the first interval after it only
+  // re-primes, exactly like the first interval ever, instead of reporting
+  // the whole dark period's counter delta as one sample.
+  rig.mon->set_blackout(1, true);
+  rig.mon->sample(sim::SimTime(15.0));
+  EXPECT_EQ(rig.mon->latest(1), nullptr);
+  rig.mon->set_blackout(1, false);
+  rig.mon->sample(sim::SimTime(20.0));
+  EXPECT_EQ(rig.mon->latest(1), nullptr);
+  rig.mon->sample(sim::SimTime(25.0));
+  EXPECT_NE(rig.mon->latest(1), nullptr);
 }
 
 TEST(Monitor, IdleVmHasMissingMetrics) {

@@ -149,7 +149,7 @@ RunTrace run_scenario(unsigned shards, bool with_faults, const std::string& sink
   return trace;
 }
 
-TEST(PolicyDeterminism, TraceIsIdenticalForAnyShardCountAndScheduler) {
+TEST(PolicyDeterminism, TraceIsIdenticalForAnyShardCount) {
   const RunTrace sequential = run_scenario(1, /*with_faults=*/false);
 
   // The scenario must exercise what it gates on: the throttle-escalation
