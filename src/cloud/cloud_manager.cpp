@@ -411,7 +411,7 @@ int CloudManager::resolve_high_priority_collision(const std::string& host_name) 
     // between equally-bad hosts — and only where the VM actually fits.
     // With a destination scorer installed, the hard filters stay (up,
     // strictly fewer conflicts, capacity) but the pick among survivors is
-    // the scorer's: load-aware / complementary ranking from the policy
+    // the scorer's: first-fit / complementary ranking from the policy
     // layer instead of the raw (conflict, population) heuristic.
     const Host* best = nullptr;
     std::size_t best_conflict = 0;

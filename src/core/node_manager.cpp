@@ -98,10 +98,6 @@ void NodeManager::on_migration(const cloud::MigrationEvent& ev) {
 void NodeManager::attach_sink(sim::EmitSink& sink, const std::vector<std::string>& app_ids) {
   sink_ = &sink;
   sink_source_ = sink.add_event_source(host_);
-  ctr_intervals_ = sink.add_counter(sink_source_, "control_intervals");
-  ctr_io_ident_ = sink.add_counter(sink_source_, "io_antagonist_identifications");
-  ctr_cpu_ident_ = sink.add_counter(sink_source_, "cpu_antagonist_identifications");
-  ctr_cap_dropped_ = sink.add_counter(sink_source_, "cap_commands_dropped");
   for (const std::string& app : app_ids) {
     const AppId id = cloud_.app_interner().intern(app);
     sink_columns_.try_emplace(
@@ -206,19 +202,13 @@ void NodeManager::local_step(sim::SimTime now) {
   // depend only on the registry's suspect set), so gather them once per
   // quantum, above the group loop. Nothing inside the loop mutates the
   // monitor, so the series pointers stay valid throughout.
-  sim::ArenaVec<const sim::TimeSeries*> suspect_io(arena);
-  sim::ArenaVec<const sim::TimeSeries*> suspect_llc(arena);
-  suspect_io.resize(view_suspects_.size());
-  suspect_llc.resize(view_suspects_.size());
-  monitor_.series_batch({view_suspects_.data(), view_suspects_.size()}, suspect_io.data(),
-                        suspect_llc.data());
   sim::ArenaVec<SuspectSignal> io_suspects(arena);
   sim::ArenaVec<SuspectSignal> cpu_suspects(arena);
   io_suspects.reserve(view_suspects_.size());
   cpu_suspects.reserve(view_suspects_.size());
-  for (std::size_t i = 0; i < view_suspects_.size(); ++i) {
-    io_suspects.push_back(SuspectSignal{view_suspects_[i], suspect_io[i]});
-    cpu_suspects.push_back(SuspectSignal{view_suspects_[i], suspect_llc[i]});
+  for (const int id : view_suspects_) {
+    io_suspects.push_back(SuspectSignal{id, &monitor_.io_throughput_series(id)});
+    cpu_suspects.push_back(SuspectSignal{id, &monitor_.llc_miss_series(id)});
   }
 
   for (const AppGroup& g : view_apps_) {
@@ -226,8 +216,8 @@ void NodeManager::local_step(sim::SimTime now) {
     // high-water mark scales with the largest group, not the sum.
     const sim::ArenaScope app_scratch(arena);
     sim::ArenaVec<const VmSample*> samples(arena);
-    samples.resize(g.vm_ids.size());
-    monitor_.latest_batch({g.vm_ids.data(), g.vm_ids.size()}, samples.data());
+    samples.reserve(g.vm_ids.size());
+    for (const int id : g.vm_ids) samples.push_back(monitor_.latest(id));
     const DetectionResult det = detector_.evaluate({samples.data(), samples.size()});
 
     sim::TimeSeries& io_sig = signal(io_signals_, g.app);
@@ -257,7 +247,7 @@ void NodeManager::local_step(sim::SimTime now) {
     const auto record_identification = [&](sim::SlotMap<sim::SimTime>& ids,
                                            std::map<int, sim::SimTime>& first,
                                            const SuspectScore& s, const char* kind,
-                                           sim::EmitSink::CounterId ctr) {
+                                           std::string_view counter) {
       first.try_emplace(s.vm_id, now);
       const auto [stamp, inserted] = ids.try_emplace(s.vm_id, now);
       const bool fresh = inserted || now - *stamp > cfg_.identification_memory_s;
@@ -265,7 +255,7 @@ void NodeManager::local_step(sim::SimTime now) {
       if (fresh && sink_ != nullptr) {
         sink_->emit_event(sink_source_, now, kind + std::string(" vm=") + std::to_string(s.vm_id),
                           s.correlation);
-        sink_->bump_counter_id(ctr);
+        sink_->bump_counter(sink_source_, counter);
       }
     };
     // Victim keys 2*app / 2*app+1: stable per deviation signal for the run's
@@ -277,7 +267,7 @@ void NodeManager::local_step(sim::SimTime now) {
       const SuspectScore& s = io_scores_[i];
       if (s.antagonist && !monitor_.blacked_out(s.vm_id)) {
         record_identification(io_identified_at_, io_first_identified_, s, "io_antagonist",
-                              ctr_io_ident_);
+                              "io_antagonist_identifications");
       }
     }
     const std::size_t cpu_start = cpu_scores_.size();
@@ -287,11 +277,11 @@ void NodeManager::local_step(sim::SimTime now) {
       const SuspectScore& s = cpu_scores_[i];
       if (s.antagonist && !monitor_.blacked_out(s.vm_id)) {
         record_identification(cpu_identified_at_, cpu_first_identified_, s, "cpu_antagonist",
-                              ctr_cpu_ident_);
+                              "cpu_antagonist_identifications");
       }
     }
   }
-  if (sink_ != nullptr) sink_->bump_counter_id(ctr_intervals_);
+  if (sink_ != nullptr) sink_->bump_counter(sink_source_, "control_intervals");
 
   // A suspect stays identified for a while after its correlation peak: the
   // strongest evidence appears at the antagonist's arrival, which may lead
@@ -349,7 +339,7 @@ void NodeManager::run_resource_control(Resource res, bool contended,
   const auto actuate = [&](auto&& fn) {
     if (cap_loss_active_ && cap_loss_rng_.bernoulli(cap_loss_p_)) {
       ++cap_commands_dropped_;
-      if (sink_ != nullptr) sink_->bump_counter_id(ctr_cap_dropped_);
+      if (sink_ != nullptr) sink_->bump_counter(sink_source_, "cap_commands_dropped");
       return;
     }
     fn();

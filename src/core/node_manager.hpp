@@ -237,12 +237,6 @@ class NodeManager {
   sim::EmitSink* sink_ = nullptr;
   sim::EmitSink::SourceId sink_source_ = 0;
   sim::SlotMap<SinkColumns> sink_columns_;  ///< Keyed by AppId.
-  // Slot-keyed summary counters, registered in attach_sink: per-quantum
-  // bumps are one array index, no string lookup on the control path.
-  sim::EmitSink::CounterId ctr_intervals_ = 0;
-  sim::EmitSink::CounterId ctr_io_ident_ = 0;
-  sim::EmitSink::CounterId ctr_cpu_ident_ = 0;
-  sim::EmitSink::CounterId ctr_cap_dropped_ = 0;
   PerformanceMonitor monitor_;
   InterferenceDetector detector_;
   AntagonistIdentifier identifier_;

@@ -118,22 +118,6 @@ void EventSink::bump_counter(SourceId source, std::string_view key, double delta
   }
 }
 
-EventSink::CounterId EventSink::add_counter(SourceId source, std::string key) {
-  if (registration_locked_) {
-    throw std::logic_error("EventSink: counters must be registered before the first drain");
-  }
-  if (source >= source_names_.size()) throw std::out_of_range("EventSink: unknown source");
-  counter_slots_.push_back(CounterSlot{source, std::move(key), 0.0, false});
-  return counter_slots_.size() - 1;
-}
-
-void EventSink::bump_counter_id(CounterId id, double delta) {
-  if (closed_) throw std::logic_error("EventSink: bump_counter_id after close");
-  CounterSlot& slot = counter_slots_.at(id);
-  slot.value += delta;
-  slot.touched = true;
-}
-
 namespace {
 
 /// Merge the per-source staged buffers into `out`, ordered by (time, source
@@ -215,22 +199,6 @@ void EventSink::close() {
     writer_.join();
   }
   closed_ = true;
-
-  // Fold touched counter slots into the named maps before the summary is
-  // written: the summary's bytes depend only on (source, key, total), so a
-  // key bumped by id, by name, or both prints exactly as before. Untouched
-  // slots — registered but never bumped — are skipped, matching a name-keyed
-  // counter that never saw a bump.
-  for (const CounterSlot& slot : counter_slots_) {
-    if (!slot.touched) continue;
-    auto& counters = counters_[slot.source];
-    const auto it = counters.find(slot.key);
-    if (it != counters.end()) {
-      it->second += slot.value;
-    } else {
-      counters.emplace(slot.key, slot.value);
-    }
-  }
 
   if (events_file_.is_open()) {
     events_file_ << "{\"summary\":{";

@@ -114,14 +114,6 @@ class EventSink : public sim::EmitSink {
   void emit_sample(SourceId column, sim::SimTime t, double value) override;
   void emit_event(SourceId source, sim::SimTime t, std::string kind, double value) override;
   void bump_counter(SourceId source, std::string_view key, double delta = 1.0) override;
-  /// Slot-keyed counters: registration (setup only, like the other
-  /// registrations) allocates one slot; a bump is `value += delta` on that
-  /// slot — no string compare, no tree walk, no allocation ever. Touched
-  /// slots merge into the named-counter maps at close(), so the summary
-  /// record is byte-identical whether a key was bumped by id, by name, or
-  /// both; never-bumped registrations don't appear at all.
-  CounterId add_counter(SourceId source, std::string key) override;
-  void bump_counter_id(CounterId id, double delta = 1.0) override;
 
   // --- Engine-thread drain/flush ---
   /// Post-barrier: merge everything staged during the quantum into one batch
@@ -195,15 +187,6 @@ class EventSink : public sim::EmitSink {
   /// Transparent comparator: bump_counter looks keys up by string_view and
   /// only materializes a std::string on a counter's first-ever bump.
   std::vector<std::map<std::string, double, std::less<>>> counters_;
-  /// Slot-keyed counters (add_counter/bump_counter_id). Same ownership rule
-  /// as staged buffers: a slot is bumped only by the task owning its source.
-  struct CounterSlot {
-    SourceId source = 0;
-    std::string key;
-    double value = 0.0;
-    bool touched = false;
-  };
-  std::vector<CounterSlot> counter_slots_;
 
   // Engine-thread bookkeeping.
   std::uint64_t samples_recorded_ = 0;

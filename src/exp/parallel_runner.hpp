@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <optional>
@@ -25,6 +24,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "sim/env.hpp"
 
 namespace perfcloud::exp {
 
@@ -75,16 +76,16 @@ class ParallelRunner {
 
   /// Thread count for bench binaries: PERFCLOUD_THREADS if set (so a
   /// sequential reference run of the same binary is one env var away),
-  /// otherwise the hardware concurrency.
+  /// otherwise the hardware concurrency. A malformed value throws
+  /// std::invalid_argument (see sim::count_from_env).
   static unsigned threads_from_env() {
-    if (const char* env = std::getenv("PERFCLOUD_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v >= 1) return static_cast<unsigned>(v);
-    }
-    return default_threads();
+    return sim::count_from_env("PERFCLOUD_THREADS", kMaxThreads).value_or(default_threads());
   }
 
  private:
+  /// Thread counts above this are certainly a typo, not a machine.
+  static constexpr unsigned kMaxThreads = 4096;
+
   static unsigned default_threads() {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw != 0 ? hw : 1;

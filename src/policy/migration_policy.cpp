@@ -39,12 +39,7 @@ MigrationPolicy::MigrationPolicy(cloud::CloudManager& cloud,
 
 void MigrationPolicy::set_emit_sink(sim::EmitSink* sink) {
   sink_ = sink;
-  if (sink_ != nullptr) {
-    source_ = sink_->add_event_source("policy");
-    // The per-interval heartbeat is the policy layer's only hot counter;
-    // the suppression/outcome counters below fire on episodes, not ticks.
-    ctr_intervals_ = sink_->add_counter(source_, "policy_intervals");
-  }
+  if (sink_ != nullptr) source_ = sink_->add_event_source("policy");
 }
 
 void MigrationPolicy::start() {
@@ -87,7 +82,7 @@ void MigrationPolicy::emit(sim::SimTime t, std::string kind, double value) {
 
 void MigrationPolicy::step(sim::SimTime now) {
   view_.refresh(now);
-  if (sink_ != nullptr) sink_->bump_counter_id(ctr_intervals_);
+  if (sink_ != nullptr) sink_->bump_counter(source_, "policy_intervals");
   for (std::size_t i = 0; i < view_.host_count(); ++i) {
     const HostView& h = view_.host(i);
     if (!h.up) continue;
@@ -243,11 +238,6 @@ double MigrationPolicy::score(const VmUsage& u, const HostView& dst) const {
   switch (params_.scoring) {
     case Scoring::kFirstFit:
       return -static_cast<double>(dst.index);
-    case Scoring::kLoadAware: {
-      const double lnorm = std::max(view_.max_host_llc_rate(), 1.0);
-      return -(dst.cpu_cores_used / dst.cores + dst.io_bps / dst.disk_bw +
-               dst.llc_rate / lnorm);
-    }
     case Scoring::kComplementary: {
       // VUPIC-style complementary placement: prefer the destination whose
       // aggregate usage vector overlaps least with the VM's own (a disk-

@@ -10,7 +10,7 @@
 // exhausted — the policy migrates the ANTAGONIST (never the victim's
 // scale-out group) to the best-scored feasible host.
 //
-// Destination choice is pluggable (first-fit / load-aware / VUPIC-style
+// Destination choice is pluggable (first-fit or VUPIC-style
 // complementary-usage scoring) and shared with the §IV-D escalation path:
 // the policy installs itself as the cloud manager's DestinationScorer, so
 // resolve_high_priority_collision ranks candidates through the same scorer.
@@ -38,7 +38,6 @@ namespace perfcloud::policy {
 /// Destination ranking among hosts that pass the hard feasibility filters.
 enum class Scoring {
   kFirstFit,        ///< Lowest provisioning index wins.
-  kLoadAware,       ///< Least normalized aggregate load wins.
   kComplementary,   ///< VUPIC-style: least usage-vector overlap wins.
 };
 
@@ -138,9 +137,6 @@ class MigrationPolicy final : public cloud::DestinationScorer {
   ClusterView view_;
   sim::EmitSink* sink_ = nullptr;
   sim::EmitSink::SourceId source_ = 0;
-  /// Slot-keyed per-interval counter (see set_emit_sink): the armed-but-idle
-  /// policy tick bumps it without any string lookup.
-  sim::EmitSink::CounterId ctr_intervals_ = 0;
   sim::SlotMap<VmState> vm_state_;
   /// Last migration activity touching each host (seconds; by host index).
   std::vector<double> host_last_migration_s_;

@@ -113,7 +113,7 @@ class ArenaVec {
   }
 
   /// Set the size to `n`, value-initializing any new elements — the
-  /// out-buffer shape for batch fills (monitor latest_batch/series_batch).
+  /// out-buffer shape the hardware models write their grants into.
   void resize(std::size_t n) {
     reserve(n);
     for (std::size_t i = size_; i < n; ++i) data_[i] = T{};

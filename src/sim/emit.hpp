@@ -24,7 +24,6 @@ namespace perfcloud::sim {
 class EmitSink {
  public:
   using SourceId = std::size_t;
-  using CounterId = std::size_t;
 
   virtual ~EmitSink() = default;
 
@@ -43,16 +42,6 @@ class EmitSink {
   /// bumps with literal keys construct no temporary std::string — part of
   /// the steady-state zero-allocation contract.
   virtual void bump_counter(SourceId source, std::string_view key, double delta = 1.0) = 0;
-
-  /// Register a summary counter of `source` under `key` during setup,
-  /// returning a dense id whose bumps are one array index — no string
-  /// lookup on the hot path at all. A registered-but-never-bumped counter
-  /// leaves no trace in the summary, exactly as if bump_counter had never
-  /// seen the key; bumps by id and by name to the same key fold into one
-  /// summary entry.
-  virtual CounterId add_counter(SourceId source, std::string key) = 0;
-  /// Add `delta` to a counter registered with add_counter.
-  virtual void bump_counter_id(CounterId id, double delta = 1.0) = 0;
 };
 
 }  // namespace perfcloud::sim

@@ -1,12 +1,11 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 #include "sim/arena.hpp"
+#include "sim/env.hpp"
 
 namespace perfcloud::sim {
 
@@ -17,27 +16,8 @@ constexpr unsigned kMaxShards = 4096;
 
 }  // namespace
 
-Engine::Engine(std::uint64_t seed) : shards_(shards_from_env()), rng_(seed) {}
-
-unsigned Engine::shards_from_env() {
-  const char* env = std::getenv("PERFCLOUD_SHARDS");
-  if (env == nullptr) return 1;
-  const std::string s(env);
-  bool digits_only = !s.empty();
-  for (const char c : s) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) digits_only = false;
-  }
-  // Reject garbage ("abc", "4x", "-2", "0", "") loudly: a typo silently
-  // falling back to sequential execution is exactly the failure mode that
-  // hides in CI for months.
-  const long v = digits_only ? std::strtol(env, nullptr, 10) : 0;
-  if (!digits_only || v < 1 || v > static_cast<long>(kMaxShards)) {
-    throw std::invalid_argument("PERFCLOUD_SHARDS='" + s +
-                                "' is not a valid shard count (expected an integer in [1, " +
-                                std::to_string(kMaxShards) + "])");
-  }
-  return static_cast<unsigned>(v);
-}
+Engine::Engine(std::uint64_t seed)
+    : shards_(count_from_env("PERFCLOUD_SHARDS", kMaxShards).value_or(1)), rng_(seed) {}
 
 void Engine::set_shards(unsigned shards) {
   if (shards < 1 || shards > kMaxShards) {

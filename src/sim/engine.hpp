@@ -145,7 +145,6 @@ class Engine {
   /// Run a sharded group's tasks for the quantum ending at `now`: inline in
   /// index order with one shard, across the pool (created lazily) otherwise.
   void run_shard_tasks(ShardedPeriodic& sp, SimTime now);
-  static unsigned shards_from_env();
 
   SimTime now_{0.0};
   EventQueue queue_;

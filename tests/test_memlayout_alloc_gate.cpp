@@ -55,23 +55,6 @@ TEST(AllocGate, CounterBumpSteadyStateIsAllocationFree) {
   EXPECT_EQ(after.allocs - before.allocs, 0u);
 }
 
-TEST(AllocGate, CounterIdBumpIsAllocationFreeFromTheFirstBump) {
-  // Slot counters go one better than the transparent-comparator path: after
-  // registration (add_counter, setup-time), bump_counter_id is an indexed
-  // add into a flat slot — no hashing, no lookup, and unlike bump_counter
-  // not even the FIRST bump allocates. The hot per-quantum counters
-  // (control_intervals, identifications, policy_intervals) ride this path.
-  exp::EventSink sink(exp::EventSink::Options{.async = false});
-  const auto src = sink.add_event_source("host-y");
-  const sim::EmitSink::CounterId ctr =
-      sink.add_counter(src, "another_counter_key_well_beyond_any_sso_buffer");
-
-  const sim::AllocGaugeSnapshot before = sim::alloc_gauge_read();
-  for (int i = 0; i < 100; ++i) sink.bump_counter_id(ctr);
-  const sim::AllocGaugeSnapshot after = sim::alloc_gauge_read();
-  EXPECT_EQ(after.allocs - before.allocs, 0u);
-}
-
 TEST(AllocGate, SteadyStateQuantumPerformsZeroHeapAllocations) {
   ASSERT_TRUE(sim::alloc_gauge_linked());
 

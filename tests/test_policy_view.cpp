@@ -112,8 +112,7 @@ TEST(Scoring, ComplementaryPrefersOrthogonalHostFirstFitPrefersLowIndex) {
   // host-3 idle. The antagonists are stark — a saturating large-block fio
   // vs a 500 MB/s dd — so the disk axis dominates every other overlap term:
   // the fio from host-0 must land on host-2, not host-1, under
-  // complementary scoring; first-fit only looks at the index; load-aware
-  // prefers the idle host over either busy one.
+  // complementary scoring; first-fit only looks at the index.
   exp::ClusterParams p;
   p.hosts = 4;
   p.workers = 2;
@@ -146,14 +145,6 @@ TEST(Scoring, ComplementaryPrefersOrthogonalHostFirstFitPrefersLowIndex) {
   MigrationPolicy first_fit(*c.cloud, managers(c), ff);
   EXPECT_GT(first_fit.score_destination(shape, "host-0", "host-1"),
             first_fit.score_destination(shape, "host-0", "host-2"));
-
-  PolicyParams load;
-  load.scoring = Scoring::kLoadAware;
-  MigrationPolicy load_aware(*c.cloud, managers(c), load);
-  EXPECT_GT(load_aware.score_destination(shape, "host-0", "host-3"),
-            load_aware.score_destination(shape, "host-0", "host-1"));
-  EXPECT_GT(load_aware.score_destination(shape, "host-0", "host-3"),
-            load_aware.score_destination(shape, "host-0", "host-2"));
 }
 
 TEST(MigrationPolicy, ValidatesParameters) {

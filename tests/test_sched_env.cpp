@@ -1,6 +1,8 @@
-// Strict environment parsing for the shard scheduler: garbage values of
-// PERFCLOUD_SHARDS must fail loudly at Engine construction, never fall back silently (a typo degrading a CI run to
-// sequential execution is exactly the failure mode that hides for months).
+// Strict environment parsing for the shard scheduler and the bench runner:
+// garbage values of PERFCLOUD_SHARDS (at Engine construction) and
+// PERFCLOUD_THREADS (in ParallelRunner::threads_from_env) must fail loudly,
+// never fall back silently (a typo degrading a CI run to sequential
+// execution is exactly the failure mode that hides for months).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -8,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "exp/parallel_runner.hpp"
 #include "sim/engine.hpp"
 
 namespace perfcloud::sim {
@@ -75,6 +78,34 @@ TEST(SchedulerEnv, SetShardsRejectsOutOfRange) {
   e.set_shards(4096);  // the documented ceiling itself is accepted
   EXPECT_EQ(e.shards(), 4096u);
 }
+
+TEST(ParallelRunnerEnv, ValidThreadsParses) {
+  ScopedEnv env("PERFCLOUD_THREADS", "3");
+  EXPECT_EQ(exp::ParallelRunner::threads_from_env(), 3u);
+}
+
+class GarbageThreads : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GarbageThreads, ThrowsNamingTheVariable) {
+  ScopedEnv env("PERFCLOUD_THREADS", GetParam());
+  try {
+    (void)exp::ParallelRunner::threads_from_env();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("PERFCLOUD_THREADS='" + std::string(GetParam()) + "'"),
+              std::string::npos)
+        << what;
+  }
+}
+
+std::string garbage_name(const ::testing::TestParamInfo<const char*>& info) {
+  static const char* const kNames[] = {"TrailingJunk", "NotANumber", "Zero", "Negative", "Empty"};
+  return kNames[info.index];
+}
+
+INSTANTIATE_TEST_SUITE_P(ParallelRunnerEnv, GarbageThreads,
+                         ::testing::Values("4x", "abc", "0", "-2", ""), garbage_name);
 
 }  // namespace
 }  // namespace perfcloud::sim
