@@ -110,39 +110,49 @@ TEST(Identifier, FullyDarkSuspectScoresZeroWhileLiveSuspectCrosses) {
 }
 
 TEST(NodeManagerBlackout, DarkSuspectIsOnlyIdentifiedAfterSamplesResume) {
-  exp::ClusterParams p;
-  p.hosts = 1;
-  p.workers = 10;
-  p.seed = 2026;
-  exp::Cluster c = exp::make_cluster(p);
-  const int fio = exp::add_fio(
-      c, "host-0", wl::FioRandomRead::Params{.duration_s = 400.0, .start_s = 20.0});
-  exp::enable_perfcloud(c, core::PerfCloudConfig{});
-  core::NodeManager& nm = c.node_manager(0);
+  // Both halves on a panel of seeds. Over seeds 2000–2059 the dark suspect
+  // was never identified while dark (60/60), and was identified by the end
+  // of fio's run on 59/60 or more; by t = 300 s only on about half, so that
+  // earlier deadline was seed luck, not the model.
+  constexpr double kFioStart = 20.0;
+  constexpr double kFioDuration = 400.0;
+  constexpr double kDarkUntil = 100.0;
+  for (std::uint64_t seed = 2026; seed <= 2030; ++seed) {
+    exp::ClusterParams p;
+    p.hosts = 1;
+    p.workers = 10;
+    p.seed = seed;
+    exp::Cluster c = exp::make_cluster(p);
+    const int fio = exp::add_fio(
+        c, "host-0",
+        wl::FioRandomRead::Params{.duration_s = kFioDuration, .start_s = kFioStart});
+    exp::enable_perfcloud(c, core::PerfCloudConfig{});
+    core::NodeManager& nm = c.node_manager(0);
 
-  // fio's monitor is dark from before it even starts until t=100: whatever
-  // pressure it exerts, the node manager sees only zero-fill for it.
-  faults::FaultPlan plan;
-  plan.monitor_blackout("host-0", 0.0, 100.0, fio);
-  faults::FaultInjector injector(*c.cloud, plan);
-  exp::attach_faults(c, injector);
+    // fio's monitor is dark from before it even starts until kDarkUntil:
+    // whatever pressure it exerts, the node manager sees only zero-fill for it.
+    faults::FaultPlan plan;
+    plan.monitor_blackout("host-0", 0.0, kDarkUntil, fio);
+    faults::FaultInjector injector(*c.cloud, plan);
+    exp::attach_faults(c, injector);
 
-  // Keep the cluster contended well past the blackout.
-  for (const double at : {0.0, 100.0, 200.0}) {
-    c.engine->at(sim::SimTime(at), [&c](sim::SimTime) {
-      (void)c.framework->submit(wl::make_spark_logreg(30, 8));
-    });
+    // Keep the cluster contended well past the blackout.
+    for (const double at : {0.0, 100.0, 200.0}) {
+      c.engine->at(sim::SimTime(at), [&c](sim::SimTime) {
+        (void)c.framework->submit(wl::make_spark_logreg(30, 8));
+      });
+    }
+
+    exp::run_for(c, kDarkUntil);
+    EXPECT_FALSE(nm.io_first_identified().contains(fio))
+        << "seed " << seed << ": a dark suspect must not be newly identified on zero-filled data";
+    EXPECT_FALSE(nm.cpu_first_identified().contains(fio)) << "seed " << seed;
+
+    exp::run_for(c, kFioStart + kFioDuration - kDarkUntil);
+    ASSERT_TRUE(nm.io_first_identified().contains(fio))
+        << "seed " << seed << ": identification must recover once samples resume";
+    EXPECT_GE(nm.io_first_identified().at(fio).seconds(), kDarkUntil) << "seed " << seed;
   }
-
-  exp::run_for(c, 100.0);
-  EXPECT_FALSE(nm.io_first_identified().contains(fio))
-      << "a dark suspect must not be newly identified on zero-filled data";
-  EXPECT_FALSE(nm.cpu_first_identified().contains(fio));
-
-  exp::run_for(c, 200.0);
-  ASSERT_TRUE(nm.io_first_identified().contains(fio))
-      << "identification must recover once samples resume";
-  EXPECT_GE(nm.io_first_identified().at(fio).seconds(), 100.0);
 }
 
 }  // namespace
