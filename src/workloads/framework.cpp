@@ -85,9 +85,11 @@ std::vector<JobId> ScaleOutFramework::submit_cloned(const JobSpec& spec, int clo
   const int group = next_clone_group_++;
   std::vector<JobId> ids;
   ids.reserve(static_cast<std::size_t>(clones));
+  std::vector<Job*>& members = clone_groups_.emplace_back();
   for (int c = 0; c < clones; ++c) {
     const JobId id = submit(spec);
     jobs_.back()->clone_group = group;
+    members.push_back(jobs_.back().get());
     ids.push_back(id);
   }
   return ids;
@@ -105,17 +107,19 @@ const Job* ScaleOutFramework::find_job(JobId id) const {
 }
 
 void ScaleOutFramework::kill_job(JobId id) {
-  Job* job = find_job(id);
-  if (job == nullptr || job->finished()) return;
-  const sim::SimTime now = engine_.now();
-  for (std::size_t s = 0; s < job->stage_count(); ++s) {
-    for (TaskState& t : job->stage(s)) {
+  if (Job* job = find_job(id)) kill_job(*job, engine_.now());
+}
+
+void ScaleOutFramework::kill_job(Job& job, sim::SimTime now) {
+  if (job.finished()) return;
+  for (std::size_t s = 0; s < job.stage_count(); ++s) {
+    for (TaskState& t : job.stage(s)) {
       for (AttemptRecord& a : t.attempts) {
         if (a.running) kill_attempt(a, now);
       }
     }
   }
-  job->mark_killed(now);
+  job.mark_killed(now);
 }
 
 bool ScaleOutFramework::all_done() const {
@@ -156,7 +160,6 @@ double ScaleOutFramework::utilization_efficiency() const {
 void ScaleOutFramework::poll(sim::SimTime now) {
   inject_failures(now);
   reap(now);
-  settle_clone_groups(now);
   schedule(now);
   speculate(now);
 }
@@ -218,20 +221,16 @@ void ScaleOutFramework::reap(sim::SimTime now) {
       j->advance_barrier(now);
       // Dolly: the instant a clone completes it wins its group — kill the
       // sibling clones before they get a chance to be reaped this round.
-      if (j->completed() && j->clone_group >= 0) settle_clone_groups(now);
+      if (j->completed() && j->clone_group >= 0) settle_clone_group(*j, now);
     }
   }
 }
 
-void ScaleOutFramework::settle_clone_groups(sim::SimTime now) {
-  (void)now;  // kill_job stamps engine time, which equals `now` during polls
-  for (const auto& j : jobs_) {
-    if (j->clone_group < 0 || !j->completed()) continue;
-    for (const auto& other : jobs_) {
-      if (other.get() != j.get() && other->clone_group == j->clone_group && !other->finished()) {
-        kill_job(other->id());
-      }
-    }
+void ScaleOutFramework::settle_clone_group(const Job& winner, sim::SimTime now) {
+  // A clone only completes here, in reap, so settling each winner on the
+  // spot leaves no group with a completed member and unfinished siblings.
+  for (Job* other : clone_groups_[static_cast<std::size_t>(winner.clone_group - 1)]) {
+    if (other != &winner) kill_job(*other, now);
   }
 }
 

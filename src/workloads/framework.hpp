@@ -135,7 +135,10 @@ class ScaleOutFramework {
 
   void reap(sim::SimTime now);
   void inject_failures(sim::SimTime now);
-  void settle_clone_groups(sim::SimTime now);
+  /// Dolly: kill the unfinished clones of `winner`'s group, in submission
+  /// order. Costs O(group size), once per completed clone.
+  void settle_clone_group(const Job& winner, sim::SimTime now);
+  void kill_job(Job& job, sim::SimTime now);
   void schedule(sim::SimTime now);
   void speculate(sim::SimTime now);
   void kill_attempt(AttemptRecord& rec, sim::SimTime now);
@@ -148,6 +151,9 @@ class ScaleOutFramework {
   std::string app_id_;
   std::vector<WorkerRef> workers_;
   std::vector<std::unique_ptr<Job>> jobs_;
+  /// Members of each clone group in submission (= jobs_) order; group g is
+  /// at index g - 1.
+  std::vector<std::vector<Job*>> clone_groups_;
   std::unique_ptr<Speculator> speculator_;
   sim::Rng rng_;
   JobId next_job_id_ = 1;
