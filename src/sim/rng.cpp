@@ -1,8 +1,8 @@
 #include "sim/rng.hpp"
 
+#include <array>
 #include <cassert>
 #include <cmath>
-#include <numbers>
 
 namespace perfcloud::sim {
 
@@ -54,12 +54,68 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>((*this)() % span);
 }
 
+namespace {
+
+// Doornik's ZIGNOR ziggurat (2005): 128 strips of equal area kZigV under the
+// standard normal density, the bottom one carrying the tail beyond kZigR.
+constexpr int kZigStrips = 128;
+constexpr double kZigR = 3.442619855899;
+constexpr double kZigV = 9.91256303526217e-3;
+
+struct Ziggurat {
+  /// x[i]: right edge of strip i; x[0] is the bottom strip's virtual width
+  /// kZigV / f(kZigR), x[1] = kZigR, x[kZigStrips] = 0.
+  std::array<double, kZigStrips + 1> x{};
+  /// ratio[i] = x[i + 1] / x[i]: |u| below it lies wholly under the curve.
+  std::array<double, kZigStrips> ratio{};
+
+  Ziggurat() {
+    double f = std::exp(-0.5 * kZigR * kZigR);
+    x[0] = kZigV / f;
+    x[1] = kZigR;
+    for (int i = 2; i < kZigStrips; ++i) {
+      x[i] = std::sqrt(-2.0 * std::log(kZigV / x[i - 1] + f));
+      f = std::exp(-0.5 * x[i] * x[i]);
+    }
+    x[kZigStrips] = 0.0;
+    for (int i = 0; i < kZigStrips; ++i) ratio[i] = x[i + 1] / x[i];
+  }
+};
+
+/// Built on first use, so a static initializer elsewhere may draw normals.
+const Ziggurat& ziggurat() {
+  static const Ziggurat table;
+  return table;
+}
+
+}  // namespace
+
 double Rng::normal() {
-  // Box-Muller, discarding the second variate.
-  double u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
+  const Ziggurat& zig = ziggurat();
+  for (;;) {
+    // One draw gives both the strip (low 7 bits) and a signed uniform in
+    // [-1, 1) (top 53 bits); the two bit ranges are disjoint.
+    const std::uint64_t bits = (*this)();
+    const auto i = static_cast<std::size_t>(bits & (kZigStrips - 1));
+    const double u = static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
+    if (std::abs(u) < zig.ratio[i]) return u * zig.x[i];
+    if (i == 0) {
+      // Tail beyond kZigR: Marsaglia's exponential method. 1 - uniform() is
+      // in (0, 1], so the logs stay finite.
+      double x;
+      double y;
+      do {
+        x = std::log(1.0 - uniform()) / kZigR;
+        y = std::log(1.0 - uniform());
+      } while (-2.0 * y < x * x);
+      return u < 0.0 ? x - kZigR : kZigR - x;
+    }
+    // Wedge: accept x if a uniform point over the strip falls under f(x).
+    const double x = u * zig.x[i];
+    const double f0 = std::exp(-0.5 * (zig.x[i] * zig.x[i] - x * x));
+    const double f1 = std::exp(-0.5 * (zig.x[i + 1] * zig.x[i + 1] - x * x));
+    if (f1 + uniform() * (f0 - f1) < 1.0) return x;
+  }
 }
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }

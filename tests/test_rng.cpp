@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -77,6 +79,77 @@ TEST(Rng, NormalMomentsMatch) {
   for (int i = 0; i < 100000; ++i) s.add(r.normal());
   EXPECT_NEAR(s.mean(), 0.0, 0.02);
   EXPECT_NEAR(s.stddev(), 1.0, 0.02);
+}
+
+/// 10^6 standard normals from one fixed seed: the sample the distribution
+/// tests below share.
+std::vector<double> million_normals() {
+  Rng r(61);
+  std::vector<double> z(1000000);
+  for (double& v : z) v = r.normal();
+  return z;
+}
+
+/// P(|Z| > k) for a standard normal.
+double two_sided_tail(double k) { return std::erfc(k / std::sqrt(2.0)); }
+
+/// Expects `count` successes out of `n` within 4 binomial SDs of rate `p`.
+void expect_binomial(int count, int n, double p, const char* what) {
+  const double mean = n * p;
+  const double sd = std::sqrt(n * p * (1.0 - p));
+  EXPECT_NEAR(count, mean, 4.0 * sd) << what;
+}
+
+TEST(Rng, NormalPassesKolmogorovSmirnovAgainstPhi) {
+  std::vector<double> z = million_normals();
+  std::sort(z.begin(), z.end());
+  const double n = static_cast<double>(z.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    const double phi = 0.5 * std::erfc(-z[i] / std::sqrt(2.0));
+    d = std::max({d, phi - static_cast<double>(i) / n, static_cast<double>(i + 1) / n - phi});
+  }
+  EXPECT_LT(d, 1.628 / std::sqrt(n));  // 1% critical value of the KS statistic
+}
+
+TEST(Rng, NormalTailMassesAndSignAreSymmetricAndCorrect) {
+  const std::vector<double> z = million_normals();
+  const int n = static_cast<int>(z.size());
+  const auto count = [&](auto pred) {
+    return static_cast<int>(std::count_if(z.begin(), z.end(), pred));
+  };
+  expect_binomial(count([](double v) { return std::abs(v) > 3.0; }), n, two_sided_tail(3.0),
+                  "P(|z| > 3)");
+  expect_binomial(count([](double v) { return std::abs(v) > 4.0; }), n, two_sided_tail(4.0),
+                  "P(|z| > 4)");
+  expect_binomial(count([](double v) { return v > 0.0; }), n, 0.5, "P(z > 0)");
+  expect_binomial(count([](double v) { return v > 2.0; }), n, 0.5 * two_sided_tail(2.0),
+                  "P(z > 2)");
+  expect_binomial(count([](double v) { return v < -2.0; }), n, 0.5 * two_sided_tail(2.0),
+                  "P(z < -2)");
+}
+
+TEST(Rng, NormalDrawsBeyondTheZigguratBaseAtTheNormalRate) {
+  // The sampler's bottom strip hands values beyond R to a separate tail
+  // method; they must appear, on both sides, at the normal rate.
+  constexpr double kR = 3.442619855899;
+  const std::vector<double> z = million_normals();
+  const int n = static_cast<int>(z.size());
+  const auto count = [&](auto pred) {
+    return static_cast<int>(std::count_if(z.begin(), z.end(), pred));
+  };
+  expect_binomial(count([](double v) { return v > kR; }), n, 0.5 * two_sided_tail(kR), "z > R");
+  expect_binomial(count([](double v) { return v < -kR; }), n, 0.5 * two_sided_tail(kR),
+                  "z < -R");
+}
+
+TEST(Rng, CopiedGeneratorReproducesTheNormalSequence) {
+  static_assert(std::is_trivially_copyable_v<Rng>);
+  Rng a(67);
+  for (int i = 0; i < 1000; ++i) (void)a.normal();
+  Rng b = a;
+  for (int i = 0; i < 100000; ++i) ASSERT_EQ(a.normal(), b.normal()) << "draw " << i;
+  EXPECT_EQ(a(), b());
 }
 
 TEST(Rng, NormalWithParams) {
