@@ -2,6 +2,8 @@
 // vectors, the arbitration invariants must hold.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "hw/server.hpp"
 #include "sim/rng.hpp"
 
@@ -43,18 +45,34 @@ TenantDemand random_demand(sim::Rng& rng) {
   return d;
 }
 
+bool all_finite(const TenantGrant& g) {
+  return std::isfinite(g.cpu_core_seconds) && std::isfinite(g.cycles) &&
+         std::isfinite(g.instructions) && std::isfinite(g.cpi) && std::isfinite(g.llc_misses) &&
+         std::isfinite(g.io_ops) && std::isfinite(g.io_bytes) &&
+         std::isfinite(g.io_wait_seconds) && std::isfinite(g.mem_bw_bytes);
+}
+
 class ServerProperties : public ::testing::TestWithParam<int> {};
 
 TEST_P(ServerProperties, ArbitrationInvariants) {
+  // Robustness axes on top of the random demands: odd parameters run a
+  // two-socket server, the disk is randomly degraded, and some rounds have
+  // dt = 0 or no tenants at all.
   sim::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
   hw::ServerConfig cfg;
+  cfg.sockets = 1 + GetParam() % 2;
   Server server(cfg, sim::Rng(static_cast<std::uint64_t>(GetParam())));
 
   for (int tick = 0; tick < 20; ++tick) {
-    const int n = 1 + static_cast<int>(rng.uniform_int(0, 11));
+    const int n = static_cast<int>(rng.uniform_int(0, 11));
     std::vector<TenantDemand> demands;
-    for (int i = 0; i < n; ++i) demands.push_back(random_demand(rng));
-    const double dt = rng.uniform(0.05, 1.0);
+    for (int i = 0; i < n; ++i) {
+      demands.push_back(random_demand(rng));
+      demands.back().numa_node = static_cast<int>(rng.uniform_int(0, cfg.sockets - 1));
+    }
+    const double dt = rng.bernoulli(0.15) ? 0.0 : rng.uniform(0.05, 1.0);
+    // (0, 1]: uniform() is in [0, 1).
+    server.set_disk_degradation(rng.bernoulli(0.5) ? 1.0 : 1.0 - rng.uniform());
     const auto grants = arbitrate(server, dt, demands);
     ASSERT_EQ(grants.size(), demands.size());
 
@@ -63,6 +81,8 @@ TEST_P(ServerProperties, ArbitrationInvariants) {
       const TenantDemand& d = demands[i];
       const TenantGrant& g = grants[i];
 
+      EXPECT_TRUE(all_finite(g)) << "tick " << tick << " tenant " << i << " dt " << dt;
+
       // No negative grants.
       EXPECT_GE(g.cpu_core_seconds, 0.0);
       EXPECT_GE(g.io_ops, -1e-9);
@@ -70,14 +90,26 @@ TEST_P(ServerProperties, ArbitrationInvariants) {
       EXPECT_GE(g.io_wait_seconds, 0.0);
       EXPECT_GE(g.instructions, 0.0);
       EXPECT_GE(g.llc_misses, 0.0);
+      EXPECT_GE(g.mem_bw_bytes, 0.0);
 
       // Never more than demanded.
       EXPECT_LE(g.cpu_core_seconds, d.cpu_core_seconds + 1e-9);
       EXPECT_LE(g.io_ops, d.io_ops + 1e-9);
       EXPECT_LE(g.io_bytes, d.io_bytes + 1e-6);
 
-      // CPU caps respected.
-      EXPECT_LE(g.cpu_core_seconds, d.cpu_cap_cores * dt + 1e-9);
+      // A zero-length round grants nothing.
+      if (dt == 0.0) {
+        EXPECT_EQ(g.cpu_core_seconds, 0.0);
+        EXPECT_EQ(g.io_ops, 0.0);
+        EXPECT_EQ(g.io_bytes, 0.0);
+        EXPECT_EQ(g.io_wait_seconds, 0.0);
+        EXPECT_EQ(g.mem_bw_bytes, 0.0);
+      }
+
+      // CPU caps respected (an uncapped demand times dt = 0 has no bound).
+      if (d.cpu_cap_cores != kNoCap) {
+        EXPECT_LE(g.cpu_core_seconds, d.cpu_cap_cores * dt + 1e-9);
+      }
       // I/O byte throttle respected.
       if (d.io_cap_bytes_per_sec != kNoCap) {
         EXPECT_LE(g.io_bytes, d.io_cap_bytes_per_sec * dt + 1e-6);

@@ -167,6 +167,36 @@ TEST(MemorySystem, CpiJitterSpreadsUnderForeignPressureOnly) {
   EXPECT_GT(cpi_crowded.stddev(), 5.0 * cpi_alone.stddev() + 0.05);
 }
 
+TEST(MemorySystem, KnownDeviationEvictionHandsSurvivorItsPredecessorsPlacementFactor) {
+  // Known deviation (ROADMAP item 2): noise state is keyed by demand slot,
+  // not by VM. When a tenant leaves from the middle of the demand array,
+  // every later tenant moves down one slot and inherits its predecessor's
+  // persistent placement factor (and AR(1) jitter state). `quiet` has no
+  // footprint and no bandwidth, so dropping it leaves the victim's
+  // contention terms exactly as they were; with the CPI jitter off, only
+  // the placement factor can move the victim's CPI, and it does. Item 2's
+  // VM-keyed noise must flip the last assertion to equality.
+  MemorySystem mem = make_mem(tight_llc(), 11);
+  const TenantDemand hog = mem_demand(1e12, 10.0e9);
+  const TenantDemand quiet = mem_demand(0.0, 0.0);
+  const TenantDemand victim = mem_demand(64.0 * 1024 * 1024, 1.0e9);
+
+  const std::vector<TenantDemand> before = {hog, quiet, victim};
+  const std::vector<double> cpu_before = {8.0, 1.0, 1.0};
+  const MemoryGrant v_before = compute(mem, 1.0, before, cpu_before)[2];
+  const std::vector<TenantDemand> after = {hog, victim};
+  const std::vector<double> cpu_after = {8.0, 1.0};
+  const MemoryGrant v_after = compute(mem, 1.0, after, cpu_after)[1];
+
+  // The contention the victim sees is unchanged...
+  EXPECT_EQ(v_after.miss_fraction, v_before.miss_fraction);
+  EXPECT_EQ(v_after.bw_bytes, v_before.bw_bytes);
+  EXPECT_GT(v_before.cpi, 1.0);
+  // ...but its CPI moves (1.9808 -> 1.3751 at seed 11): it now carries
+  // quiet's placement factor instead of its own.
+  EXPECT_NE(v_after.cpi, v_before.cpi);
+}
+
 TEST(MemorySystem, EmptyTenantsSafe) {
   MemorySystem mem = make_mem();
   const auto g = compute(mem, 1.0, {}, {});

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "hw/server.hpp"
-#include "sim/arena.hpp"
 
 namespace perfcloud::hw {
 namespace {
@@ -100,14 +101,14 @@ TEST(Server, DeterministicForSameSeed) {
   }
 }
 
-// A seeded demand trace for one server: `ticks` rounds of `tenants` busy
+// A seeded demand trace for one server: round t has `counts[t]` busy
 // tenants spread round-robin over `sockets` NUMA nodes.
-std::vector<std::vector<TenantDemand>> demand_trace(std::uint64_t seed, int tenants, int sockets,
-                                                    int ticks) {
+std::vector<std::vector<TenantDemand>> demand_trace(std::uint64_t seed,
+                                                    const std::vector<int>& counts, int sockets) {
   sim::Rng rng(seed);
-  std::vector<std::vector<TenantDemand>> trace(static_cast<std::size_t>(ticks));
-  for (std::vector<TenantDemand>& round : trace) {
-    for (int i = 0; i < tenants; ++i) {
+  std::vector<std::vector<TenantDemand>> trace(counts.size());
+  for (std::size_t t = 0; t < counts.size(); ++t) {
+    for (int i = 0; i < counts[t]; ++i) {
       TenantDemand d;
       d.cpu_core_seconds = rng.uniform(0.0, 0.8);
       d.io_ops = rng.uniform(0.0, 40.0);
@@ -116,32 +117,55 @@ std::vector<std::vector<TenantDemand>> demand_trace(std::uint64_t seed, int tena
       d.llc_footprint = rng.uniform(1.0, 64.0) * 1024 * 1024;
       d.mem_bw_per_cpu_sec = rng.uniform(0.1e9, 20e9);
       d.numa_node = i % sockets;
-      round.push_back(d);
+      trace[t].push_back(d);
     }
   }
   return trace;
 }
 
+// Per-round tenant counts that grow and shrink from tick to tick, with about
+// one round in eight empty.
+std::vector<int> varying_counts(std::uint64_t seed, int max_tenants, int ticks) {
+  sim::Rng rng(seed);
+  std::vector<int> counts;
+  for (int t = 0; t < ticks; ++t) {
+    counts.push_back(rng.bernoulli(0.125) ? 0 : static_cast<int>(rng.uniform_int(1, max_tenants)));
+  }
+  return counts;
+}
+
 TEST(Server, InterleavedServersOnOneThreadMatchSoloRuns) {
-  // Every host on a thread shares that thread's scratch arena. Two servers
-  // arbitrated alternately — each one's grants still live in the arena while
-  // the other's scratch is carved right behind them — must produce exactly
-  // what each produces when run alone: no state may leak through scratch.
+  // The hardware models keep their per-tick scratch per thread, so every
+  // host on a thread reuses the same scratch. Two servers arbitrated
+  // alternately on one thread — either one's tick may follow a larger tick
+  // of the other, or a larger earlier tick of its own — must produce
+  // exactly what each produces alone on a fresh thread, whose scratch has
+  // never held anything: no value may leak through reused scratch, between
+  // hosts or from a larger earlier tenant count.
   constexpr int kTicks = 200;
   ServerConfig one_socket;  // default jitter on: RNG streams are in play
   ServerConfig two_sockets;
   two_sockets.sockets = 2;
-  const auto trace_a = demand_trace(101, 3, 1, kTicks);
-  const auto trace_b = demand_trace(202, 9, 2, kTicks);
+  const std::vector<int> counts_a = varying_counts(303, 6, kTicks);
+  const std::vector<int> counts_b = varying_counts(404, 12, kTicks);
+  const auto trace_a = demand_trace(101, counts_a, 1);
+  const auto trace_b = demand_trace(202, counts_b, 2);
+  ASSERT_EQ(*std::max_element(counts_a.begin(), counts_a.end()), 6);
+  ASSERT_EQ(*std::max_element(counts_b.begin(), counts_b.end()), 12);
+  ASSERT_EQ(*std::min_element(counts_a.begin(), counts_a.end()), 0);
+  ASSERT_EQ(*std::min_element(counts_b.begin(), counts_b.end()), 0);
 
   auto solo = [&](const ServerConfig& cfg, std::uint64_t seed,
                   const std::vector<std::vector<TenantDemand>>& trace) {
-    Server s(cfg, sim::Rng(seed));
     std::vector<TenantGrant> out;
-    for (const auto& round : trace) {
-      const auto g = arbitrate(s, 0.1, round);
-      out.insert(out.end(), g.begin(), g.end());
-    }
+    std::thread fresh([&] {
+      Server s(cfg, sim::Rng(seed));
+      for (const auto& round : trace) {
+        const auto g = arbitrate(s, 0.1, round);
+        out.insert(out.end(), g.begin(), g.end());
+      }
+    });
+    fresh.join();
     return out;
   };
   const std::vector<TenantGrant> solo_a = solo(one_socket, 7, trace_a);
@@ -151,15 +175,9 @@ TEST(Server, InterleavedServersOnOneThreadMatchSoloRuns) {
   Server b(two_sockets, sim::Rng(8));
   std::vector<TenantGrant> mixed_a;
   std::vector<TenantGrant> mixed_b;
-  sim::Arena& arena = sim::scratch_arena();
   for (int t = 0; t < kTicks; ++t) {
-    const sim::ArenaScope scratch(arena);
-    const auto& da = trace_a[static_cast<std::size_t>(t)];
-    const auto& db = trace_b[static_cast<std::size_t>(t)];
-    sim::ArenaVec<TenantGrant> ga(arena, da.size());
-    a.arbitrate(0.1, da, ga);
-    sim::ArenaVec<TenantGrant> gb(arena, db.size());
-    b.arbitrate(0.1, db, gb);
+    const auto ga = arbitrate(a, 0.1, trace_a[static_cast<std::size_t>(t)]);
+    const auto gb = arbitrate(b, 0.1, trace_b[static_cast<std::size_t>(t)]);
     mixed_a.insert(mixed_a.end(), ga.begin(), ga.end());
     mixed_b.insert(mixed_b.end(), gb.begin(), gb.end());
   }
