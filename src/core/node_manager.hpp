@@ -15,8 +15,8 @@
 // contiguous arrays and allocates nothing. The registry view (app grouping
 // + suspects) is cached against the cloud's registry version and rebuilt
 // only when placement changes. Per-quantum scratch (sample pointers,
-// suspect signal lists, antagonist ids) comes from the shard's bump arena,
-// reset at the quantum barrier.
+// suspect signal lists, antagonist ids) is reused per-thread vectors (see
+// sim/shard_pool.hpp).
 #pragma once
 
 #include <map>

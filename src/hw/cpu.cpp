@@ -1,15 +1,15 @@
 #include "hw/cpu.hpp"
 
+#include <vector>
+
 #include "hw/allocation.hpp"
-#include "sim/arena.hpp"
 
 namespace perfcloud::hw {
 
 void CpuScheduler::allocate(double dt, std::span<const TenantDemand> demands,
                             std::span<double> core_seconds) const {
-  sim::Arena& arena = sim::scratch_arena();
-  const sim::ArenaScope scratch(arena);
-  sim::ArenaVec<Claim> claims(arena, demands.size());
+  thread_local std::vector<Claim> claims;
+  claims.assign(demands.size(), Claim{});
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const TenantDemand& d = demands[i];
     claims[i] = Claim{

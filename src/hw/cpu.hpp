@@ -29,7 +29,8 @@ class CpuScheduler {
   /// Allocate core-seconds for one tick: writes one grant per demand, in
   /// order, into `core_seconds` (same size as `demands`). Instruction
   /// retirement is computed by the memory model afterwards (CPI depends on
-  /// LLC/bandwidth contention). Scratch comes from the thread's arena.
+  /// LLC/bandwidth contention). Scratch is a reused per-thread vector
+  /// (see sim/shard_pool.hpp).
   void allocate(double dt, std::span<const TenantDemand> demands,
                 std::span<double> core_seconds) const;
 

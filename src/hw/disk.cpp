@@ -4,9 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "hw/allocation.hpp"
-#include "sim/arena.hpp"
 
 namespace perfcloud::hw {
 
@@ -25,9 +25,6 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
     std::fill(grants.begin(), grants.end(), DiskGrant{});
     return;
   }
-  sim::Arena& arena = sim::scratch_arena();
-  const sim::ArenaScope scratch(arena);
-
   const double t_op = 1.0 / (cfg_.iops_capacity * degradation_);  // seek/queue cost per op
   const double inv_bw = 1.0 / (cfg_.bw_capacity * degradation_);  // transfer cost per byte
 
@@ -41,8 +38,10 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
 
   // 1. Apply blkio throttles: scale ops and bytes together so the request
   //    mix is preserved (the throttler delays whole requests).
-  sim::ArenaVec<double> ops(arena, n);
-  sim::ArenaVec<double> bytes(arena, n);
+  thread_local std::vector<double> ops;
+  thread_local std::vector<double> bytes;
+  ops.assign(n, 0.0);
+  bytes.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const TenantDemand& d = demands[i];
     double scale = 1.0;
@@ -56,7 +55,8 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
 
   // 2. Convert to device-seconds (each op costs a seek plus its transfer)
   //    and water-fill the device's dt seconds of service capacity.
-  sim::ArenaVec<Claim> claims(arena, n);
+  thread_local std::vector<Claim> claims;
+  claims.assign(n, Claim{});
   double total_need = 0.0;
   double bursty_need = 0.0;  // device-seconds offered by deep-queue tenants
   for (std::size_t i = 0; i < n; ++i) {
@@ -67,7 +67,8 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
     // a fair shallow queue, 1 - 1/weight, times its offered device time.
     bursty_need += (1.0 - 1.0 / std::max(demands[i].io_weight, 1.0)) * need;
   }
-  sim::ArenaVec<double> granted_sec(arena, n);
+  thread_local std::vector<double> granted_sec;
+  granted_sec.assign(n, 0.0);
   weighted_fair_allocate(dt, claims, granted_sec);
 
   const double rho = total_need / dt;

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <vector>
 
 #include "hw/allocation.hpp"
-#include "sim/arena.hpp"
 
 namespace perfcloud::hw {
 
@@ -23,9 +23,6 @@ void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
     std::fill(grants.begin(), grants.end(), MemoryGrant{});
     return;
   }
-  sim::Arena& arena = sim::scratch_arena();
-  const sim::ArenaScope scratch(arena);
-
   if (jitter_z_.size() < n) jitter_z_.resize(n, 0.0);
   while (placement_factor_.size() < n) {
     placement_factor_.push_back(std::exp(cfg_.placement_spread_sigma * rng_.normal()));
@@ -41,7 +38,8 @@ void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
   //    streams through it fastest), so a CPU-capped aggressor loses its
   //    occupancy along with its CPU time. The insertion potential is the
   //    tenant's granted CPU time times its intrinsic traffic intensity.
-  sim::ArenaVec<double> potential(arena, n);
+  thread_local std::vector<double> potential;
+  potential.assign(n, 0.0);
   double total_potential = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     potential[i] = cpu_core_seconds[i] * demands[i].mem_bw_per_cpu_sec;
@@ -49,7 +47,8 @@ void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
   }
 
   // 2. Miss fractions and DRAM traffic demand.
-  sim::ArenaVec<double> traffic(arena, n);
+  thread_local std::vector<double> traffic;
+  traffic.assign(n, 0.0);
   double total_traffic = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const TenantDemand& d = demands[i];
@@ -79,11 +78,13 @@ void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
   // with a small demand is served in full under any load (its measured
   // traffic — and LLC miss rate — stays flat no matter who else streams),
   // while the big streamers split what remains.
-  sim::ArenaVec<Claim> bw_claims(arena, n);
+  thread_local std::vector<Claim> bw_claims;
+  bw_claims.assign(n, Claim{});
   for (std::size_t i = 0; i < n; ++i) {
     bw_claims[i] = Claim{.demand = traffic[i], .weight = 1.0, .cap = traffic[i]};
   }
-  sim::ArenaVec<double> bw_granted(arena, n);
+  thread_local std::vector<double> bw_granted;
+  bw_granted.assign(n, 0.0);
   weighted_fair_allocate(bw_capacity_tick, bw_claims, bw_granted);
 
   // 3. Effective CPI with contention inflation and correlated jitter.

@@ -65,7 +65,8 @@ class MemorySystem {
   /// `cpu_core_seconds[i]` is the CPU time granted to demands[i] this tick;
   /// one grant per demand is written into `grants` (all three spans the
   /// same size). Tenant order must be stable across ticks (jitter state is
-  /// positional). Scratch comes from the thread's arena.
+  /// positional). Scratch is reused per-thread vectors (see
+  /// sim/shard_pool.hpp).
   void compute(double dt, std::span<const TenantDemand> demands,
                std::span<const double> cpu_core_seconds, std::span<MemoryGrant> grants);
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-
-#include "sim/arena.hpp"
+#include <vector>
 
 namespace perfcloud::hw {
 
@@ -28,12 +27,11 @@ void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
   assert(demands.size() == grants.size());
   const std::size_t n = demands.size();
   if (n == 0) return;
-  sim::Arena& arena = sim::scratch_arena();
-  const sim::ArenaScope scratch(arena);
 
   // CPU first: instruction retirement depends on the memory model, which in
   // turn needs to know how much CPU time each tenant ran.
-  sim::ArenaVec<double> cpu_sec(arena, n);
+  thread_local std::vector<double> cpu_sec;
+  cpu_sec.assign(n, 0.0);
   cpu_.allocate(dt, demands, cpu_sec);
 
   // Memory contention is per NUMA socket: partition the tenants, run each
@@ -41,11 +39,16 @@ void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
   // partition order is stable (ascending original index), which keeps the
   // per-slot jitter state attached to the same tenant over time as long as
   // the resident set is stable.
-  sim::ArenaVec<MemoryGrant> mem(arena, n);
-  sim::ArenaVec<TenantDemand> socket_demands(arena, n);
-  sim::ArenaVec<double> socket_cpu(arena, n);
-  sim::ArenaVec<MemoryGrant> socket_mem(arena, n);
-  sim::ArenaVec<std::size_t> index(arena, n);
+  thread_local std::vector<MemoryGrant> mem;
+  thread_local std::vector<TenantDemand> socket_demands;
+  thread_local std::vector<double> socket_cpu;
+  thread_local std::vector<MemoryGrant> socket_mem;
+  thread_local std::vector<std::size_t> index;
+  mem.assign(n, MemoryGrant{});
+  socket_demands.assign(n, TenantDemand{});
+  socket_cpu.assign(n, 0.0);
+  socket_mem.assign(n, MemoryGrant{});
+  index.assign(n, 0);
   for (int s = 0; s < cfg_.sockets; ++s) {
     std::size_t k = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -62,7 +65,8 @@ void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
     for (std::size_t j = 0; j < k; ++j) mem[index[j]] = socket_mem[j];
   }
 
-  sim::ArenaVec<DiskGrant> disk(arena, n);
+  thread_local std::vector<DiskGrant> disk;
+  disk.assign(n, DiskGrant{});
   disk_.serve(dt, demands, disk);
 
   const double clock = cpu_.config().clock_hz;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/arena.hpp"
 #include "sim/env.hpp"
 
 namespace perfcloud::sim {
@@ -78,9 +77,6 @@ void Engine::run_shard_tasks(ShardedPeriodic& sp, SimTime now) {
   const std::vector<ShardedPeriodic::Fn>& tasks = sp.tasks_;
   if (shards_ <= 1 || tasks.size() <= 1) {
     for (const ShardedPeriodic::Fn& task : tasks) task(now);
-    // Inline path is its own barrier: per-quantum scratch ends here, same
-    // lifetime rule the pool enforces for its participants.
-    scratch_arena().reset();
     return;
   }
   if (pool_ == nullptr) pool_ = std::make_unique<ShardPool>(shards_);

@@ -8,6 +8,14 @@
 // members, per-host RNG streams) plus read-only shared data, never the
 // engine, the event queue, or another host.
 //
+// Scratch: the per-host hot paths (Server::arbitrate and the CPU, memory
+// and disk models under it, Hypervisor::tick, NodeManager::local_step)
+// keep their scratch in function-local thread_local std::vectors, refilled
+// on each call. Each participant thread has its own, so concurrent tasks
+// never share scratch, and a warmed thread never allocates. The one
+// condition this relies on: none of these functions is re-entered on its
+// own thread while its scratch is live.
+//
 // Claim discipline: indices are claimed in order from one shared atomic
 // cursor in growing chunks. The first ~2*shards claims take one task each,
 // later ones take more to keep cursor traffic low. A heavy task near the
@@ -59,11 +67,8 @@ class ShardPool {
   /// Claim and execute chunks of the generation-`gen` batch until none
   /// remain (or the generation has been superseded — a straggler waking
   /// late finds the claim word's generation advanced and backs off without
-  /// touching batch state). On exit the participant's thread-local scratch
-  /// arena is reset: the batch's tasks only ever used per-quantum scratch,
-  /// and nothing may outlive the barrier.
+  /// touching batch state).
   void drain(std::uint32_t gen);
-  void drain_batch(std::uint32_t gen);
 
   static std::uint64_t pack(std::uint32_t gen, std::uint32_t pos) {
     return (static_cast<std::uint64_t>(gen) << 32) | pos;

@@ -7,8 +7,6 @@
 #include <vector>
 #include <string>
 
-#include "sim/arena.hpp"
-
 namespace perfcloud::virt {
 
 namespace {
@@ -123,10 +121,8 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
   // of the noise-stream shift documented on tick()).
   if (idle_fastpath_enabled() && is_quiescent(now)) return;
 
-  sim::Arena& arena = sim::scratch_arena();
-  const sim::ArenaScope scratch(arena);
-  sim::ArenaVec<hw::TenantDemand> demands(arena);
-  demands.reserve(vms_.size() + migration_in_.size());
+  thread_local std::vector<hw::TenantDemand> demands;
+  demands.clear();
   for (const auto& vm : vms_) {
     hw::TenantDemand d{};
     if (!vm->idle(now)) {
@@ -153,8 +149,9 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
     demands.push_back(d);
   }
 
-  sim::ArenaVec<hw::TenantGrant> grants(arena, demands.size());
-  server_.arbitrate(dt, {demands.data(), demands.size()}, grants);
+  thread_local std::vector<hw::TenantGrant> grants;
+  grants.assign(demands.size(), hw::TenantGrant{});
+  server_.arbitrate(dt, demands, grants);
   for (std::size_t i = 0; i < vms_.size(); ++i) {
     Vm& vm = *vms_[i];
     vm.cgroup().account(grants[i]);

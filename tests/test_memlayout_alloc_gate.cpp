@@ -7,7 +7,7 @@
 // deviation-signal appends, incremental identification against a live
 // suspect, identification bookkeeping — allocates nothing. The same holds for
 // one warmed host tick — demand collection, CPU/memory/disk arbitration and
-// accounting — whose scratch is carved from the thread's arena, and for the
+// accounting — whose scratch is reused per-thread vectors, and for the
 // engine's periodic re-arm. check.sh runs these tests as a release-build
 // gate.
 #include <gtest/gtest.h>
@@ -84,9 +84,9 @@ TEST(AllocGate, SteadyStateQuantumPerformsZeroHeapAllocations) {
   ASSERT_FALSE(nm.monitor().io_throughput_series(fio).empty());
 
   // Drive further control intervals by hand (the engine is idle, so this
-  // thread owns all node-manager state). Two warm-up steps let this
-  // thread's scratch arena consolidate before the bracket closes around
-  // the measured quanta.
+  // thread owns all node-manager state). Two warm-up steps grow this
+  // thread's scratch vectors to size before the bracket closes around the
+  // measured quanta.
   sim::SimTime now = c.engine->now();
   for (int i = 0; i < 2; ++i) {
     now += 5.0;
