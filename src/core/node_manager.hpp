@@ -16,7 +16,7 @@
 // + suspects) is cached against the cloud's registry version and rebuilt
 // only when placement changes. Per-quantum scratch (sample pointers,
 // suspect signal lists, antagonist ids) is reused per-thread vectors (see
-// sim/shard_pool.hpp).
+// sim/scratch.hpp).
 #pragma once
 
 #include <map>

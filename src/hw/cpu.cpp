@@ -3,13 +3,14 @@
 #include <vector>
 
 #include "hw/allocation.hpp"
+#include "sim/scratch.hpp"
 
 namespace perfcloud::hw {
 
 void CpuScheduler::allocate(double dt, std::span<const TenantDemand> demands,
                             std::span<double> core_seconds) const {
   thread_local std::vector<Claim> claims;
-  claims.assign(demands.size(), Claim{});
+  sim::refill(claims, demands.size());
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const TenantDemand& d = demands[i];
     claims[i] = Claim{

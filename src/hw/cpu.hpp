@@ -30,7 +30,7 @@ class CpuScheduler {
   /// order, into `core_seconds` (same size as `demands`). Instruction
   /// retirement is computed by the memory model afterwards (CPI depends on
   /// LLC/bandwidth contention). Scratch is a reused per-thread vector
-  /// (see sim/shard_pool.hpp).
+  /// (see sim/scratch.hpp).
   void allocate(double dt, std::span<const TenantDemand> demands,
                 std::span<double> core_seconds) const;
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "hw/allocation.hpp"
+#include "sim/scratch.hpp"
 
 namespace perfcloud::hw {
 
@@ -40,8 +41,8 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
   //    mix is preserved (the throttler delays whole requests).
   thread_local std::vector<double> ops;
   thread_local std::vector<double> bytes;
-  ops.assign(n, 0.0);
-  bytes.assign(n, 0.0);
+  sim::refill(ops, n);
+  sim::refill(bytes, n);
   for (std::size_t i = 0; i < n; ++i) {
     const TenantDemand& d = demands[i];
     double scale = 1.0;
@@ -56,7 +57,7 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
   // 2. Convert to device-seconds (each op costs a seek plus its transfer)
   //    and water-fill the device's dt seconds of service capacity.
   thread_local std::vector<Claim> claims;
-  claims.assign(n, Claim{});
+  sim::refill(claims, n);
   double total_need = 0.0;
   double bursty_need = 0.0;  // device-seconds offered by deep-queue tenants
   for (std::size_t i = 0; i < n; ++i) {
@@ -68,7 +69,7 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
     bursty_need += (1.0 - 1.0 / std::max(demands[i].io_weight, 1.0)) * need;
   }
   thread_local std::vector<double> granted_sec;
-  granted_sec.assign(n, 0.0);
+  sim::refill(granted_sec, n);
   weighted_fair_allocate(dt, claims, granted_sec);
 
   const double rho = total_need / dt;

@@ -83,7 +83,7 @@ class BlockDevice {
   /// cost) is allocated by weighted fair sharing. Tenant order must be
   /// stable across ticks: jitter state is keyed by position. Writes one
   /// grant per demand into `grants` (same size as `demands`); scratch is
-  /// reused per-thread vectors (see sim/shard_pool.hpp).
+  /// reused per-thread vectors (see sim/scratch.hpp).
   void serve(double dt, std::span<const TenantDemand> demands, std::span<DiskGrant> grants);
 
   /// Device utilization of the last served tick (demand over capacity; can

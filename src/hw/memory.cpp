@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "hw/allocation.hpp"
+#include "sim/scratch.hpp"
 
 namespace perfcloud::hw {
 
@@ -39,7 +40,7 @@ void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
   //    occupancy along with its CPU time. The insertion potential is the
   //    tenant's granted CPU time times its intrinsic traffic intensity.
   thread_local std::vector<double> potential;
-  potential.assign(n, 0.0);
+  sim::refill(potential, n);
   double total_potential = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     potential[i] = cpu_core_seconds[i] * demands[i].mem_bw_per_cpu_sec;
@@ -48,7 +49,7 @@ void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
 
   // 2. Miss fractions and DRAM traffic demand.
   thread_local std::vector<double> traffic;
-  traffic.assign(n, 0.0);
+  sim::refill(traffic, n);
   double total_traffic = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const TenantDemand& d = demands[i];
@@ -79,12 +80,12 @@ void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
   // traffic — and LLC miss rate — stays flat no matter who else streams),
   // while the big streamers split what remains.
   thread_local std::vector<Claim> bw_claims;
-  bw_claims.assign(n, Claim{});
+  sim::refill(bw_claims, n);
   for (std::size_t i = 0; i < n; ++i) {
     bw_claims[i] = Claim{.demand = traffic[i], .weight = 1.0, .cap = traffic[i]};
   }
   thread_local std::vector<double> bw_granted;
-  bw_granted.assign(n, 0.0);
+  sim::refill(bw_granted, n);
   weighted_fair_allocate(bw_capacity_tick, bw_claims, bw_granted);
 
   // 3. Effective CPI with contention inflation and correlated jitter.

@@ -66,7 +66,7 @@ class MemorySystem {
   /// one grant per demand is written into `grants` (all three spans the
   /// same size). Tenant order must be stable across ticks (jitter state is
   /// positional). Scratch is reused per-thread vectors (see
-  /// sim/shard_pool.hpp).
+  /// sim/scratch.hpp).
   void compute(double dt, std::span<const TenantDemand> demands,
                std::span<const double> cpu_core_seconds, std::span<MemoryGrant> grants);
 

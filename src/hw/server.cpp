@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/scratch.hpp"
+
 namespace perfcloud::hw {
 
 Server::Server(ServerConfig cfg, sim::Rng rng)
@@ -31,7 +33,7 @@ void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
   // CPU first: instruction retirement depends on the memory model, which in
   // turn needs to know how much CPU time each tenant ran.
   thread_local std::vector<double> cpu_sec;
-  cpu_sec.assign(n, 0.0);
+  sim::refill(cpu_sec, n);
   cpu_.allocate(dt, demands, cpu_sec);
 
   // Memory contention is per NUMA socket: partition the tenants, run each
@@ -44,11 +46,11 @@ void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
   thread_local std::vector<double> socket_cpu;
   thread_local std::vector<MemoryGrant> socket_mem;
   thread_local std::vector<std::size_t> index;
-  mem.assign(n, MemoryGrant{});
-  socket_demands.assign(n, TenantDemand{});
-  socket_cpu.assign(n, 0.0);
-  socket_mem.assign(n, MemoryGrant{});
-  index.assign(n, 0);
+  sim::refill(mem, n);
+  sim::refill(socket_demands, n);
+  sim::refill(socket_cpu, n);
+  sim::refill(socket_mem, n);
+  sim::refill(index, n);
   for (int s = 0; s < cfg_.sockets; ++s) {
     std::size_t k = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -66,7 +68,7 @@ void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
   }
 
   thread_local std::vector<DiskGrant> disk;
-  disk.assign(n, DiskGrant{});
+  sim::refill(disk, n);
   disk_.serve(dt, demands, disk);
 
   const double clock = cpu_.config().clock_hz;

@@ -44,7 +44,7 @@ class Server {
   /// Arbitrate one tick: writes one grant per demand into `grants` (same
   /// size as `demands`). Demand order must be stable across ticks (per-slot
   /// jitter state in the disk and memory models is positional). Scratch is
-  /// reused per-thread vectors (see sim/shard_pool.hpp), so a warmed tick
+  /// reused per-thread vectors (see sim/scratch.hpp), so a warmed tick
   /// never allocates.
   void arbitrate(double dt, std::span<const TenantDemand> demands,
                  std::span<TenantGrant> grants);

@@ -8,14 +8,6 @@
 // members, per-host RNG streams) plus read-only shared data, never the
 // engine, the event queue, or another host.
 //
-// Scratch: the per-host hot paths (Server::arbitrate and the CPU, memory
-// and disk models under it, Hypervisor::tick, NodeManager::local_step)
-// keep their scratch in function-local thread_local std::vectors, refilled
-// on each call. Each participant thread has its own, so concurrent tasks
-// never share scratch, and a warmed thread never allocates. The one
-// condition this relies on: none of these functions is re-entered on its
-// own thread while its scratch is live.
-//
 // Claim discipline: indices are claimed in order from one shared atomic
 // cursor in growing chunks. The first ~2*shards claims take one task each,
 // later ones take more to keep cursor traffic low. A heavy task near the

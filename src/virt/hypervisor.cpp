@@ -7,6 +7,8 @@
 #include <vector>
 #include <string>
 
+#include "sim/scratch.hpp"
+
 namespace perfcloud::virt {
 
 namespace {
@@ -150,7 +152,7 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
   }
 
   thread_local std::vector<hw::TenantGrant> grants;
-  grants.assign(demands.size(), hw::TenantGrant{});
+  sim::refill(grants, demands.size());
   server_.arbitrate(dt, demands, grants);
   for (std::size_t i = 0; i < vms_.size(); ++i) {
     Vm& vm = *vms_[i];
