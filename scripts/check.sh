@@ -13,7 +13,7 @@ echo "== ASan + UBSan =="
 cmake --preset asan
 cmake --build --preset asan -j "$(nproc)"
 UBSAN_OPTIONS=halt_on_error=1 ctest --preset asan -j "$(nproc)" "$@"
-# The perf-label tests again, sharded: the slot-store/arena hot path and
+# The perf-label tests again, sharded: the slot-store/scratch hot path and
 # the identifier's key-based pair state run their multi-host scenarios with
 # ASan watching for stale-slot reads after VM eviction and host crashes.
 UBSAN_OPTIONS=halt_on_error=1 PERFCLOUD_SHARDS=4 ctest --preset asan -L perf -j "$(nproc)"

@@ -15,7 +15,8 @@ namespace perfcloud::sim {
 
 /// Refill `v` with `n` value-initialised elements, reusing its capacity.
 /// Out of line on purpose: `std::vector::assign` inlined at every scratch
-/// column grew the tick's code enough to cost ~5% more CPU at 4 shards.
+/// column grew the tick's code enough to cost ~5% more user CPU on the
+/// 150-host fig11 run at 4 shards.
 template <typename T>
 [[gnu::noinline]] void refill(std::vector<T>& v, std::size_t n) {
   v.assign(n, T{});
