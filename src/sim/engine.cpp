@@ -13,10 +13,18 @@ namespace {
 /// Shard counts above this are certainly a typo, not a machine.
 constexpr unsigned kMaxShards = 4096;
 
+/// Longest lookahead window. Windows end at the next serial step long
+/// before this in every cluster run (the framework poll ends them every few
+/// ticks); the bound keeps window_ at a fixed capacity when nothing else is
+/// due before an infinite t_end.
+constexpr std::size_t kMaxWindow = 256;
+
 }  // namespace
 
 Engine::Engine(std::uint64_t seed)
-    : shards_(count_from_env("PERFCLOUD_SHARDS", kMaxShards).value_or(1)), rng_(seed) {}
+    : shards_(count_from_env("PERFCLOUD_SHARDS", kMaxShards).value_or(1)), rng_(seed) {
+  window_.reserve(kMaxWindow);
+}
 
 void Engine::set_shards(unsigned shards) {
   if (shards < 1 || shards > kMaxShards) {
@@ -56,46 +64,74 @@ void Engine::every(double period, PeriodicFn fn, SimTime start) {
     throw std::invalid_argument("Engine::every: period is below the time resolution at first fire "
                                 "time " + std::to_string(first.seconds()));
   }
-  periodics_.push_back(Periodic{period, std::move(fn), first});
+  periodics_.push_back(Periodic{period, std::move(fn), nullptr, first});
   due_.push(DueEntry{first, periodics_.size() - 1});
 }
 
 ShardedPeriodic& Engine::every_sharded(double period, SimTime start) {
   sharded_.push_back(std::make_unique<ShardedPeriodic>());
-  ShardedPeriodic* sp = sharded_.back().get();
-  every(period,
-        [this, sp](SimTime now) {
-          run_shard_tasks(*sp, now);
-          if (sp->barrier_) sp->barrier_(now);
-          for (const PeriodicFn& hook : post_barrier_hooks_) hook(now);
-        },
-        start);
-  return *sp;
+  every(period, PeriodicFn{}, start);
+  periodics_.back().sweep = sharded_.back().get();
+  return *sharded_.back();
 }
 
-void Engine::run_shard_tasks(ShardedPeriodic& sp, SimTime now) {
+void Engine::run_shard_tasks(const ShardedPeriodic& sp, const std::vector<SimTime>& times) {
   const std::vector<ShardedPeriodic::Fn>& tasks = sp.tasks_;
+  const auto run_task = [&](std::size_t i) {
+    for (const SimTime t : times) tasks[i](t);
+  };
   if (shards_ <= 1 || tasks.size() <= 1) {
-    for (const ShardedPeriodic::Fn& task : tasks) task(now);
+    for (std::size_t i = 0; i < tasks.size(); ++i) run_task(i);
     return;
   }
   if (pool_ == nullptr) pool_ = std::make_unique<ShardPool>(shards_);
-  pool_->run(tasks.size(), [&](std::size_t i) { tasks[i](now); });
+  pool_->run(tasks.size(), run_task);
 }
 
-void Engine::fire_due_periodics(SimTime t) {
+void Engine::fire_sweep(std::size_t index, SimTime horizon) {
+  Periodic& p = periodics_[index];
+  ShardedPeriodic& sp = *p.sweep;
+  // Extend the window while the next firing is still within the horizon
+  // (periodics precede same-time events; t_end is inclusive) and precedes
+  // every other due periodic in (time, registration-index) order. Nothing
+  // serial can run in between, and tasks are host-confined, so running
+  // each task over the whole window equals running the firings one by one.
+  window_.clear();
+  window_.push_back(p.next);
+  p.next = p.next + p.period;
+  if (!sp.barrier_) {
+    while (window_.size() < kMaxWindow && p.next <= horizon &&
+           (due_.empty() || due_.top() > DueEntry{p.next, index})) {
+      window_.push_back(p.next);
+      p.next = p.next + p.period;
+    }
+  }
+  due_.push(DueEntry{p.next, index});
+  now_ = window_.front();
+  run_shard_tasks(sp, window_);
+  now_ = window_.back();
+  if (sp.barrier_) sp.barrier_(now_);
+  for (const PeriodicFn& hook : post_barrier_hooks_) hook(now_);
+}
+
+void Engine::fire_due_periodics(SimTime horizon) {
   // Fire periodics in (time, registration-index) order until none is due at
-  // or before t. A periodic callback may register further periodics; `every`
-  // pushes their due node, and they start no earlier than `now_`, so they
-  // join this batch in the correct order if due.
+  // the earliest pending time t. A periodic callback may register further
+  // periodics; `every` pushes their due node, and they start no earlier
+  // than `now_`, so they join this batch in the correct order if due.
+  const SimTime t = due_.top().next;
   while (!due_.empty() && due_.top().next <= t) {
     const DueEntry e = due_.top();
     due_.pop();
-    now_ = e.next;
     Periodic& p = periodics_[e.index];
-    p.next = p.next + p.period;
-    due_.push(DueEntry{p.next, e.index});
-    p.fn(now_);
+    if (p.sweep != nullptr) {
+      fire_sweep(e.index, horizon);
+    } else {
+      now_ = e.next;
+      p.next = p.next + p.period;
+      due_.push(DueEntry{p.next, e.index});
+      p.fn(now_);
+    }
     if (stopped_) return;
   }
 }
@@ -117,7 +153,7 @@ SimTime Engine::run_while(const std::function<bool()>& keep_going, SimTime t_end
     if (next_periodic <= next_event) {
       // Periodic activities (arbitration, monitors) run before one-shot
       // events carrying the same timestamp.
-      fire_due_periodics(next_periodic);
+      fire_due_periodics(std::min(next_event, t_end));
     } else {
       now_ = next_event;
       queue_.run_next();

@@ -17,14 +17,17 @@ namespace perfcloud::sim {
 /// plus an optional sequential cross-host phase — the engine's sharded
 /// execution unit (one per host group, not one periodic per host).
 ///
-/// Each firing runs every task for the quantum across the engine's shard
-/// pool, waits at the barrier, then runs the barrier function on the engine
-/// thread. Tasks fire in index order when the engine has one shard; with
-/// more shards they run concurrently, so each task must be thread-confined:
-/// it may touch only its own host's state and read-only shared data — never
-/// the engine (at/after/every/rng/stop), the registry it shares with sibling
-/// tasks, or another host. Cross-host mutation belongs in the barrier
-/// function, which runs alone.
+/// Dispatch is by lookahead window. A sweep without a barrier function runs
+/// every firing that falls before the engine's next serial step (another
+/// periodic, a one-shot event, the run's end) in one dispatch: each task runs
+/// its own firings in time order, then the post-barrier hooks run once. A
+/// sweep with a barrier function is a window of one firing: tasks, barrier
+/// function, hooks. Tasks run in index order when the engine has one shard;
+/// with more shards they run concurrently, so each task must be
+/// thread-confined: it may touch only its own host's state and read-only
+/// shared data — never the engine (at/after/every/rng/stop), the registry it
+/// shares with sibling tasks, or another host. Cross-host mutation belongs
+/// in the barrier function, which runs alone.
 ///
 /// Tasks may be appended between firings (hosts registering during setup);
 /// appending from inside a task or barrier is not allowed.
@@ -54,6 +57,19 @@ class ShardedPeriodic {
 /// (next_fire, registration_index): O(1) peek, O(log P) re-insert per
 /// firing. P stays small — hosts share sharded periodics — so the heap is
 /// the whole time core, next to the event queue's own (t, seq) heap.
+///
+/// Serial steps — plain periodics, one-shot events, barrier functions — run
+/// one at a time on the engine thread. Between two of them only barrier-less
+/// sweeps fire, and those run as lookahead windows (see ShardedPeriodic).
+/// That rests on a contract for everything that runs between serial steps:
+///  - shard tasks touch only their own host and never the engine, and the
+///    tasks of a barrier-less sweep stage no emission (the sink drains once
+///    per window, not once per firing);
+///  - run_while predicates read only state written by serial steps: they
+///    are evaluated between serial steps, not between the firings of one
+///    window;
+///  - post-barrier hooks run once per window, so they see its end state,
+///    never its intermediate firings.
 class Engine {
  public:
   using PeriodicFn = std::function<void(SimTime)>;
@@ -81,16 +97,19 @@ class Engine {
   void every(double period, PeriodicFn fn, SimTime start = SimTime(0.0));
 
   /// Register a sharded periodic: one heap entry for a whole host group.
-  /// Each firing runs the group's tasks across `shards()` threads, barriers,
-  /// then runs its sequential phase. The returned reference stays valid for
-  /// the engine's lifetime; add per-host tasks to it during setup.
+  /// Each dispatch runs the group's tasks for one lookahead window across
+  /// `shards()` threads, waits for them, then runs its sequential phase if
+  /// it has one (which limits the window to one firing). The returned
+  /// reference stays valid for the engine's lifetime; add per-host tasks to
+  /// it during setup.
   ShardedPeriodic& every_sharded(double period, SimTime start = SimTime(0.0));
 
-  /// Run `fn` on the engine thread after every sharded periodic's firing,
-  /// once its tasks have cleared the barrier and its sequential phase has
-  /// run. This is the drain point for emission sinks: everything the shard
-  /// tasks staged during the quantum is quiescent here. Hooks run in
-  /// registration order; `fn` must outlive the engine's runs.
+  /// Run `fn` on the engine thread after every dispatch of a sharded
+  /// periodic, once its tasks have finished the window and its sequential
+  /// phase has run, with now() at the window's last firing. This is the
+  /// drain point for emission sinks: everything staged since the previous
+  /// dispatch is quiescent here. Hooks run in registration order; `fn` must
+  /// outlive the engine's runs.
   void add_post_barrier_hook(PeriodicFn fn) { post_barrier_hooks_.push_back(std::move(fn)); }
 
   /// Run `fn` on the engine thread whenever a run_until/run_while call
@@ -112,9 +131,9 @@ class Engine {
   /// Returns the final simulated time.
   SimTime run_until(SimTime t_end);
 
-  /// Run until `predicate()` becomes true (checked after every event) or
-  /// `t_end` is reached. Used by experiment drivers to stop when a job set
-  /// completes.
+  /// Run while `keep_going()` holds (checked between serial steps, so it
+  /// must read only serially-written state) and `t_end` is not passed. Used
+  /// by experiment drivers to stop when a job set completes.
   SimTime run_while(const std::function<bool()>& keep_going, SimTime t_end);
 
   /// Request the current run_* call to return after the in-flight event.
@@ -123,7 +142,8 @@ class Engine {
  private:
   struct Periodic {
     double period;
-    PeriodicFn fn;
+    PeriodicFn fn;            ///< Empty for a sharded sweep.
+    ShardedPeriodic* sweep;   ///< Null for a plain periodic.
     SimTime next;
   };
 
@@ -139,23 +159,32 @@ class Engine {
     }
   };
 
-  /// Fire all periodics due at or before `t`, in a globally time-ordered,
-  /// registration-stable order.
-  void fire_due_periodics(SimTime t);
-  /// Run a sharded group's tasks for the quantum ending at `now`: inline in
-  /// index order with one shard, across the pool (created lazily) otherwise.
-  void run_shard_tasks(ShardedPeriodic& sp, SimTime now);
+  /// Fire the periodics due at the earliest pending fire time, in
+  /// registration order. `horizon` is the run's next serial bound,
+  /// min(next queue event, t_end); a barrier-less sweep's window extends
+  /// up to it.
+  void fire_due_periodics(SimTime horizon);
+  /// Dispatch the sweep at periodics_[index] for one window: its fire times
+  /// up to `horizon` that precede every other due periodic (at most
+  /// kMaxWindow, one if it has a barrier), then barrier and hooks.
+  void fire_sweep(std::size_t index, SimTime horizon);
+  /// Run every task over `times` in order: inline in index order with one
+  /// shard, across the pool (created lazily) otherwise.
+  void run_shard_tasks(const ShardedPeriodic& sp, const std::vector<SimTime>& times);
 
   SimTime now_{0.0};
   EventQueue queue_;
   std::vector<Periodic> periodics_;
   std::priority_queue<DueEntry, std::vector<DueEntry>, std::greater<>> due_;
-  /// unique_ptr for address stability: firing closures hold raw pointers.
+  /// unique_ptr for address stability: Periodic::sweep holds raw pointers.
   std::vector<std::unique_ptr<ShardedPeriodic>> sharded_;
   std::vector<PeriodicFn> post_barrier_hooks_;
   std::vector<PeriodicFn> run_end_hooks_;
   unsigned shards_;
   std::unique_ptr<ShardPool> pool_;
+  /// The current window's fire times; reserved once, so dispatch never
+  /// allocates.
+  std::vector<SimTime> window_;
   Rng rng_;
   bool stopped_ = false;
 };

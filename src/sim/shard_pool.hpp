@@ -1,12 +1,13 @@
-// Worker pool for the engine's sharded periodics (quantum-barrier model).
+// Worker pool for the engine's sharded periodics (window-barrier model).
 //
 // One pool per Engine, created lazily when the first sharded periodic fires
 // with more than one shard configured. `run` executes a batch of independent
 // host-local tasks across the pool and returns only when every task has
-// completed — the time-quantum barrier. Tasks must be thread-confined: each
-// may touch only its own host's state (hypervisor, monitor, node-manager
-// members, per-host RNG streams) plus read-only shared data, never the
-// engine, the event queue, or another host.
+// completed — the barrier at the end of one lookahead window, in which each
+// task runs its host's firings up to the next serial step (DESIGN.md §5e).
+// Tasks must be thread-confined: each may touch only its own host's state
+// (hypervisor, monitor, node-manager members, per-host RNG streams) plus
+// read-only shared data, never the engine, the event queue, or another host.
 //
 // Claim discipline: indices are claimed in order from one shared atomic
 // cursor in growing chunks. The first ~2*shards claims take one task each,

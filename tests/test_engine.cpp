@@ -299,6 +299,143 @@ TEST(Engine, ShardTaskExceptionPropagates) {
     sp.add_task([](SimTime) {});
     EXPECT_THROW(e.run_until(SimTime(2.0)), std::runtime_error);
   }
+  // A throw in the middle of a window ends that task's window there and
+  // still reaches the caller.
+  for (const unsigned shards : {1u, 4u}) {
+    Engine e;
+    e.set_shards(shards);
+    std::vector<double> seen;
+    ShardedPeriodic& sp = e.every_sharded(0.25, SimTime(0.25));
+    sp.add_task([&seen](SimTime t) {
+      if (t == SimTime(0.75)) throw std::runtime_error("mid-window failure");
+      seen.push_back(t.seconds());
+    });
+    sp.add_task([](SimTime) {});
+    int hooks = 0;
+    e.add_post_barrier_hook([&hooks](SimTime) { ++hooks; });
+    EXPECT_THROW(e.run_until(SimTime(2.0)), std::runtime_error);
+    EXPECT_EQ(seen, (std::vector<double>{0.25, 0.5}));
+    EXPECT_EQ(hooks, 0);
+  }
+}
+
+/// The window fixture from the engine's contract: a barrier-less sweep of
+/// three tasks every 0.25 s, a plain periodic every 1.0 s registered after
+/// it, a one-shot event at 2.6 s, run to 3.1 s. Each task records its own
+/// fire times (disjoint slots, so the 4-shard run is race-free); the hook
+/// records when it ran.
+struct WindowRun {
+  std::vector<std::vector<double>> task_times;
+  std::vector<double> hook_times;
+};
+
+WindowRun run_window_fixture(unsigned shards) {
+  Engine e;
+  e.set_shards(shards);
+  WindowRun out;
+  out.task_times.resize(3);
+  ShardedPeriodic& sweep = e.every_sharded(0.25, SimTime(0.25));
+  for (std::vector<double>& times : out.task_times) {
+    sweep.add_task([&times](SimTime t) { times.push_back(t.seconds()); });
+  }
+  e.every(1.0, [](SimTime) {}, SimTime(1.0));
+  e.at(SimTime(2.6), [](SimTime) {});
+  e.add_post_barrier_hook([&out](SimTime t) { out.hook_times.push_back(t.seconds()); });
+  e.run_until(SimTime(3.1));
+  return out;
+}
+
+TEST(EngineWindow, EveryTaskSeesEveryTickInOrder) {
+  std::vector<double> ticks;
+  for (int k = 1; k <= 12; ++k) ticks.push_back(0.25 * k);
+  for (const unsigned shards : {1u, 4u}) {
+    const WindowRun r = run_window_fixture(shards);
+    for (const std::vector<double>& times : r.task_times) EXPECT_EQ(times, ticks);
+  }
+}
+
+TEST(EngineWindow, HooksRunOncePerWindowAtItsLastTick) {
+  // Windows end at the 1.0 s periodic (the tick at 1.0 joins: the sweep
+  // was registered first), before the 2.6 s event, and at t_end.
+  for (const unsigned shards : {1u, 4u}) {
+    EXPECT_EQ(run_window_fixture(shards).hook_times,
+              (std::vector<double>{1.0, 2.0, 2.5, 3.0}));
+  }
+}
+
+TEST(EngineWindow, EarlierRegisteredPeriodicAtSamePeriodSplitsEveryTick) {
+  for (const unsigned shards : {1u, 4u}) {
+    Engine e;
+    e.set_shards(shards);
+    std::vector<std::string> log;
+    e.every(0.25, [&log](SimTime t) { log.push_back("p@" + std::to_string(t.seconds())); },
+            SimTime(0.25));
+    ShardedPeriodic& sweep = e.every_sharded(0.25, SimTime(0.25));
+    std::vector<double> a;
+    std::vector<double> b;
+    sweep.add_task([&a](SimTime t) { a.push_back(t.seconds()); });
+    sweep.add_task([&b](SimTime t) { b.push_back(t.seconds()); });
+    e.add_post_barrier_hook([&log](SimTime t) { log.push_back("h@" + std::to_string(t.seconds())); });
+    e.run_until(SimTime(1.0));
+    const std::vector<double> ticks{0.25, 0.5, 0.75, 1.0};
+    EXPECT_EQ(a, ticks);
+    EXPECT_EQ(b, ticks);
+    std::vector<std::string> expected;
+    for (const double t : ticks) {
+      expected.push_back("p@" + std::to_string(t));
+      expected.push_back("h@" + std::to_string(t));
+    }
+    EXPECT_EQ(log, expected);
+  }
+}
+
+TEST(EngineWindow, EventAtTickTimeEndsWindowAfterThatTick) {
+  for (const unsigned shards : {1u, 4u}) {
+    Engine e;
+    e.set_shards(shards);
+    std::vector<double> a;
+    std::vector<double> b;
+    ShardedPeriodic& sweep = e.every_sharded(0.25, SimTime(0.25));
+    sweep.add_task([&a](SimTime t) { a.push_back(t.seconds()); });
+    sweep.add_task([&b](SimTime t) { b.push_back(t.seconds()); });
+    std::vector<double> hooks;
+    e.add_post_barrier_hook([&hooks](SimTime t) { hooks.push_back(t.seconds()); });
+    std::vector<double> seen_by_event;
+    e.at(SimTime(0.75), [&](SimTime) {
+      seen_by_event = a;
+      EXPECT_EQ(b, seen_by_event);
+    });
+    e.run_until(SimTime(1.5));
+    EXPECT_EQ(seen_by_event, (std::vector<double>{0.25, 0.5, 0.75}));
+    EXPECT_EQ(hooks, (std::vector<double>{0.75, 1.5}));
+    EXPECT_EQ(a, (std::vector<double>{0.25, 0.5, 0.75, 1.0, 1.25, 1.5}));
+  }
+}
+
+TEST(EngineWindow, SweepWithBarrierRunsBarrierThenHooksEveryFiring) {
+  for (const unsigned shards : {1u, 4u}) {
+    Engine e;
+    e.set_shards(shards);
+    std::vector<double> a;
+    std::vector<double> b;
+    ShardedPeriodic& sweep = e.every_sharded(0.25, SimTime(0.25));
+    sweep.add_task([&a](SimTime t) { a.push_back(t.seconds()); });
+    sweep.add_task([&b](SimTime t) { b.push_back(t.seconds()); });
+    std::vector<std::string> log;
+    sweep.set_barrier([&](SimTime t) {
+      EXPECT_EQ(a.back(), t.seconds());
+      EXPECT_EQ(b.back(), t.seconds());
+      log.push_back("b@" + std::to_string(t.seconds()));
+    });
+    e.add_post_barrier_hook([&log](SimTime t) { log.push_back("h@" + std::to_string(t.seconds())); });
+    e.run_until(SimTime(1.0));
+    std::vector<std::string> expected;
+    for (const double t : {0.25, 0.5, 0.75, 1.0}) {
+      expected.push_back("b@" + std::to_string(t));
+      expected.push_back("h@" + std::to_string(t));
+    }
+    EXPECT_EQ(log, expected);
+  }
 }
 
 /// The documented dispatch order — (time, registration-index) for periodics,
