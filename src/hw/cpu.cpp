@@ -1,5 +1,6 @@
 #include "hw/cpu.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "hw/allocation.hpp"
@@ -9,6 +10,12 @@ namespace perfcloud::hw {
 
 void CpuScheduler::allocate(double dt, std::span<const TenantDemand> demands,
                             std::span<double> core_seconds) const {
+  // An empty tick grants nothing; it also keeps an uncapped demand's
+  // `kNoCap * dt` from turning into inf * 0 = NaN below.
+  if (dt <= 0.0) {
+    std::fill(core_seconds.begin(), core_seconds.end(), 0.0);
+    return;
+  }
   thread_local std::vector<Claim> claims;
   sim::refill(claims, demands.size());
   for (std::size_t i = 0; i < demands.size(); ++i) {

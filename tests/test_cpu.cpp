@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "hw/cpu.hpp"
 
 namespace perfcloud::hw {
@@ -76,6 +78,20 @@ TEST(CpuScheduler, NoDemandNoGrant) {
   const auto g = allocate(s, 1.0, d);
   EXPECT_DOUBLE_EQ(g[0], 0.0);
   EXPECT_DOUBLE_EQ(g[1], 1.0);
+}
+
+TEST(CpuScheduler, ZeroDtGrantsNothing) {
+  const CpuScheduler s = make_sched(4);
+  const std::vector<TenantDemand> d = {cpu_demand(2.0), cpu_demand(2.0, /*cap=*/1.0),
+                                       cpu_demand(0.0)};
+  for (const double dt : {0.0, -0.0}) {
+    std::vector<double> g(d.size(), -1.0);
+    s.allocate(dt, d, g);
+    for (const double grant : g) {
+      EXPECT_TRUE(std::isfinite(grant));
+      EXPECT_EQ(grant, 0.0);
+    }
+  }
 }
 
 }  // namespace
