@@ -15,8 +15,8 @@ constexpr unsigned kMaxShards = 4096;
 
 /// Longest lookahead window. Windows end at the next serial step long
 /// before this in every cluster run (the framework poll ends them every few
-/// ticks); the bound keeps window_ at a fixed capacity when nothing else is
-/// due before an infinite t_end.
+/// ticks); the bound keeps window_ at a fixed capacity in a run where
+/// nothing serial is due for a long stretch (a sweep alone, say).
 constexpr std::size_t kMaxWindow = 256;
 
 }  // namespace
@@ -107,7 +107,6 @@ void Engine::fire_sweep(std::size_t index, SimTime horizon) {
     }
   }
   due_.push(DueEntry{p.next, index});
-  now_ = window_.front();
   run_shard_tasks(sp, window_);
   now_ = window_.back();
   if (sp.barrier_) sp.barrier_(now_);

@@ -7,12 +7,13 @@
 // deviation-signal appends, incremental identification against a live
 // suspect, identification bookkeeping — allocates nothing. The same holds for
 // one warmed host tick — demand collection, CPU/memory/disk arbitration and
-// accounting — whose scratch is reused per-thread vectors, and for the
-// engine's periodic re-arm. check.sh runs these tests as a release-build
-// gate.
+// accounting — whose scratch is reused per-thread vectors, for the
+// engine's periodic re-arm and for its windowed sweep dispatch. check.sh
+// runs these tests as a release-build gate.
 #include <gtest/gtest.h>
 
 #include <string_view>
+#include <vector>
 
 #include "cloud/cloud_manager.hpp"
 #include "exp/cluster.hpp"
@@ -186,6 +187,37 @@ TEST(AllocGate, WarmedPeriodicRearmIsAllocationFree) {
       << "periodic re-arm allocated " << (after.bytes - before.bytes)
       << " bytes in steady state";
   EXPECT_GT(fires, warm_fires);
+}
+
+TEST(AllocGate, WarmedSweepWindowsAreAllocationFree) {
+  ASSERT_TRUE(sim::alloc_gauge_linked());
+  for (const unsigned shards : {1u, 4u}) {
+    sim::Engine eng(5);
+    eng.set_shards(shards);
+    std::vector<double> slots(8, 0.0);
+    sim::ShardedPeriodic& sweep = eng.every_sharded(0.25, sim::SimTime(0.25));
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      sweep.add_task([&slots, i](sim::SimTime t) { slots[i] += t.seconds(); });
+    }
+    // The 1 s periodic ends windows at four ticks; the 1.3 s one cuts some
+    // of them shorter, so window lengths vary.
+    long polls = 0;
+    eng.every(1.0, [&polls](sim::SimTime) { ++polls; });
+    eng.every(1.3, [&polls](sim::SimTime) { ++polls; });
+    long windows = 0;
+    eng.add_post_barrier_hook([&windows](sim::SimTime) { ++windows; });
+    // Warm: the shard pool started, the due heap and the window at capacity.
+    eng.run_until(sim::SimTime(60.0));
+    const long warm_windows = windows;
+
+    const sim::AllocGaugeSnapshot before = sim::alloc_gauge_read();
+    eng.run_until(sim::SimTime(240.0));
+    const sim::AllocGaugeSnapshot after = sim::alloc_gauge_read();
+    EXPECT_EQ(after.allocs - before.allocs, 0u)
+        << "windowed sweep allocated " << (after.bytes - before.bytes) << " bytes at " << shards
+        << " shards";
+    EXPECT_GT(windows, warm_windows);
+  }
 }
 
 TEST(AllocGate, UnresolvableCollisionQuantumIsAllocationFree) {
