@@ -133,7 +133,7 @@ class Engine {
 
   /// Run while `keep_going()` holds (checked between serial steps, so it
   /// must read only serially-written state) and `t_end` is not passed. Used
-  /// by experiment drivers to stop when a job set completes.
+  /// by experiments to stop when a job set completes.
   SimTime run_while(const std::function<bool()>& keep_going, SimTime t_end);
 
   /// Request the current run_* call to return after the in-flight event.
