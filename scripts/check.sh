@@ -52,9 +52,11 @@ echo "== zero-steady-state-allocation gate =="
 # bookkeeping — a warmed host tick and the engine's periodic re-arm must
 # perform zero heap allocations, and the suite
 # self-checks that the counting operator-new hook is linked and counting
-# before trusting any zero.
-cmake --build --preset release -j "$(nproc)" --target pc_perf_tests
+# before trusting any zero. PolicyAllocGate holds an armed, non-triggering
+# migration-policy interval to the same zero.
+cmake --build --preset release -j "$(nproc)" --target pc_perf_tests pc_policy_tests
 ./build-release/tests/pc_perf_tests --gtest_filter='AllocGate.*'
+./build-release/tests/pc_policy_tests --gtest_filter='PolicyAllocGate.*'
 
 echo "== sync-vs-async emission gate =="
 # micro_emit runs one PerfCloud scenario three times (no sink, sync sink,

@@ -29,12 +29,12 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
   const double t_op = 1.0 / (cfg_.iops_capacity * degradation_);  // seek/queue cost per op
   const double inv_bw = 1.0 / (cfg_.bw_capacity * degradation_);  // transfer cost per byte
 
-  // Advance per-slot AR(1) jitter state (stationary standard normal).
-  if (jitter_z_.size() < n) jitter_z_.resize(n, 0.0);
+  // Advance each tenant's AR(1) jitter state (stationary standard normal).
   const double phi = std::exp(-dt / cfg_.jitter_correlation_time);
   const double innov = std::sqrt(std::max(0.0, 1.0 - phi * phi));
-  for (std::size_t i = 0; i < n; ++i) {
-    jitter_z_[i] = phi * jitter_z_[i] + innov * rng_.normal();
+  for (const TenantDemand& d : demands) {
+    assert(d.noise != nullptr);
+    d.noise->disk_z = phi * d.noise->disk_z + innov * rng_.normal();
   }
 
   // 1. Apply blkio throttles: scale ops and bytes together so the request
@@ -92,7 +92,7 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
       const double sigma_scale =
           std::min(cfg_.plain_jitter_coeff * plain_foreign + cfg_.burst_jitter_coeff * burst_foreign,
                    cfg_.jitter_scale_cap);
-      const double jitter = std::exp(cfg_.wait_jitter_sigma * sigma_scale * jitter_z_[i]);
+      const double jitter = std::exp(cfg_.wait_jitter_sigma * sigma_scale * demands[i].noise->disk_z);
       const double per_op_service = granted_sec[i] / g.ops;
       g.wait_seconds = g.ops * per_op_service * qfactor * jitter * cfg_.wait_scale;
     }

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "hw/tenant.hpp"
 #include "sim/rng.hpp"
@@ -63,8 +62,8 @@ struct DiskGrant {
 };
 
 /// One shared block device. Unserved demand is carried by the workloads
-/// (they re-issue it next tick), so the device models per-tick service,
-/// waiting, and slot-indexed jitter state only.
+/// (they re-issue it next tick), so the device models per-tick service and
+/// waiting only; each tenant's jitter state travels in its demand.
 class BlockDevice {
  public:
   BlockDevice(DiskConfig cfg, sim::Rng rng) : cfg_(cfg), rng_(rng) {}
@@ -80,10 +79,10 @@ class BlockDevice {
 
   /// Serve one tick of demand. Per-tenant throttle caps are applied first
   /// (scaling ops and bytes together), then device time (seek + transfer
-  /// cost) is allocated by weighted fair sharing. Tenant order must be
-  /// stable across ticks: jitter state is keyed by position. Writes one
-  /// grant per demand into `grants` (same size as `demands`); scratch is
-  /// reused per-thread vectors (see sim/scratch.hpp).
+  /// cost) is allocated by weighted fair sharing. Advances each demand's
+  /// `noise->disk_z`. Writes one grant per demand into `grants` (same size
+  /// as `demands`); scratch is reused per-thread vectors (see
+  /// sim/scratch.hpp).
   void serve(double dt, std::span<const TenantDemand> demands, std::span<DiskGrant> grants);
 
   /// Device utilization of the last served tick (demand over capacity; can
@@ -93,7 +92,6 @@ class BlockDevice {
  private:
   DiskConfig cfg_;
   sim::Rng rng_;
-  std::vector<double> jitter_z_;  ///< Per-slot standard-normal AR(1) state.
   double last_utilization_ = 0.0;
   double degradation_ = 1.0;  ///< Fault-injected throughput multiplier.
 };

@@ -24,14 +24,18 @@ void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
     std::fill(grants.begin(), grants.end(), MemoryGrant{});
     return;
   }
-  if (jitter_z_.size() < n) jitter_z_.resize(n, 0.0);
-  while (placement_factor_.size() < n) {
-    placement_factor_.push_back(std::exp(cfg_.placement_spread_sigma * rng_.normal()));
+  // Draw placements first (in demand order, for tenants that have none
+  // yet), then advance every tenant's AR(1) jitter.
+  for (const TenantDemand& d : demands) {
+    assert(d.noise != nullptr);
+    if (d.noise->placement == 0.0) {
+      d.noise->placement = std::exp(cfg_.placement_spread_sigma * rng_.normal());
+    }
   }
   const double phi = std::exp(-dt / cfg_.jitter_correlation_time);
   const double innov = std::sqrt(std::max(0.0, 1.0 - phi * phi));
-  for (std::size_t i = 0; i < n; ++i) {
-    jitter_z_[i] = phi * jitter_z_[i] + innov * rng_.normal();
+  for (const TenantDemand& d : demands) {
+    d.noise->mem_z = phi * d.noise->mem_z + innov * rng_.normal();
   }
 
   // 1. LLC occupancy competition: a tenant's share of the cache follows its
@@ -97,7 +101,7 @@ void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
 
     const double foreign_traffic = (total_traffic - traffic[i]) / std::max(bw_capacity_tick, 1.0);
     const double sigma = cfg_.cpi_jitter_sigma * std::min(foreign_traffic, 1.5);
-    const double jitter = std::exp(sigma * jitter_z_[i]);
+    const double jitter = std::exp(sigma * d.noise->mem_z);
 
     // Additive stall components: LLC misses and bandwidth queuing delays
     // overlap in real pipelines, so their penalties add rather than multiply.
@@ -105,7 +109,7 @@ void MemorySystem::compute(double dt, std::span<const TenantDemand> demands,
     // tenants; the AR(1) jitter adds the slow time-varying component.
     const double miss_term = cfg_.miss_cpi_coeff * g.miss_fraction * d.mem_sensitivity;
     const double bw_term = cfg_.bw_cpi_coeff * saturation * d.mem_sensitivity;
-    g.cpi = d.cpi_base * (1.0 + (miss_term + bw_term) * placement_factor_[i]) * jitter;
+    g.cpi = d.cpi_base * (1.0 + (miss_term + bw_term) * d.noise->placement) * jitter;
   }
 }
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "hw/tenant.hpp"
 #include "sim/rng.hpp"
@@ -33,9 +32,10 @@ struct MemoryConfig {
   double jitter_correlation_time = 12.0;
   /// Persistent per-tenant spread of the contention penalty: VMs land on
   /// different sockets/NUMA nodes relative to the aggressor, so the same
-  /// foreign pressure hits them unequally. Drawn once per slot as
-  /// exp(sigma * N(0,1)) and applied to the contention CPI terms — this is
-  /// the stable cross-VM asymmetry behind the paper's CPI-deviation signal.
+  /// foreign pressure hits them unequally. Drawn as exp(sigma * N(0,1)) the
+  /// first time a tenant reaches the model (again after it migrates to
+  /// another host) and applied to the contention CPI terms — this is the
+  /// stable cross-VM asymmetry behind the paper's CPI-deviation signal.
   double placement_spread_sigma = 0.5;
 };
 
@@ -64,9 +64,9 @@ class MemorySystem {
 
   /// `cpu_core_seconds[i]` is the CPU time granted to demands[i] this tick;
   /// one grant per demand is written into `grants` (all three spans the
-  /// same size). Tenant order must be stable across ticks (jitter state is
-  /// positional). Scratch is reused per-thread vectors (see
-  /// sim/scratch.hpp).
+  /// same size). Draws a placement factor, in demand order, for each tenant
+  /// whose `noise->placement` is 0, then advances every `noise->mem_z`.
+  /// Scratch is reused per-thread vectors (see sim/scratch.hpp).
   void compute(double dt, std::span<const TenantDemand> demands,
                std::span<const double> cpu_core_seconds, std::span<MemoryGrant> grants);
 
@@ -76,8 +76,6 @@ class MemorySystem {
  private:
   MemoryConfig cfg_;
   sim::Rng rng_;
-  std::vector<double> jitter_z_;
-  std::vector<double> placement_factor_;  ///< Per-slot persistent multiplier.
   double last_bw_utilization_ = 0.0;
 };
 

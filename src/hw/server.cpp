@@ -36,11 +36,9 @@ void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
   sim::refill(cpu_sec, n);
   cpu_.allocate(dt, demands, cpu_sec);
 
-  // Memory contention is per NUMA socket: partition the tenants, run each
-  // socket's model on its residents, and scatter the results back. The
-  // partition order is stable (ascending original index), which keeps the
-  // per-slot jitter state attached to the same tenant over time as long as
-  // the resident set is stable.
+  // Memory contention is per NUMA socket: partition the tenants (in
+  // ascending index order), run each socket's model on its residents, and
+  // scatter the results back.
   thread_local std::vector<MemoryGrant> mem;
   thread_local std::vector<TenantDemand> socket_demands;
   thread_local std::vector<double> socket_cpu;

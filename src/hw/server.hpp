@@ -42,8 +42,7 @@ class Server {
   [[nodiscard]] const std::string& name() const { return cfg_.name; }
 
   /// Arbitrate one tick: writes one grant per demand into `grants` (same
-  /// size as `demands`). Demand order must be stable across ticks (per-slot
-  /// jitter state in the disk and memory models is positional). Scratch is
+  /// size as `demands`) and advances each demand's `noise`. Scratch is
   /// reused per-thread vectors (see sim/scratch.hpp), so a warmed tick
   /// never allocates.
   void arbitrate(double dt, std::span<const TenantDemand> demands,

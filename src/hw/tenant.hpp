@@ -10,6 +10,15 @@ namespace perfcloud::hw {
 
 constexpr double kNoCap = std::numeric_limits<double>::infinity();
 
+/// One tenant's persistent noise state. The tenant's owner (a VM, an
+/// incoming migration stream) keeps it; the disk and memory models read and
+/// advance it through TenantDemand::noise each tick.
+struct TenantNoise {
+  double disk_z = 0.0;     ///< Disk wait-jitter AR(1) state (standard normal).
+  double mem_z = 0.0;      ///< CPI-jitter AR(1) state (standard normal).
+  double placement = 0.0;  ///< CPI placement factor exp(sigma * N) > 0; 0 = not drawn yet.
+};
+
 /// What one tenant (cgroup/VM) asks of the physical server for one tick.
 struct TenantDemand {
   // --- CPU ---
@@ -33,6 +42,10 @@ struct TenantDemand {
   /// interfere through the memory subsystem. Ignored (treated as 0) on
   /// single-socket servers.
   int numa_node = 0;
+  /// The tenant's noise state; must be set before the demand reaches the
+  /// disk or memory model. Demand order only decides the order of the
+  /// models' RNG draws, never whose state a draw advances.
+  TenantNoise* noise = nullptr;
 };
 
 /// What the server actually delivered to one tenant for one tick.

@@ -16,15 +16,6 @@ void TimeSeries::add(SimTime t, double value) {
   values_.push_back(value);
 }
 
-void TimeSeries::set_capacity(std::size_t n) {
-  capacity_ = n;
-  if (capacity_ > 0 && times_.size() > capacity_) {
-    const auto drop = static_cast<std::ptrdiff_t>(times_.size() - capacity_);
-    times_.erase(times_.begin(), times_.begin() + drop);
-    values_.erase(values_.begin(), values_.begin() + drop);
-  }
-}
-
 void TimeSeries::clear() {
   times_.clear();
   values_.clear();
@@ -55,12 +46,6 @@ std::optional<double> TimeSeries::value_at(SimTime t, double tol) const {
   const auto it = std::lower_bound(times_.begin(), times_.end(), SimTime(t.seconds() - tol));
   if (it == times_.end() || std::abs(it->seconds() - t.seconds()) > tol) return std::nullopt;
   return values_[static_cast<std::size_t>(it - times_.begin())];
-}
-
-std::optional<double> TimeSeries::at_or_before(SimTime t) const {
-  const auto it = std::upper_bound(times_.begin(), times_.end(), t);
-  if (it == times_.begin()) return std::nullopt;
-  return values_[static_cast<std::size_t>(it - times_.begin()) - 1];
 }
 
 std::vector<double> align_to(const TimeSeries& reference, const TimeSeries& series,

@@ -36,9 +36,6 @@ class TimeSeries {
   void add(SimTime t, double value);
   void clear();
 
-  /// Bound the series to the most recent `n` samples (0 = unbounded).
-  /// Shrinking below the current size evicts the oldest samples now.
-  void set_capacity(std::size_t n);
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -58,10 +55,6 @@ class TimeSeries {
   /// Values divided by `peak()` (series of zeros if the peak is 0). The
   /// paper's identification figures plot peak-normalized signals.
   [[nodiscard]] std::vector<double> normalized_by_peak() const;
-
-  /// Value at the sample taken at or immediately before `t`; nullopt if the
-  /// series has no sample at or before `t`.
-  [[nodiscard]] std::optional<double> at_or_before(SimTime t) const;
 
   /// Value of the sample taken at exactly `t` (within `tol` seconds);
   /// nullopt if no sample exists there. O(1) when `t` is the newest sample

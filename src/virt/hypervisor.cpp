@@ -27,11 +27,11 @@ Vm& Hypervisor::boot(VmConfig cfg) {
   const int requested = cfg.numa_node;
   vms_.push_back(std::make_unique<Vm>(std::move(cfg)));
   Vm& vm = *vms_.back();
-  vm.set_numa_node(requested >= 0 ? requested : pick_numa_node(vm.vcpus()));
+  vm.set_numa_node(requested >= 0 ? requested : pick_numa_node());
   return vm;
 }
 
-int Hypervisor::pick_numa_node(int /*vcpus*/) const {
+int Hypervisor::pick_numa_node() const {
   // Least-loaded socket by resident vCPU count.
   const int sockets = server_.sockets();
   if (sockets <= 1) return 0;
@@ -62,6 +62,7 @@ Vm& Hypervisor::adopt(std::unique_ptr<Vm> vm) {
   if (find(vm->id()) != nullptr) {
     throw std::invalid_argument("duplicate VM id " + std::to_string(vm->id()));
   }
+  vm->noise() = hw::TenantNoise{};
   vms_.push_back(std::move(vm));
   return *vms_.back();
 }
@@ -96,7 +97,7 @@ void Hypervisor::begin_migration_in(int vm_id, double bytes_per_sec) {
       throw std::logic_error("duplicate migration inflow for VM " + std::to_string(vm_id));
     }
   }
-  migration_in_.push_back(MigrationInflow{vm_id, bytes_per_sec});
+  migration_in_.push_back(MigrationInflow{.vm_id = vm_id, .bytes_per_sec = bytes_per_sec});
 }
 
 void Hypervisor::end_migration_in(int vm_id) {
@@ -137,17 +138,19 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
     d.cpu_cap_cores = std::min(cg.cpu_quota_cores(), static_cast<double>(vm->vcpus()));
     d.io_cap_bytes_per_sec = cg.blkio_throttle_bps();
     d.numa_node = vm->numa_node();
+    d.noise = &vm->noise();
     demands.push_back(d);
   }
 
-  // Incoming pre-copy streams, after the resident VMs (positional jitter
-  // state stays attached to the same VM). Pages land as large sequential
-  // writes; the grants routed back to these slots are discarded below.
+  // Incoming pre-copy streams, after the resident VMs. Pages land as large
+  // sequential writes; the grants routed back to these slots are discarded
+  // below.
   constexpr double kMigrationIoBlockBytes = 1.0 * 1024 * 1024;
-  for (const MigrationInflow& f : migration_in_) {
+  for (MigrationInflow& f : migration_in_) {
     hw::TenantDemand d{};
     d.io_bytes = f.bytes_per_sec * dt;
     d.io_ops = d.io_bytes / kMigrationIoBlockBytes;
+    d.noise = &f.noise;
     demands.push_back(d);
   }
 

@@ -23,8 +23,8 @@ void set_idle_fastpath_enabled(bool enabled);
 /// Each tick it collects demand from every resident VM's guest (clamped to
 /// the VM's vCPU allotment and cgroup caps), lets the physical server
 /// arbitrate, then routes grants back to the guests and accounts them into
-/// the VMs' cgroups. Resident order is stable, which keeps the hardware
-/// models' positional jitter state attached to the same VM over time.
+/// the VMs' cgroups. Each demand carries its VM's own noise state, so
+/// evictions and arrivals never hand one tenant's noise to another.
 class Hypervisor {
  public:
   explicit Hypervisor(hw::ServerConfig server_cfg, sim::Rng rng)
@@ -41,7 +41,9 @@ class Hypervisor {
   /// Throws if the VM is unknown.
   [[nodiscard]] std::unique_ptr<Vm> evict(int vm_id);
 
-  /// Accept a VM migrated from another host (destination side).
+  /// Accept a VM migrated from another host (destination side). The VM's
+  /// noise state is reset: its placement factor models where it sits
+  /// relative to the aggressors on *this* host, so it draws a fresh one.
   Vm& adopt(std::unique_ptr<Vm> vm);
 
   [[nodiscard]] const std::vector<std::unique_ptr<Vm>>& vms() const { return vms_; }
@@ -99,18 +101,18 @@ class Hypervisor {
  private:
   Vm& require(int vm_id);
   [[nodiscard]] const Vm& require(int vm_id) const;
-  [[nodiscard]] int pick_numa_node(int vcpus) const;
+  [[nodiscard]] int pick_numa_node() const;
 
   struct MigrationInflow {
     int vm_id = 0;
     double bytes_per_sec = 0.0;
+    hw::TenantNoise noise;
   };
 
   hw::Server server_;
   std::vector<std::unique_ptr<Vm>> vms_;
-  /// Active incoming pre-copy streams, in begin order. Appended AFTER the
-  /// resident VMs' demands each tick so the hardware models' positional
-  /// jitter state stays attached to the same VM across a migration.
+  /// Active incoming pre-copy streams, in begin order; their demands follow
+  /// the resident VMs' each tick.
   std::vector<MigrationInflow> migration_in_;
 };
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "hw/tenant.hpp"
 #include "sim/types.hpp"
 #include "virt/cgroup.hpp"
 #include "virt/guest.hpp"
@@ -51,6 +52,9 @@ class Vm {
   [[nodiscard]] int numa_node() const { return numa_node_; }
   void set_numa_node(int node) { numa_node_ = node; }
 
+  /// The VM's disk/CPI noise state, advanced by its host's hardware models.
+  [[nodiscard]] hw::TenantNoise& noise() { return noise_; }
+
   /// Attach (or replace) the guest workload. Ownership transfers to the VM.
   void attach(std::unique_ptr<GuestWorkload> guest) { guest_ = std::move(guest); }
   void detach() { guest_.reset(); }
@@ -69,6 +73,7 @@ class Vm {
   VmConfig cfg_;
   Cgroup cgroup_;
   std::unique_ptr<GuestWorkload> guest_;
+  hw::TenantNoise noise_;
   int numa_node_ = 0;
   bool paused_ = false;
 };

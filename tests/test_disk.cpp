@@ -2,13 +2,16 @@
 
 #include "hw/disk.hpp"
 #include "sim/stats.hpp"
+#include "tenant_noise_slots.hpp"
 
 namespace perfcloud::hw {
 namespace {
 
-std::vector<DiskGrant> serve(BlockDevice& disk, double dt, std::span<const TenantDemand> demands) {
+using Disk = WithNoiseSlots<BlockDevice>;
+
+std::vector<DiskGrant> serve(Disk& disk, double dt, std::span<const TenantDemand> demands) {
   std::vector<DiskGrant> g(demands.size());
-  disk.serve(dt, demands, g);
+  disk.serve(dt, disk.bind(demands), g);
   return g;
 }
 
@@ -19,8 +22,8 @@ DiskConfig small_disk() {
   return cfg;
 }
 
-BlockDevice make_disk(DiskConfig cfg = small_disk(), std::uint64_t seed = 1) {
-  return BlockDevice(cfg, sim::Rng(seed));
+Disk make_disk(DiskConfig cfg = small_disk(), std::uint64_t seed = 1) {
+  return Disk(cfg, sim::Rng(seed));
 }
 
 TenantDemand io_demand(double ops, sim::Bytes bytes, double cap_bps = kNoCap) {
@@ -32,7 +35,7 @@ TenantDemand io_demand(double ops, sim::Bytes bytes, double cap_bps = kNoCap) {
 }
 
 TEST(BlockDevice, NoDemandNoGrant) {
-  BlockDevice disk = make_disk();
+  Disk disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(0.0, 0.0)};
   const auto g = serve(disk, 1.0, d);
   EXPECT_DOUBLE_EQ(g[0].ops, 0.0);
@@ -41,7 +44,7 @@ TEST(BlockDevice, NoDemandNoGrant) {
 }
 
 TEST(BlockDevice, LightLoadFullyServed) {
-  BlockDevice disk = make_disk();
+  Disk disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(10.0, 1.0e6)};
   const auto g = serve(disk, 1.0, d);
   EXPECT_NEAR(g[0].ops, 10.0, 1e-9);
@@ -50,7 +53,7 @@ TEST(BlockDevice, LightLoadFullyServed) {
 }
 
 TEST(BlockDevice, OpsBoundSaturation) {
-  BlockDevice disk = make_disk();
+  Disk disk = make_disk();
   // 400 small ops demanded; device does 100 ops/s -> 4x oversubscribed.
   const std::vector<TenantDemand> d = {io_demand(400.0, 400.0 * 4096)};
   const auto g = serve(disk, 1.0, d);
@@ -59,7 +62,7 @@ TEST(BlockDevice, OpsBoundSaturation) {
 }
 
 TEST(BlockDevice, BytesBoundSaturation) {
-  BlockDevice disk = make_disk();
+  Disk disk = make_disk();
   // 300 MB in large requests; bw 100 MB/s dominates.
   const std::vector<TenantDemand> d = {io_demand(300.0, 300.0e6)};
   const auto g = serve(disk, 1.0, d);
@@ -68,7 +71,7 @@ TEST(BlockDevice, BytesBoundSaturation) {
 }
 
 TEST(BlockDevice, ThrottleCapsThroughput) {
-  BlockDevice disk = make_disk();
+  Disk disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(50.0, 50.0e6, /*cap=*/10.0e6)};
   const auto g = serve(disk, 1.0, d);
   EXPECT_LE(g[0].bytes, 10.0e6 + 1e-6);
@@ -77,7 +80,7 @@ TEST(BlockDevice, ThrottleCapsThroughput) {
 }
 
 TEST(BlockDevice, EqualTenantsGetEqualService) {
-  BlockDevice disk = make_disk();
+  Disk disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(400.0, 400.0 * 4096),
                                        io_demand(400.0, 400.0 * 4096)};
   const auto g = serve(disk, 1.0, d);
@@ -85,7 +88,7 @@ TEST(BlockDevice, EqualTenantsGetEqualService) {
 }
 
 TEST(BlockDevice, WeightedTenantsSplitProportionally) {
-  BlockDevice disk = make_disk();
+  Disk disk = make_disk();
   std::vector<TenantDemand> d = {io_demand(400.0, 400.0 * 4096), io_demand(400.0, 400.0 * 4096)};
   d[0].io_weight = 3.0;
   const auto g = serve(disk, 1.0, d);
@@ -94,8 +97,8 @@ TEST(BlockDevice, WeightedTenantsSplitProportionally) {
 
 TEST(BlockDevice, WaitGrowsWithContention) {
   // Same tenant demand; measure its wait ratio alone vs next to a hog.
-  BlockDevice alone = make_disk(small_disk(), 7);
-  BlockDevice shared = make_disk(small_disk(), 7);
+  Disk alone = make_disk(small_disk(), 7);
+  Disk shared = make_disk(small_disk(), 7);
   const TenantDemand victim = io_demand(20.0, 20.0 * 512 * 1024);
   const TenantDemand hog = io_demand(500.0, 500.0 * 4096);
 
@@ -120,8 +123,8 @@ TEST(BlockDevice, WaitGrowsWithContention) {
 TEST(BlockDevice, WaitPerOpScalesWithUtilization) {
   DiskConfig cfg = small_disk();
   cfg.wait_jitter_sigma = 0.0;
-  BlockDevice light = make_disk(cfg);
-  BlockDevice heavy = make_disk(cfg);
+  Disk light = make_disk(cfg);
+  Disk heavy = make_disk(cfg);
   // Same request mix at 20 % vs 400 % of the op capacity.
   const std::vector<TenantDemand> d_light = {io_demand(20.0, 20.0 * 4096)};
   const std::vector<TenantDemand> d_heavy = {io_demand(400.0, 400.0 * 4096)};
@@ -136,8 +139,8 @@ TEST(BlockDevice, BurstyNeighbourSpreadsWaits) {
   // Two identical fair victims next to a deep-queue tenant: their wait
   // ratios diverge; next to an equal-demand fair tenant they stay close.
   DiskConfig cfg = small_disk();
-  BlockDevice fair_world = make_disk(cfg, 5);
-  BlockDevice bursty_world = make_disk(cfg, 5);
+  Disk fair_world = make_disk(cfg, 5);
+  Disk bursty_world = make_disk(cfg, 5);
   TenantDemand victim = io_demand(10.0, 10.0 * 512 * 1024);
   TenantDemand fair_hog = io_demand(300.0, 300.0 * 4096);
   TenantDemand bursty_hog = fair_hog;
@@ -157,8 +160,8 @@ TEST(BlockDevice, BurstyNeighbourSpreadsWaits) {
 }
 
 TEST(BlockDevice, JitterIsDeterministicPerSeed) {
-  BlockDevice a = make_disk(small_disk(), 42);
-  BlockDevice b = make_disk(small_disk(), 42);
+  Disk a = make_disk(small_disk(), 42);
+  Disk b = make_disk(small_disk(), 42);
   const std::vector<TenantDemand> d = {io_demand(50.0, 50.0 * 4096),
                                        io_demand(80.0, 80.0 * 4096)};
   for (int t = 0; t < 10; ++t) {
@@ -172,14 +175,14 @@ TEST(BlockDevice, JitterIsDeterministicPerSeed) {
 }
 
 TEST(BlockDevice, ZeroTickIsSafe) {
-  BlockDevice disk = make_disk();
+  Disk disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(10.0, 1e6)};
   const auto g = serve(disk, 0.0, d);
   EXPECT_DOUBLE_EQ(g[0].ops, 0.0);
 }
 
 TEST(BlockDevice, ThrottledTenantDoesNotBlockOthers) {
-  BlockDevice disk = make_disk();
+  Disk disk = make_disk();
   const std::vector<TenantDemand> d = {io_demand(500.0, 500.0 * 4096, /*cap=*/4096.0 * 5),
                                        io_demand(50.0, 50.0 * 512 * 1024)};
   const auto g = serve(disk, 1.0, d);

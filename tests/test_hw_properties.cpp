@@ -6,26 +6,34 @@
 
 #include "hw/server.hpp"
 #include "sim/rng.hpp"
+#include "tenant_noise_slots.hpp"
 
 namespace perfcloud::hw {
 namespace {
 
-std::vector<TenantGrant> arbitrate(Server& s, double dt, std::span<const TenantDemand> demands) {
+using TestServer = WithNoiseSlots<Server>;
+
+std::vector<TenantGrant> arbitrate(TestServer& s, double dt,
+                                   std::span<const TenantDemand> demands) {
   std::vector<TenantGrant> g(demands.size());
-  s.arbitrate(dt, demands, g);
+  s.arbitrate(dt, s.bind(demands), g);
   return g;
 }
 
-std::vector<DiskGrant> serve(BlockDevice& disk, double dt, std::span<const TenantDemand> demands) {
+using Disk = WithNoiseSlots<BlockDevice>;
+
+std::vector<DiskGrant> serve(Disk& disk, double dt, std::span<const TenantDemand> demands) {
   std::vector<DiskGrant> g(demands.size());
-  disk.serve(dt, demands, g);
+  disk.serve(dt, disk.bind(demands), g);
   return g;
 }
 
-std::vector<MemoryGrant> compute(MemorySystem& mem, double dt, std::span<const TenantDemand> demands,
+using Memory = WithNoiseSlots<MemorySystem>;
+
+std::vector<MemoryGrant> compute(Memory& mem, double dt, std::span<const TenantDemand> demands,
                                  std::span<const double> cpu_core_seconds) {
   std::vector<MemoryGrant> g(demands.size());
-  mem.compute(dt, demands, cpu_core_seconds, g);
+  mem.compute(dt, mem.bind(demands), cpu_core_seconds, g);
   return g;
 }
 
@@ -61,7 +69,7 @@ TEST_P(ServerProperties, ArbitrationInvariants) {
   sim::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
   hw::ServerConfig cfg;
   cfg.sockets = 1 + GetParam() % 2;
-  Server server(cfg, sim::Rng(static_cast<std::uint64_t>(GetParam())));
+  TestServer server(cfg, sim::Rng(static_cast<std::uint64_t>(GetParam())));
 
   for (int tick = 0; tick < 20; ++tick) {
     const int n = static_cast<int>(rng.uniform_int(0, 11));
@@ -141,7 +149,7 @@ class DiskConservation : public ::testing::TestWithParam<int> {};
 TEST_P(DiskConservation, DeviceTimeNeverOversubscribed) {
   sim::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 17);
   DiskConfig cfg;
-  BlockDevice disk(cfg, sim::Rng(99));
+  Disk disk(cfg, sim::Rng(99));
   for (int tick = 0; tick < 30; ++tick) {
     const int n = 1 + static_cast<int>(rng.uniform_int(0, 7));
     std::vector<TenantDemand> demands;
@@ -164,7 +172,7 @@ class MemoryConservation : public ::testing::TestWithParam<int> {};
 TEST_P(MemoryConservation, BandwidthAndMissInvariants) {
   sim::Rng rng(static_cast<std::uint64_t>(GetParam()) * 65537 + 29);
   MemoryConfig cfg;
-  MemorySystem mem(cfg, sim::Rng(5));
+  Memory mem(cfg, sim::Rng(5));
   for (int tick = 0; tick < 30; ++tick) {
     const int n = 1 + static_cast<int>(rng.uniform_int(0, 7));
     std::vector<TenantDemand> demands;

@@ -2,14 +2,17 @@
 
 #include "hw/memory.hpp"
 #include "sim/stats.hpp"
+#include "tenant_noise_slots.hpp"
 
 namespace perfcloud::hw {
 namespace {
 
-std::vector<MemoryGrant> compute(MemorySystem& mem, double dt, std::span<const TenantDemand> demands,
+using Memory = WithNoiseSlots<MemorySystem>;
+
+std::vector<MemoryGrant> compute(Memory& mem, double dt, std::span<const TenantDemand> demands,
                                  std::span<const double> cpu_core_seconds) {
   std::vector<MemoryGrant> g(demands.size());
-  mem.compute(dt, demands, cpu_core_seconds, g);
+  mem.compute(dt, mem.bind(demands), cpu_core_seconds, g);
   return g;
 }
 
@@ -21,8 +24,8 @@ MemoryConfig tight_llc() {
   return cfg;
 }
 
-MemorySystem make_mem(MemoryConfig cfg = tight_llc(), std::uint64_t seed = 1) {
-  return MemorySystem(cfg, sim::Rng(seed));
+Memory make_mem(MemoryConfig cfg = tight_llc(), std::uint64_t seed = 1) {
+  return Memory(cfg, sim::Rng(seed));
 }
 
 TenantDemand mem_demand(sim::Bytes footprint, double bw_per_cpu, double cpi_base = 1.0,
@@ -36,7 +39,7 @@ TenantDemand mem_demand(sim::Bytes footprint, double bw_per_cpu, double cpi_base
 }
 
 TEST(MemorySystem, FittingWorkingSetHasBaseCpi) {
-  MemorySystem mem = make_mem();
+  Memory mem = make_mem();
   const std::vector<TenantDemand> d = {mem_demand(8.0 * 1024 * 1024, 0.5e9, 1.2)};
   const std::vector<double> cpu = {1.0};
   const auto g = compute(mem, 1.0, d, cpu);
@@ -45,7 +48,7 @@ TEST(MemorySystem, FittingWorkingSetHasBaseCpi) {
 }
 
 TEST(MemorySystem, OversizedWorkingSetMisses) {
-  MemorySystem mem = make_mem();
+  Memory mem = make_mem();
   const std::vector<TenantDemand> d = {mem_demand(64.0 * 1024 * 1024, 0.5e9)};
   const std::vector<double> cpu = {1.0};
   const auto g = compute(mem, 1.0, d, cpu);
@@ -56,7 +59,7 @@ TEST(MemorySystem, OversizedWorkingSetMisses) {
 }
 
 TEST(MemorySystem, PrivateCacheResidentSetNeverMisses) {
-  MemorySystem mem = make_mem();
+  Memory mem = make_mem();
   // A 2 MiB working set lives in L1/L2: no LLC competition even next to a
   // monster streamer.
   const std::vector<TenantDemand> d = {mem_demand(2.0 * 1024 * 1024, 0.05e9),
@@ -67,7 +70,7 @@ TEST(MemorySystem, PrivateCacheResidentSetNeverMisses) {
 }
 
 TEST(MemorySystem, SmallConsumerBandwidthNeverSqueezed) {
-  MemorySystem mem = make_mem();
+  Memory mem = make_mem();
   // Fair bandwidth partitioning: the tiny consumer gets its full demand
   // even when streamers oversubscribe the controller.
   const std::vector<TenantDemand> d = {mem_demand(2.0 * 1024 * 1024, 0.05e9),
@@ -79,7 +82,7 @@ TEST(MemorySystem, SmallConsumerBandwidthNeverSqueezed) {
 }
 
 TEST(MemorySystem, BigNeighbourSqueezesShare) {
-  MemorySystem mem = make_mem();
+  Memory mem = make_mem();
   // Tenant 0 fits alone; a huge tenant walks in and takes most of the LLC.
   const std::vector<TenantDemand> d = {mem_demand(16.0 * 1024 * 1024, 0.5e9),
                                        mem_demand(16.0 * 1024 * 1024 * 1024, 8.0e9)};
@@ -90,7 +93,7 @@ TEST(MemorySystem, BigNeighbourSqueezesShare) {
 }
 
 TEST(MemorySystem, IdleTenantHoldsNoCache) {
-  MemorySystem mem = make_mem();
+  Memory mem = make_mem();
   const std::vector<TenantDemand> d = {mem_demand(16.0 * 1024 * 1024, 0.5e9),
                                        mem_demand(1e12, 8.0e9)};
   const std::vector<double> cpu = {1.0, 0.0};  // the monster is idle
@@ -101,8 +104,8 @@ TEST(MemorySystem, IdleTenantHoldsNoCache) {
 
 TEST(MemorySystem, BandwidthSaturationInflatesCpi) {
   MemoryConfig cfg = tight_llc();
-  MemorySystem calm = make_mem(cfg);
-  MemorySystem busy = make_mem(cfg);
+  Memory calm = make_mem(cfg);
+  Memory busy = make_mem(cfg);
   const TenantDemand victim = mem_demand(4.0 * 1024 * 1024, 1.0e9, 1.0, 1.5);
   const TenantDemand hog = mem_demand(1e12, 10.0e9);
 
@@ -118,7 +121,7 @@ TEST(MemorySystem, BandwidthSaturationInflatesCpi) {
 }
 
 TEST(MemorySystem, TrafficScaledDownAtSaturation) {
-  MemorySystem mem = make_mem();
+  Memory mem = make_mem();
   const std::vector<TenantDemand> d = {mem_demand(1e12, 10.0e9), mem_demand(1e12, 10.0e9)};
   const std::vector<double> cpu = {8.0, 8.0};
   const auto g = compute(mem, 1.0, d, cpu);
@@ -127,7 +130,7 @@ TEST(MemorySystem, TrafficScaledDownAtSaturation) {
 }
 
 TEST(MemorySystem, MissesTrackTraffic) {
-  MemorySystem mem = make_mem();
+  Memory mem = make_mem();
   const std::vector<TenantDemand> d = {mem_demand(1e9, 2.0e9)};
   const std::vector<double> cpu = {2.0};
   const auto g = compute(mem, 1.0, d, cpu);
@@ -136,7 +139,7 @@ TEST(MemorySystem, MissesTrackTraffic) {
 }
 
 TEST(MemorySystem, SensitivityScalesPenalty) {
-  MemorySystem mem = make_mem();
+  Memory mem = make_mem();
   const std::vector<TenantDemand> d = {mem_demand(1e9, 1.0e9, 1.0, 0.5),
                                        mem_demand(1e9, 1.0e9, 1.0, 2.0)};
   const std::vector<double> cpu = {1.0, 1.0};
@@ -152,8 +155,8 @@ TEST(MemorySystem, CpiJitterSpreadsUnderForeignPressureOnly) {
   const TenantDemand solo = mem_demand(4.0 * 1024 * 1024, 0.2e9);
   const TenantDemand hog = mem_demand(1e12, 10.0e9);
 
-  MemorySystem alone = MemorySystem(cfg, sim::Rng(3));
-  MemorySystem crowded = MemorySystem(cfg, sim::Rng(3));
+  Memory alone = Memory(cfg, sim::Rng(3));
+  Memory crowded = Memory(cfg, sim::Rng(3));
   sim::RunningStats cpi_alone;
   sim::RunningStats cpi_crowded;
   for (int t = 0; t < 300; ++t) {
@@ -167,38 +170,48 @@ TEST(MemorySystem, CpiJitterSpreadsUnderForeignPressureOnly) {
   EXPECT_GT(cpi_crowded.stddev(), 5.0 * cpi_alone.stddev() + 0.05);
 }
 
-TEST(MemorySystem, KnownDeviationEvictionHandsSurvivorItsPredecessorsPlacementFactor) {
-  // Known deviation (ROADMAP item 2): noise state is keyed by demand slot,
-  // not by VM. When a tenant leaves from the middle of the demand array,
-  // every later tenant moves down one slot and inherits its predecessor's
-  // persistent placement factor (and AR(1) jitter state). `quiet` has no
-  // footprint and no bandwidth, so dropping it leaves the victim's
-  // contention terms exactly as they were; with the CPI jitter off, only
-  // the placement factor can move the victim's CPI, and it does. Item 2's
-  // VM-keyed noise must flip the last assertion to equality.
-  MemorySystem mem = make_mem(tight_llc(), 11);
-  const TenantDemand hog = mem_demand(1e12, 10.0e9);
-  const TenantDemand quiet = mem_demand(0.0, 0.0);
-  const TenantDemand victim = mem_demand(64.0 * 1024 * 1024, 1.0e9);
+TEST(MemorySystem, EvictionLeavesSurvivorsPlacementFactor) {
+  // Noise state belongs to the tenant, not to its demand slot: when a
+  // tenant leaves from the middle of the demand array, the survivor behind
+  // it keeps its own placement factor. `quiet` has no footprint and no
+  // bandwidth, so dropping it leaves the victim's contention terms exactly
+  // as they were; with the CPI jitter off, only the placement factor could
+  // move the victim's CPI.
+  MemorySystem mem(tight_llc(), sim::Rng(11));
+  TenantNoise hog_noise;
+  TenantNoise quiet_noise;
+  TenantNoise victim_noise;
+  TenantDemand hog = mem_demand(1e12, 10.0e9);
+  TenantDemand quiet = mem_demand(0.0, 0.0);
+  TenantDemand victim = mem_demand(64.0 * 1024 * 1024, 1.0e9);
+  hog.noise = &hog_noise;
+  quiet.noise = &quiet_noise;
+  victim.noise = &victim_noise;
 
   const std::vector<TenantDemand> before = {hog, quiet, victim};
   const std::vector<double> cpu_before = {8.0, 1.0, 1.0};
-  const MemoryGrant v_before = compute(mem, 1.0, before, cpu_before)[2];
+  std::vector<MemoryGrant> g_before(before.size());
+  mem.compute(1.0, before, cpu_before, g_before);
+  const MemoryGrant v_before = g_before[2];
+  const double placement = victim_noise.placement;
+
   const std::vector<TenantDemand> after = {hog, victim};
   const std::vector<double> cpu_after = {8.0, 1.0};
-  const MemoryGrant v_after = compute(mem, 1.0, after, cpu_after)[1];
+  std::vector<MemoryGrant> g_after(after.size());
+  mem.compute(1.0, after, cpu_after, g_after);
+  const MemoryGrant v_after = g_after[1];
 
-  // The contention the victim sees is unchanged...
   EXPECT_EQ(v_after.miss_fraction, v_before.miss_fraction);
   EXPECT_EQ(v_after.bw_bytes, v_before.bw_bytes);
   EXPECT_GT(v_before.cpi, 1.0);
-  // ...but its CPI moves (1.9808 -> 1.3751 at seed 11): it now carries
-  // quiet's placement factor instead of its own.
-  EXPECT_NE(v_after.cpi, v_before.cpi);
+  EXPECT_GT(placement, 0.0);
+  EXPECT_EQ(victim_noise.placement, placement);
+  EXPECT_NE(quiet_noise.placement, placement);
+  EXPECT_EQ(v_after.cpi, v_before.cpi);
 }
 
 TEST(MemorySystem, EmptyTenantsSafe) {
-  MemorySystem mem = make_mem();
+  Memory mem = make_mem();
   const auto g = compute(mem, 1.0, {}, {});
   EXPECT_TRUE(g.empty());
 }

@@ -4,15 +4,19 @@
 
 #include "exp/cluster.hpp"
 #include "hw/server.hpp"
+#include "tenant_noise_slots.hpp"
 #include "workloads/antagonists.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace perfcloud::hw {
 namespace {
 
-std::vector<TenantGrant> arbitrate(Server& s, double dt, std::span<const TenantDemand> demands) {
+using TestServer = WithNoiseSlots<Server>;
+
+std::vector<TenantGrant> arbitrate(TestServer& s, double dt,
+                                   std::span<const TenantDemand> demands) {
   std::vector<TenantGrant> g(demands.size());
-  s.arbitrate(dt, demands, g);
+  s.arbitrate(dt, s.bind(demands), g);
   return g;
 }
 
@@ -50,7 +54,7 @@ TEST(Numa, ZeroSocketsRejected) {
 }
 
 TEST(Numa, CrossSocketTenantsDoNotInterfere) {
-  Server s(dual_socket(), sim::Rng(1));
+  TestServer s(dual_socket(), sim::Rng(1));
   // Victim on socket 1, streamer on socket 0: victim keeps its base CPI.
   const std::vector<TenantDemand> d = {streamer(0), victim(1)};
   const auto g = arbitrate(s, 1.0, d);
@@ -58,14 +62,14 @@ TEST(Numa, CrossSocketTenantsDoNotInterfere) {
 }
 
 TEST(Numa, SameSocketTenantsDoInterfere) {
-  Server s(dual_socket(), sim::Rng(1));
+  TestServer s(dual_socket(), sim::Rng(1));
   const std::vector<TenantDemand> d = {streamer(0), victim(0)};
   const auto g = arbitrate(s, 1.0, d);
   EXPECT_GT(g[1].cpi, 1.3);
 }
 
 TEST(Numa, OutOfRangeNodeIsClamped) {
-  Server s(dual_socket(), sim::Rng(1));
+  TestServer s(dual_socket(), sim::Rng(1));
   const std::vector<TenantDemand> d = {victim(99)};  // clamped to socket 1
   const auto g = arbitrate(s, 1.0, d);
   EXPECT_GT(g[0].instructions, 0.0);
@@ -75,14 +79,14 @@ TEST(Numa, SingleSocketIgnoresNodeTags) {
   ServerConfig cfg;  // default: one socket
   cfg.memory.cpi_jitter_sigma = 0.0;
   cfg.memory.placement_spread_sigma = 0.0;
-  Server s(cfg, sim::Rng(1));
+  TestServer s(cfg, sim::Rng(1));
   const std::vector<TenantDemand> d = {streamer(0), victim(1)};
   const auto g = arbitrate(s, 1.0, d);
   EXPECT_GT(g[1].cpi, 1.3);  // everyone shares the one domain
 }
 
 TEST(Numa, BandwidthUtilizationIsMaxOverSockets) {
-  Server s(dual_socket(), sim::Rng(1));
+  TestServer s(dual_socket(), sim::Rng(1));
   const std::vector<TenantDemand> d = {streamer(0), victim(1)};
   (void)arbitrate(s, 1.0, d);
   EXPECT_GT(s.last_bw_utilization(), 1.0);  // socket 0 saturated by streamer

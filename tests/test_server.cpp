@@ -6,13 +6,17 @@
 #include <vector>
 
 #include "hw/server.hpp"
+#include "tenant_noise_slots.hpp"
 
 namespace perfcloud::hw {
 namespace {
 
-std::vector<TenantGrant> arbitrate(Server& s, double dt, std::span<const TenantDemand> demands) {
+using TestServer = WithNoiseSlots<Server>;
+
+std::vector<TenantGrant> arbitrate(TestServer& s, double dt,
+                                   std::span<const TenantDemand> demands) {
   std::vector<TenantGrant> g(demands.size());
-  s.arbitrate(dt, demands, g);
+  s.arbitrate(dt, s.bind(demands), g);
   return g;
 }
 
@@ -25,13 +29,13 @@ ServerConfig r630() {
 }
 
 TEST(Server, NameAndConfig) {
-  Server s(r630(), sim::Rng(1));
+  TestServer s(r630(), sim::Rng(1));
   EXPECT_EQ(s.name(), "r630");
   EXPECT_EQ(s.config().cpu.cores, 48);
 }
 
 TEST(Server, GrantCombinesAllSubsystems) {
-  Server s(r630(), sim::Rng(1));
+  TestServer s(r630(), sim::Rng(1));
   TenantDemand d;
   d.cpu_core_seconds = 2.0;
   d.io_ops = 10.0;
@@ -50,7 +54,7 @@ TEST(Server, GrantCombinesAllSubsystems) {
 }
 
 TEST(Server, InstructionsInverseToCpi) {
-  Server s(r630(), sim::Rng(1));
+  TestServer s(r630(), sim::Rng(1));
   TenantDemand light;
   light.cpu_core_seconds = 1.0;
   light.llc_footprint = 1.0 * 1024 * 1024;
@@ -66,12 +70,12 @@ TEST(Server, InstructionsInverseToCpi) {
 }
 
 TEST(Server, EmptyDemandsAreFine) {
-  Server s(r630(), sim::Rng(1));
+  TestServer s(r630(), sim::Rng(1));
   EXPECT_TRUE(arbitrate(s, 1.0, {}).empty());
 }
 
 TEST(Server, UtilizationAccessorsReflectLoad) {
-  Server s(r630(), sim::Rng(1));
+  TestServer s(r630(), sim::Rng(1));
   TenantDemand d;
   d.cpu_core_seconds = 1.0;
   d.io_ops = 2000.0;  // 4x the disk's 500 IOPS
@@ -85,8 +89,8 @@ TEST(Server, UtilizationAccessorsReflectLoad) {
 }
 
 TEST(Server, DeterministicForSameSeed) {
-  Server a(r630(), sim::Rng(9));
-  Server b(r630(), sim::Rng(9));
+  TestServer a(r630(), sim::Rng(9));
+  TestServer b(r630(), sim::Rng(9));
   TenantDemand d;
   d.cpu_core_seconds = 1.0;
   d.io_ops = 100.0;
@@ -159,7 +163,7 @@ TEST(Server, InterleavedServersOnOneThreadMatchSoloRuns) {
                   const std::vector<std::vector<TenantDemand>>& trace) {
     std::vector<TenantGrant> out;
     std::thread fresh([&] {
-      Server s(cfg, sim::Rng(seed));
+      TestServer s(cfg, sim::Rng(seed));
       for (const auto& round : trace) {
         const auto g = arbitrate(s, 0.1, round);
         out.insert(out.end(), g.begin(), g.end());
@@ -171,8 +175,8 @@ TEST(Server, InterleavedServersOnOneThreadMatchSoloRuns) {
   const std::vector<TenantGrant> solo_a = solo(one_socket, 7, trace_a);
   const std::vector<TenantGrant> solo_b = solo(two_sockets, 8, trace_b);
 
-  Server a(one_socket, sim::Rng(7));
-  Server b(two_sockets, sim::Rng(8));
+  TestServer a(one_socket, sim::Rng(7));
+  TestServer b(two_sockets, sim::Rng(8));
   std::vector<TenantGrant> mixed_a;
   std::vector<TenantGrant> mixed_b;
   for (int t = 0; t < kTicks; ++t) {

@@ -84,16 +84,6 @@ TEST(TimeSeries, NormalizeAllZerosStaysZero) {
   EXPECT_DOUBLE_EQ(n[0], 0.0);
 }
 
-TEST(TimeSeries, AtOrBefore) {
-  TimeSeries ts;
-  ts.add(SimTime(5.0), 1.0);
-  ts.add(SimTime(10.0), 2.0);
-  EXPECT_FALSE(ts.at_or_before(SimTime(4.9)).has_value());
-  EXPECT_DOUBLE_EQ(ts.at_or_before(SimTime(5.0)).value(), 1.0);
-  EXPECT_DOUBLE_EQ(ts.at_or_before(SimTime(7.0)).value(), 1.0);
-  EXPECT_DOUBLE_EQ(ts.at_or_before(SimTime(100.0)).value(), 2.0);
-}
-
 TEST(TimeSeries, ClearEmpties) {
   TimeSeries ts;
   ts.add(SimTime(0.0), 1.0);
@@ -167,18 +157,6 @@ TEST(TimeSeries, BoundedCapacitySpansStayCoherent) {
     EXPECT_DOUBLE_EQ(vals[i], static_cast<double>(i + 5));
     EXPECT_DOUBLE_EQ(times[i].seconds(), static_cast<double>(i + 5));
   }
-}
-
-TEST(TimeSeries, SetCapacityTrimsExistingSamples) {
-  TimeSeries s;
-  for (int i = 0; i < 10; ++i) s.add(SimTime(i * 1.0), static_cast<double>(i));
-  s.set_capacity(4);
-  ASSERT_EQ(s.size(), 4u);
-  EXPECT_DOUBLE_EQ(s.value(0), 6.0);
-  s.set_capacity(0);  // unbounded again: growth resumes
-  s.add(SimTime(10.0), 10.0);
-  s.add(SimTime(11.0), 11.0);
-  EXPECT_EQ(s.size(), 6u);
 }
 
 TEST(TimeSeries, ValueAtExactTime) {

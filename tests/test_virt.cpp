@@ -23,12 +23,14 @@ class ConstantGuest : public GuestWorkload {
   void apply(const hw::TenantGrant& g, sim::SimTime, double) override {
     total_instructions += g.instructions;
     total_io_bytes += g.io_bytes;
+    last_cpi = g.cpi;
   }
   [[nodiscard]] bool finished(sim::SimTime) const override { return false; }
   [[nodiscard]] std::string_view name() const override { return "constant"; }
 
   double total_instructions = 0.0;
   double total_io_bytes = 0.0;
+  double last_cpi = 0.0;  ///< CPI of the last granted tick.
 
  private:
   hw::TenantDemand d_;
@@ -214,6 +216,123 @@ TEST(Hypervisor, MigrationInflowRejectsNonFiniteBandwidth) {
   EXPECT_THROW(hv.begin_migration_in(7, 1.0e8), std::logic_error);
   hv.end_migration_in(7);
   EXPECT_EQ(hv.migration_inflow_count(), 0u);
+}
+
+// --- Noise state travels with the VM ---
+//
+// The placement-factor tests below run with CPI jitter off, so a VM's CPI
+// depends only on its contention and its placement factor. A hog streams
+// through the LLC; the probe's working set spills into it, so the placement
+// factor scales a large contention penalty. A VM without a guest demands
+// nothing and changes nobody's contention.
+
+hw::TenantDemand hog_demand() {
+  hw::TenantDemand d;
+  d.cpu_core_seconds = 8.0;
+  d.llc_footprint = 1e12;
+  d.mem_bw_per_cpu_sec = 10.0e9;
+  return d;
+}
+
+hw::TenantDemand probe_demand() {
+  hw::TenantDemand d;
+  d.cpu_core_seconds = 1.0;
+  d.llc_footprint = 64.0 * 1024 * 1024;
+  d.mem_bw_per_cpu_sec = 1.0e9;
+  return d;
+}
+
+ConstantGuest* boot_with(Hypervisor& hv, VmConfig cfg, hw::TenantDemand d) {
+  auto guest = std::make_unique<ConstantGuest>(d);
+  ConstantGuest* raw = guest.get();
+  hv.boot(std::move(cfg)).attach(std::move(guest));
+  return raw;
+}
+
+void tick_at(Hypervisor& hv, int t) { hv.tick(sim::SimTime(t * 0.1), 0.1); }
+
+void expect_eviction_leaves_survivor_cpi(int sockets) {
+  hw::ServerConfig cfg = quiet_server();
+  cfg.sockets = sockets;
+  Hypervisor hv(cfg, sim::Rng(11));
+  // On two sockets a VM on the other socket comes first, so the memory
+  // model's demand positions differ from the host's.
+  if (sockets > 1) (void)boot_with(hv, VmConfig{.id = 9, .numa_node = 1}, probe_demand());
+  (void)boot_with(hv, VmConfig{.id = 1, .vcpus = 8, .numa_node = 0}, hog_demand());
+  hv.boot(VmConfig{.id = 2, .numa_node = 0});  // zero footprint, ahead of the survivor
+  ConstantGuest* survivor = boot_with(hv, VmConfig{.id = 3, .numa_node = 0}, probe_demand());
+
+  tick_at(hv, 1);
+  const double before = survivor->last_cpi;
+  (void)hv.evict(2);
+  tick_at(hv, 2);
+  EXPECT_GT(before, 1.0);
+  EXPECT_EQ(survivor->last_cpi, before);
+}
+
+TEST(Hypervisor, EvictionLeavesSurvivorCpiOnOneSocket) { expect_eviction_leaves_survivor_cpi(1); }
+
+TEST(Hypervisor, EvictionLeavesSurvivorCpiOnTwoSockets) { expect_eviction_leaves_survivor_cpi(2); }
+
+TEST(Hypervisor, VmBootedDuringInflowKeepsItsOwnPlacement) {
+  // The probe boots while a migration stream lands and stays after the
+  // stream ends. Its CPI must match a probe booted next to an idle VM,
+  // which draws the same placement from the same stream: the probe draws
+  // its own factor rather than taking over the stream's.
+  Hypervisor with_inflow(quiet_server(), sim::Rng(5));
+  (void)boot_with(with_inflow, VmConfig{.id = 1, .vcpus = 8}, hog_demand());
+  with_inflow.begin_migration_in(7, 1.0e8);
+  tick_at(with_inflow, 1);
+  ConstantGuest* probe = boot_with(with_inflow, VmConfig{.id = 2}, probe_demand());
+  tick_at(with_inflow, 2);
+  const double during = probe->last_cpi;
+  with_inflow.end_migration_in(7);
+  tick_at(with_inflow, 3);
+  const double after = probe->last_cpi;
+
+  Hypervisor with_idle_vm(quiet_server(), sim::Rng(5));
+  (void)boot_with(with_idle_vm, VmConfig{.id = 1, .vcpus = 8}, hog_demand());
+  with_idle_vm.boot(VmConfig{.id = 3});
+  tick_at(with_idle_vm, 1);
+  ConstantGuest* reference = boot_with(with_idle_vm, VmConfig{.id = 2}, probe_demand());
+  tick_at(with_idle_vm, 2);
+
+  EXPECT_GT(reference->last_cpi, 1.0);
+  EXPECT_EQ(during, reference->last_cpi);
+  EXPECT_EQ(after, reference->last_cpi);
+}
+
+TEST(Hypervisor, AdoptedVmDrawsFreshPlacement) {
+  // A migrated VM's placement factor describes where it sat on its old
+  // host; on arrival it draws a new one. Its CPI must match a twin booted
+  // fresh on an identical destination, whose factor is the same draw.
+  Hypervisor source(quiet_server(), sim::Rng(21));
+  (void)boot_with(source, VmConfig{.id = 4, .vcpus = 8}, hog_demand());
+  ConstantGuest* migrant = boot_with(source, VmConfig{.id = 2}, probe_demand());
+  tick_at(source, 1);
+  const double at_source = migrant->last_cpi;
+
+  // Destination: a hog and an idle VM that leaves before the arrival.
+  Hypervisor destination(quiet_server(), sim::Rng(11));
+  (void)boot_with(destination, VmConfig{.id = 1, .vcpus = 8}, hog_demand());
+  destination.boot(VmConfig{.id = 3});
+  tick_at(destination, 1);
+  (void)destination.evict(3);
+  destination.adopt(source.evict(2));
+  tick_at(destination, 2);
+
+  // Twin destination: the idle VM stays, so the twin is appended behind it
+  // and draws its placement at the same point of the host's stream.
+  Hypervisor twin_host(quiet_server(), sim::Rng(11));
+  (void)boot_with(twin_host, VmConfig{.id = 1, .vcpus = 8}, hog_demand());
+  twin_host.boot(VmConfig{.id = 3});
+  tick_at(twin_host, 1);
+  ConstantGuest* twin = boot_with(twin_host, VmConfig{.id = 2}, probe_demand());
+  tick_at(twin_host, 2);
+
+  EXPECT_GT(twin->last_cpi, 1.0);
+  EXPECT_NE(at_source, twin->last_cpi);
+  EXPECT_EQ(migrant->last_cpi, twin->last_cpi);
 }
 
 }  // namespace
