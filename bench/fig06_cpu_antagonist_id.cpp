@@ -72,7 +72,7 @@ int main() {
                         exp::fmt(victim.time(det_idx).seconds(), 0) + " s)");
   // Score through the same identifier the node manager runs: Pearson with
   // missing-as-zero plus the high-miss-rate magnitude gate of SIII-B.
-  const core::AntagonistIdentifier ident{core::PerfCloudConfig{}};
+  core::AntagonistIdentifier ident{core::PerfCloudConfig{}};
   std::vector<core::SuspectSignal> sig;
   const std::vector<std::pair<std::string, int>> named = {{"stream-1", stream1},
                                                           {"stream-2", stream2},
@@ -81,7 +81,8 @@ int main() {
   for (const auto& [label, vm] : named) {
     sig.push_back(core::SuspectSignal{vm, &nm.monitor().llc_miss_series(vm)});
   }
-  const auto scores = ident.score(online_victim, sig);
+  std::vector<core::SuspectScore> scores;
+  ident.score(online_victim, sig, scores);
   exp::Table t({"suspect", "correlation", "identified antagonist?"});
   for (std::size_t i = 0; i < named.size(); ++i) {
     t.add_row({named[i].first, exp::fmt(scores[i].correlation, 3),

@@ -105,35 +105,14 @@ void BM_PearsonIdentification(benchmark::State& state) {
   for (std::size_t i = 0; i < suspects.size(); ++i) {
     sig.push_back(core::SuspectSignal{static_cast<int>(i), &suspects[i]});
   }
+  std::vector<core::SuspectScore> scores;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ident.score(victim, sig));
+    scores.clear();
+    ident.score(victim, sig, scores);
+    benchmark::DoNotOptimize(scores.data());
   }
 }
 BENCHMARK(BM_PearsonIdentification)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_PearsonIdentificationIncremental(benchmark::State& state) {
-  // The rolling-accumulator path the node manager runs per control interval,
-  // same shape as BM_PearsonIdentification for comparison. The series keep
-  // growing across iterations (as in a real run); the incremental scorer
-  // only consumes the newest sample.
-  const auto n_suspects = state.range(0);
-  sim::Rng rng(5);
-  sim::TimeSeries victim;
-  std::vector<sim::TimeSeries> suspects(static_cast<std::size_t>(n_suspects));
-  core::AntagonistIdentifier ident{core::PerfCloudConfig{}};
-  std::vector<core::SuspectSignal> sig;
-  for (std::size_t i = 0; i < suspects.size(); ++i) {
-    sig.push_back(core::SuspectSignal{static_cast<int>(i), &suspects[i]});
-  }
-  int tick = 0;
-  for (auto _ : state) {
-    victim.add(sim::SimTime(tick * 5.0), rng.uniform());
-    for (auto& s : suspects) s.add(sim::SimTime(tick * 5.0), rng.uniform());
-    ++tick;
-    benchmark::DoNotOptimize(ident.score_incremental(0, victim, sig));
-  }
-}
-BENCHMARK(BM_PearsonIdentificationIncremental)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_ParallelExperimentRuns(benchmark::State& state) {
   // Independent scheme runs through the ParallelRunner: 4 self-contained

@@ -47,10 +47,12 @@ struct PerfCloudConfig {
   double min_usage_fraction = 0.25;
   /// Bound each suspect-side monitor series (I/O throughput, LLC miss rate)
   /// to this many most-recent samples; 0 = unbounded. Identification looks
-  /// at most `correlation_window` samples back, so any bound >= that window
-  /// yields identical decisions while monitor memory stops growing over long
-  /// runs. Default 0 because the small-scale figure benches plot entire
-  /// suspect histories; the large-scale benches bound it.
+  /// at most `correlation_window` victim samples back, so any bound >= that
+  /// window yields identical decisions while the victim signal gains a
+  /// sample every time the suspect does (DESIGN.md §5d "Batch scoring"), and
+  /// monitor memory stops growing over long runs. Default 0 because the
+  /// small-scale figure benches plot entire suspect histories; the
+  /// large-scale benches bound it.
   std::size_t monitor_series_capacity = 0;
   /// A suspect whose correlation crossed the threshold within this many
   /// seconds is still considered identified when contention is detected:

@@ -7,132 +7,47 @@
 
 namespace perfcloud::core {
 
-namespace {
-
-/// Shared threshold logic: a suspect is an antagonist when its correlation
-/// evidence crosses the threshold AND it is heavy enough relative to the
-/// heaviest suspect (the §III-B magnitude gate). When every suspect's
-/// windowed usage is zero the gate fails for all of them: `usage >= f * 0`
-/// would otherwise hold trivially, flagging idle suspects whose correlation
-/// is a numerical artifact — an idle VM puts pressure on nothing.
-///
-/// Operates on out[start..], which holds exactly usage.size() scores of the
-/// current call (out may carry earlier victims' finalized scores before
-/// `start`).
-void finalize_scores(const PerfCloudConfig& cfg, const std::vector<double>& usage,
-                     double max_usage, std::vector<SuspectScore>& out, std::size_t start) {
-  for (std::size_t i = 0; i < usage.size(); ++i) {
-    SuspectScore& score = out[start + i];
-    const double evidence =
-        cfg.use_absolute_correlation ? std::abs(score.correlation) : score.correlation;
-    const bool heavy_enough = max_usage > 0.0 && usage[i] >= cfg.min_usage_fraction * max_usage;
-    score.antagonist = evidence >= cfg.correlation_threshold && heavy_enough;
-  }
-}
-
-}  // namespace
-
-std::vector<SuspectScore> AntagonistIdentifier::score(
-    const sim::TimeSeries& victim_signal, std::span<const SuspectSignal> suspects) const {
-  std::vector<SuspectScore> out;
-  if (victim_signal.size() < cfg_.min_correlation_samples) return out;
-  out.reserve(suspects.size());
-
-  std::vector<double> usage(suspects.size(), 0.0);
-  double max_usage = 0.0;
-  for (std::size_t i = 0; i < suspects.size(); ++i) {
-    if (suspects[i].series != nullptr) {
-      usage[i] = sim::windowed_mean_missing_as_zero(victim_signal, *suspects[i].series,
-                                                    cfg_.correlation_window);
-    }
-    max_usage = std::max(max_usage, usage[i]);
-  }
-
-  for (std::size_t i = 0; i < suspects.size(); ++i) {
-    const SuspectSignal& s = suspects[i];
-    SuspectScore score;
-    score.vm_id = s.vm_id;
-    if (s.series != nullptr) {
-      score.correlation =
-          sim::pearson_missing_as_zero(victim_signal, *s.series, cfg_.correlation_window);
-    }
-    out.push_back(score);
-  }
-  finalize_scores(cfg_, usage, max_usage, out, 0);
-  return out;
-}
-
-AntagonistIdentifier::PairState& AntagonistIdentifier::pair_state(
-    VictimKey victim, int vm_id, const sim::TimeSeries& victim_signal) {
-  sim::SlotMap<PairState>& per_victim = *pairs_.try_emplace(victim).first;
-  PairState* state = per_victim.find(vm_id);
-  if (state == nullptr) {
-    // Construct the accumulator only on the miss path: building (and
-    // discarding) a RollingCorrelation per lookup would allocate its ring
-    // every quantum.
-    state = per_victim
-                .try_emplace(vm_id,
-                             PairState{sim::RollingCorrelation(cfg_.correlation_window), 0})
-                .first;
-    // A pair discovered mid-run only needs the victim's current window: the
-    // rolling accumulator would evict anything older anyway.
-    const std::size_t n = victim_signal.size();
-    state->consumed = n > cfg_.correlation_window ? n - cfg_.correlation_window : 0;
-  }
-  return *state;
-}
-
-void AntagonistIdentifier::score_incremental(VictimKey victim,
-                                             const sim::TimeSeries& victim_signal,
-                                             std::span<const SuspectSignal> suspects,
-                                             std::vector<SuspectScore>& out) {
-  if (victim_signal.size() < cfg_.min_correlation_samples) return;
-  const std::size_t start = out.size();
-
+void AntagonistIdentifier::score(const sim::TimeSeries& victim_signal,
+                                 std::span<const SuspectSignal> suspects,
+                                 std::vector<SuspectScore>& out) {
   const std::size_t n = victim_signal.size();
-  usage_.clear();
-  usage_.resize(suspects.size(), 0.0);
-  double max_usage = 0.0;
+  if (n < cfg_.min_correlation_samples) return;
+  const std::size_t start = out.size();
+  const std::size_t take = std::min(cfg_.correlation_window, n);
+  const std::span<const double> window = victim_signal.values().subspan(n - take);
+  aligned_.resize(take);
+  usage_.assign(suspects.size(), 0.0);
 
+  double max_usage = 0.0;
   for (std::size_t i = 0; i < suspects.size(); ++i) {
     const SuspectSignal& s = suspects[i];
     SuspectScore score;
     score.vm_id = s.vm_id;
-    if (s.series != nullptr) {
-      PairState& st = pair_state(victim, s.vm_id, victim_signal);
-      if (st.consumed > n) {
-        // The victim series shrank (cleared/restarted): replay its window.
-        st.corr.reset();
-        st.consumed = n > cfg_.correlation_window ? n - cfg_.correlation_window : 0;
-      }
-      for (std::size_t k = st.consumed; k < n; ++k) {
-        const sim::SimTime t = victim_signal.time(k);
-        const double y = s.series->value_at(t).value_or(0.0);
-        st.corr.push(victim_signal.value(k), y);
-      }
-      st.consumed = n;
-      score.correlation = st.corr.correlation();
-      usage_[i] = st.corr.mean_y();
+    if (s.series != nullptr && take > 0) {
+      sim::align_window_missing_as_zero(victim_signal, *s.series, n - take, aligned_);
+      double sum = 0.0;
+      for (const double v : aligned_) sum += v;
+      usage_[i] = sum / static_cast<double>(take);
+      score.correlation = sim::pearson(window, aligned_);
     }
     max_usage = std::max(max_usage, usage_[i]);
     out.push_back(score);
   }
-  finalize_scores(cfg_, usage_, max_usage, out, start);
-}
 
-void AntagonistIdentifier::forget_suspect(int vm_id) {
-  using Pairs = sim::SlotMap<sim::SlotMap<PairState>>;
-  for (int key = pairs_.first_key(); key != Pairs::kEnd; key = pairs_.next_key(key)) {
-    pairs_.at(key).erase(vm_id);
+  // A suspect is an antagonist when its correlation evidence crosses the
+  // threshold AND it is heavy enough relative to the heaviest suspect (the
+  // §III-B magnitude gate). When every suspect's windowed usage is zero the
+  // gate fails for all of them: `usage >= f * 0` would otherwise hold
+  // trivially, flagging idle suspects whose correlation is a numerical
+  // artifact — an idle VM puts pressure on nothing.
+  for (std::size_t i = 0; i < suspects.size(); ++i) {
+    SuspectScore& score = out[start + i];
+    const double evidence =
+        cfg_.use_absolute_correlation ? std::abs(score.correlation) : score.correlation;
+    const bool heavy_enough =
+        max_usage > 0.0 && usage_[i] >= cfg_.min_usage_fraction * max_usage;
+    score.antagonist = evidence >= cfg_.correlation_threshold && heavy_enough;
   }
-}
-
-std::vector<SuspectScore> AntagonistIdentifier::score_incremental(
-    VictimKey victim, const sim::TimeSeries& victim_signal,
-    std::span<const SuspectSignal> suspects) {
-  std::vector<SuspectScore> out;
-  score_incremental(victim, victim_signal, suspects, out);
-  return out;
 }
 
 }  // namespace perfcloud::core

@@ -5,15 +5,21 @@
 // the suspect's resource-usage signal (I/O throughput for disk, LLC miss
 // rate for processor resources) reaches the threshold. Suspect samples
 // missing at some victim sample times are treated as zero.
+//
+// Every call re-aligns and re-sums the correlation window, so a score is the
+// plain two-pass Pearson of the window's samples. An earlier incremental
+// backend kept running sums per (victim, suspect) pair instead; its
+// zero-variance guard compared the centred variance with sums anchored at
+// the window's first sample, so a suspect whose window began with a
+// missing-as-zero sample (just migrated in, or started late) and then ran at
+// a steady high rate read r = 0 until the next periodic re-sum, and a real
+// antagonist went unflagged (`AntagonistIdentifier.SuspectAfterMissingLeadInIsIdentified`).
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/config.hpp"
-#include "sim/rolling_correlation.hpp"
-#include "sim/slot_store.hpp"
 #include "sim/time_series.hpp"
 
 namespace perfcloud::core {
@@ -31,75 +37,27 @@ struct SuspectScore {
 
 class AntagonistIdentifier {
  public:
-  /// Stable caller-assigned identity of one victim deviation signal. One
-  /// identifier serves several victim signals (I/O and CPI, per
-  /// application); keys must be small non-negative ints, distinct per
-  /// signal, and must never be reassigned to a different series while the
-  /// old one's window is still relevant. The node manager uses
-  /// 2*app / 2*app+1 for an application's I/O / CPI signals.
-  ///
-  /// (Earlier revisions keyed pair state by the victim's TimeSeries
-  /// address, which could silently resurrect a dead victim's accumulators
-  /// when the allocator reused the address — an ABA hazard the explicit
-  /// key removes.)
-  using VictimKey = std::int32_t;
-
   explicit AntagonistIdentifier(PerfCloudConfig cfg) : cfg_(cfg) {}
 
-  /// Score every suspect against the victim deviation signal. Appends
-  /// nothing until the victim signal has the configured minimum number of
-  /// samples (Fig 5c: three suffice).
+  /// Score every suspect against the victim deviation signal over the most
+  /// recent `correlation_window` victim samples and append one score per
+  /// suspect, in suspect order, to `out` (the node manager accumulates
+  /// several victim signals' scores in one retained vector). Appends nothing
+  /// until the victim signal has the configured minimum number of samples
+  /// (Fig 5c: three suffice).
   ///
-  /// Batch path: re-aligns and re-sums the whole correlation window,
-  /// O(window + log n) per suspect per call. Kept for one-shot analyses
-  /// (figure benches) and as the reference the incremental path is tested
-  /// against.
-  [[nodiscard]] std::vector<SuspectScore> score(const sim::TimeSeries& victim_signal,
-                                                std::span<const SuspectSignal> suspects) const;
-
-  /// Same scores, computed incrementally: per (victim key, suspect VM) pair
-  /// a RollingCorrelation accumulator ingests only the victim samples that
-  /// arrived since the previous call (normally one per control interval),
-  /// aligning each against the suspect at that timestamp (missing -> 0).
-  /// Amortized O(1) per suspect per call instead of O(window + log n).
-  /// Appends this call's scores to `out` (the hot path accumulates scores
-  /// of several victim signals in one retained vector — no per-call
-  /// allocation once warm).
-  ///
-  /// Requirements: the suspect series objects must be stable in memory for
-  /// the duration of the call, and the victim series append-only in time
-  /// between calls under the same key. A victim series that shrank
-  /// (cleared) resets its pair states. Bounded (ring-buffer) suspect series
-  /// are fine as long as their capacity covers the correlation window.
-  void score_incremental(VictimKey victim, const sim::TimeSeries& victim_signal,
-                         std::span<const SuspectSignal> suspects,
-                         std::vector<SuspectScore>& out);
-
-  /// Convenience wrapper returning a fresh vector (tests, benches).
-  [[nodiscard]] std::vector<SuspectScore> score_incremental(
-      VictimKey victim, const sim::TimeSeries& victim_signal,
-      std::span<const SuspectSignal> suspects);
-
-  /// Migration handoff: drop the suspect's pair state under EVERY victim
-  /// key. Its correlation windows hold usage observed on this host; if the
-  /// VM returns after living elsewhere, scoring must restart from fresh
-  /// accumulators, not resume a stale window. Unknown ids are a no-op.
-  void forget_suspect(int vm_id);
+  /// Each suspect's window is aligned once (missing -> 0); the correlation
+  /// and the magnitude gate's mean usage both come from that window.
+  /// O(window + log n) per suspect, and no heap allocation once the scratch
+  /// below has grown to the window and the suspect count.
+  void score(const sim::TimeSeries& victim_signal, std::span<const SuspectSignal> suspects,
+             std::vector<SuspectScore>& out);
 
  private:
-  struct PairState {
-    sim::RollingCorrelation corr;
-    std::size_t consumed = 0;  ///< Victim samples already pushed.
-  };
-
-  PairState& pair_state(VictimKey victim, int vm_id, const sim::TimeSeries& victim_signal);
-
   PerfCloudConfig cfg_;
-  /// pairs_[victim key][suspect VM id]: dense slot stores, two array
-  /// indexes per lookup on the hot path. Entries for departed suspects
-  /// linger; the population is bounded by VMs-per-host.
-  sim::SlotMap<sim::SlotMap<PairState>> pairs_;
-  /// Per-call scratch for the §III-B magnitude gate, capacity retained.
+  /// Per-call scratch, capacity retained: the current suspect's aligned
+  /// window and every suspect's windowed mean usage.
+  std::vector<double> aligned_;
   std::vector<double> usage_;
 };
 

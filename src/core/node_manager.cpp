@@ -79,17 +79,13 @@ void NodeManager::on_migration(const cloud::MigrationEvent& ev) {
     }
     forget_vm(ev.vm_id);
     monitor_.forget_vm(ev.vm_id);
-    identifier_.forget_suspect(ev.vm_id);
   } else if (ev.phase == cloud::MigrationPhase::kArrived && ev.dst == host_) {
     // Stale state from a PREVIOUS residency of this VM here: the monitor
     // slot still holds the old cumulative-counter baseline (the counters
-    // kept growing on the other host — the first delta would be a spike)
-    // and the identifier's pair columns hold a correlation window against
-    // usage observed elsewhere. Retire both; they rebuild from the first
-    // post-arrival sample.
+    // kept growing on the other host — the first delta would be a spike).
+    // Retire it; it rebuilds from the first post-arrival sample.
     forget_vm(ev.vm_id);
     monitor_.forget_vm(ev.vm_id);
-    identifier_.forget_suspect(ev.vm_id);
   }
 }
 
@@ -248,10 +244,8 @@ void NodeManager::local_step(sim::SimTime now) {
         sink_->bump_counter(sink_source_, counter);
       }
     };
-    // Victim keys 2*app / 2*app+1: stable per deviation signal for the run's
-    // lifetime (AppIds are never reassigned), per the identifier's contract.
     const std::size_t io_start = io_scores_.size();
-    identifier_.score_incremental(2 * g.app, io_sig, io_suspects, io_scores_);
+    identifier_.score(io_sig, io_suspects, io_scores_);
     for (std::size_t i = io_start; i < io_scores_.size(); ++i) {
       const SuspectScore& s = io_scores_[i];
       if (s.antagonist && !monitor_.blacked_out(s.vm_id)) {
@@ -260,7 +254,7 @@ void NodeManager::local_step(sim::SimTime now) {
       }
     }
     const std::size_t cpu_start = cpu_scores_.size();
-    identifier_.score_incremental(2 * g.app + 1, cpi_sig, cpu_suspects, cpu_scores_);
+    identifier_.score(cpi_sig, cpu_suspects, cpu_scores_);
     for (std::size_t i = cpu_start; i < cpu_scores_.size(); ++i) {
       const SuspectScore& s = cpu_scores_[i];
       if (s.antagonist && !monitor_.blacked_out(s.vm_id)) {

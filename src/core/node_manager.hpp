@@ -196,11 +196,10 @@ class NodeManager {
   /// in start(). On kDeparting from THIS host: retire the departing VM's
   /// caps through the still-resident cgroup (the controller that owns them
   /// does not travel), then drop controller/identification state
-  /// (forget_vm) plus its monitor slot and identifier pair columns. On
-  /// kArrived at THIS host: drop any stale monitor/identifier state from a
-  /// previous residency, so the first sample re-primes the cumulative
-  /// counter baseline instead of booking everything the VM did elsewhere
-  /// as one interval's delta spike.
+  /// (forget_vm) plus its monitor slot. On kArrived at THIS host: drop any
+  /// stale controller/monitor state from a previous residency, so the
+  /// first sample re-primes the cumulative counter baseline instead of
+  /// booking everything the VM did elsewhere as one interval's delta spike.
   void on_migration(const cloud::MigrationEvent& ev);
 
   /// Re-parse the host's registry records if the cloud registry changed.

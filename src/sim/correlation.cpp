@@ -1,5 +1,6 @@
 #include "sim/correlation.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <vector>
@@ -38,15 +39,11 @@ double pearson_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspe
   return pearson(victim.values(), aligned);
 }
 
-namespace {
-
-/// Suspect samples aligned onto the victim's last `take` sample times
-/// (missing -> 0), starting at victim index `start`.
-std::vector<double> aligned_tail(const TimeSeries& victim, const TimeSeries& suspect,
-                                 std::size_t start, std::size_t take) {
-  std::vector<double> aligned(take, 0.0);
+void align_window_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspect,
+                                  std::size_t start, std::span<double> out) {
+  std::fill(out.begin(), out.end(), 0.0);
   std::size_t j = 0;
-  if (take > 0 && !suspect.empty()) {
+  if (!out.empty() && !suspect.empty()) {
     const double t0 = victim.time(start).seconds();
     std::size_t lo = 0;
     std::size_t hi = suspect.size();
@@ -60,25 +57,23 @@ std::vector<double> aligned_tail(const TimeSeries& victim, const TimeSeries& sus
     }
     j = lo;
   }
-  for (std::size_t i = 0; i < take; ++i) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
     const double t = victim.time(start + i).seconds();
     while (j < suspect.size() && suspect.time(j).seconds() < t - kTimeAlignTolS) ++j;
     if (j < suspect.size() && std::abs(suspect.time(j).seconds() - t) <= kTimeAlignTolS) {
-      aligned[i] = suspect.value(j);
+      out[i] = suspect.value(j);
       ++j;
     }
   }
-  return aligned;
 }
-
-}  // namespace
 
 double windowed_mean_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspect,
                                      std::size_t window) {
   const std::size_t n = victim.size();
   const std::size_t take = std::min(window, n);
   if (take == 0) return 0.0;
-  const std::vector<double> aligned = aligned_tail(victim, suspect, n - take, take);
+  std::vector<double> aligned(take);
+  align_window_missing_as_zero(victim, suspect, n - take, aligned);
   double sum = 0.0;
   for (const double v : aligned) sum += v;
   return sum / static_cast<double>(take);
@@ -92,7 +87,8 @@ double pearson_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspe
   // Align only the window: the monitor calls this every interval against
   // ever-growing series, so walking the full history would be quadratic
   // over a run.
-  const std::vector<double> aligned = aligned_tail(victim, suspect, start, take);
+  std::vector<double> aligned(take);
+  align_window_missing_as_zero(victim, suspect, start, aligned);
   return pearson(victim.values().subspan(start), aligned);
 }
 

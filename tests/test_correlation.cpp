@@ -12,12 +12,27 @@ TEST(Pearson, PerfectPositive) {
   const std::vector<double> x = {1.0, 2.0, 3.0, 4.0};
   const std::vector<double> y = {2.0, 4.0, 6.0, 8.0};
   EXPECT_NEAR(pearson(x, y), 1.0, 1e-12);
+  // An exact linear relation reads exactly 1, never a hair above it.
+  std::vector<double> ramp;
+  std::vector<double> line;
+  for (int i = 0; i < 10; ++i) {
+    ramp.push_back(i);
+    line.push_back(2.0 * i + 5.0);
+  }
+  EXPECT_DOUBLE_EQ(pearson(ramp, line), 1.0);
 }
 
 TEST(Pearson, PerfectNegative) {
   const std::vector<double> x = {1.0, 2.0, 3.0};
   const std::vector<double> y = {3.0, 2.0, 1.0};
   EXPECT_NEAR(pearson(x, y), -1.0, 1e-12);
+  std::vector<double> ramp;
+  std::vector<double> line;
+  for (int i = 0; i < 10; ++i) {
+    ramp.push_back(i);
+    line.push_back(-3.0 * i);
+  }
+  EXPECT_DOUBLE_EQ(pearson(ramp, line), -1.0);
 }
 
 TEST(Pearson, ShiftAndScaleInvariance) {
@@ -30,6 +45,21 @@ TEST(Pearson, ShiftAndScaleInvariance) {
     y.push_back(100.0 + 42.0 * v);
   }
   EXPECT_NEAR(pearson(x, y), 1.0, 1e-9);
+
+  // A steady antagonist at ~1e8 B/s with tiny jitter: the two-pass form
+  // centres before it multiplies, so the huge offset cannot cancel away the
+  // jitter's correlation.
+  std::vector<double> lo;
+  std::vector<double> hi;
+  std::vector<double> hi_centred;
+  for (int i = 0; i < 60; ++i) {
+    const double noise = r.uniform(-0.5, 0.5);
+    const double jitter = r.uniform(-10.0, 10.0);
+    lo.push_back(50.0 + noise);
+    hi.push_back(1.0e8 + jitter + 4.0 * noise);
+    hi_centred.push_back(jitter + 4.0 * noise);
+  }
+  EXPECT_NEAR(pearson(lo, hi), pearson(lo, hi_centred), 1e-9);
 }
 
 TEST(Pearson, IndependentSeriesNearZero) {
@@ -48,6 +78,9 @@ TEST(Pearson, ZeroVarianceGivesZero) {
   const std::vector<double> ramp = {1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_EQ(pearson(flat, ramp), 0.0);
   EXPECT_EQ(pearson(ramp, flat), 0.0);
+  // An exactly constant high-magnitude side is still variance 0.
+  const std::vector<double> steady(5, 1.0e8);
+  EXPECT_EQ(pearson(ramp, steady), 0.0);
 }
 
 TEST(Pearson, TooFewSamplesGivesZero) {
@@ -55,6 +88,15 @@ TEST(Pearson, TooFewSamplesGivesZero) {
   const std::vector<double> y = {2.0};
   EXPECT_EQ(pearson(x, y), 0.0);
   EXPECT_EQ(pearson({}, {}), 0.0);
+  // A one-sample window reads 0 even where the whole series correlates.
+  TimeSeries victim;
+  TimeSeries suspect;
+  for (int i = 1; i <= 4; ++i) {
+    victim.add(SimTime(5.0 * i), i);
+    suspect.add(SimTime(5.0 * i), 2.0 * i);
+  }
+  EXPECT_EQ(pearson_missing_as_zero(victim, suspect, 1), 0.0);
+  EXPECT_NEAR(pearson_missing_as_zero(victim, suspect, 4), 1.0, 1e-12);
 }
 
 TEST(Pearson, SymmetricInArguments) {

@@ -93,20 +93,13 @@ TEST(Identifier, FullyDarkSuspectScoresZeroWhileLiveSuspectCrosses) {
 
   const std::vector<core::SuspectSignal> suspects{{1, &live}, {2, &dark}};
   core::AntagonistIdentifier identifier(cfg);
-  const std::vector<core::SuspectScore> scores = identifier.score(victim, suspects);
+  std::vector<core::SuspectScore> scores;
+  identifier.score(victim, suspects, scores);
   ASSERT_EQ(scores.size(), 2u);
   EXPECT_TRUE(scores[0].antagonist);
   EXPECT_FALSE(scores[1].antagonist);
   EXPECT_TRUE(std::isfinite(scores[1].correlation));
   EXPECT_DOUBLE_EQ(scores[1].correlation, 0.0);
-
-  // Same verdicts from the incremental scorer the node manager uses.
-  core::AntagonistIdentifier incremental(cfg);
-  const std::vector<core::SuspectScore> inc =
-      incremental.score_incremental(0, victim, suspects);
-  ASSERT_EQ(inc.size(), 2u);
-  EXPECT_TRUE(inc[0].antagonist);
-  EXPECT_FALSE(inc[1].antagonist);
 }
 
 TEST(NodeManagerBlackout, DarkSuspectIsOnlyIdentifiedAfterSamplesResume) {

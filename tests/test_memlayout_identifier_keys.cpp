@@ -1,14 +1,14 @@
-// Regression tests for the identifier's pair-state keying (DESIGN.md §5i).
-//
-// Pair state used to be keyed by the victim TimeSeries' address; when a
-// victim died and the allocator handed its address to a new series, the new
-// victim silently inherited the old accumulators (an ABA hazard). State is
-// now keyed by a caller-assigned VictimKey, so identity is explicit and
-// address-independent. These tests run under ASan/TSan via the regular
-// sanitizer ctest sweeps of the perf suite.
+// The identifier reuses its scratch (aligned window, per-suspect usage)
+// from call to call and appends into a caller-retained vector, as the node
+// manager runs it every control interval. These tests check that a call's
+// scores never depend on earlier calls: not on a dead victim whose address
+// a new one may reuse, not on a different suspect set, not on another
+// victim signal scored into the same vector. They run under
+// ASan/TSan via the regular sanitizer ctest sweeps of the perf suite.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/identifier.hpp"
@@ -24,61 +24,38 @@ sim::TimeSeries linear_series(int n, double slope, double start_t = 0.0) {
   return ts;
 }
 
+/// One victim signal's scores in a fresh vector.
+std::vector<SuspectScore> scores_of(AntagonistIdentifier& ident, const sim::TimeSeries& victim,
+                                    std::span<const SuspectSignal> suspects) {
+  std::vector<SuspectScore> out;
+  ident.score(victim, suspects, out);
+  return out;
+}
+
 TEST(IdentifierKeys, DeadVictimsStateNeverResurrectsAtReusedAddress) {
   PerfCloudConfig cfg;
   cfg.correlation_window = 8;
   AntagonistIdentifier ident(cfg);
-  const AntagonistIdentifier batch(cfg);
+  AntagonistIdentifier fresh(cfg);
 
   sim::TimeSeries suspect = linear_series(40, 2.0);
   const std::vector<SuspectSignal> suspects{{1, &suspect}};
 
-  // Victim A accumulates 30 samples of pair state under key 0, then dies.
+  // Victim A is scored, then dies.
   auto victim_a = std::make_unique<sim::TimeSeries>(linear_series(30, 1.0));
-  (void)ident.score_incremental(0, *victim_a, suspects);
+  (void)scores_of(ident, *victim_a, suspects);
   victim_a.reset();
 
-  // Victim B — very possibly at victim A's freed address — has MORE samples
-  // than A had. Under address keying the identifier would treat it as A and
-  // consume only the tail; under key-based state (key 1) it starts fresh
-  // and must reproduce the batch scorer exactly.
+  // Victim B — very possibly at victim A's freed address — has more samples
+  // than A had. Nothing of A may show in its scores.
   auto victim_b = std::make_unique<sim::TimeSeries>(linear_series(40, -3.0));
-  const auto got = ident.score_incremental(1, *victim_b, suspects);
-  const auto want = batch.score(*victim_b, suspects);
+  const auto got = scores_of(ident, *victim_b, suspects);
+  const auto want = scores_of(fresh, *victim_b, suspects);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got[i].correlation, want[i].correlation, 1e-9) << i;
+    EXPECT_EQ(got[i].correlation, want[i].correlation) << i;
     EXPECT_EQ(got[i].antagonist, want[i].antagonist) << i;
   }
-}
-
-TEST(IdentifierKeys, DistinctKeysKeepIndependentStateForSameSeries) {
-  // One physical series scored under two keys (as the node manager scores
-  // an app's I/O and CPI signals with keys 2a and 2a+1): the two states
-  // must not bleed into each other.
-  PerfCloudConfig cfg;
-  cfg.correlation_window = 8;
-  AntagonistIdentifier ident(cfg);
-  const AntagonistIdentifier batch(cfg);
-
-  sim::TimeSeries suspect = linear_series(50, 1.5);
-  const std::vector<SuspectSignal> suspects{{3, &suspect}};
-  sim::TimeSeries victim = linear_series(20, 1.0);
-
-  // Key 0 consumes the first 20 samples; key 1 has seen nothing yet.
-  (void)ident.score_incremental(0, victim, suspects);
-  for (int i = 20; i < 35; ++i) victim.add(sim::SimTime(5.0 * i), 7.0 * i);
-
-  // Scoring under key 1 must ingest the WHOLE window afresh — identical to
-  // batch — even though key 0 already consumed most of the series.
-  const auto got1 = ident.score_incremental(1, victim, suspects);
-  const auto want = batch.score(victim, suspects);
-  ASSERT_EQ(got1.size(), want.size());
-  EXPECT_NEAR(got1[0].correlation, want[0].correlation, 1e-9);
-
-  // And key 0 continues incrementally from sample 20 — also matching batch.
-  const auto got0 = ident.score_incremental(0, victim, suspects);
-  EXPECT_NEAR(got0[0].correlation, want[0].correlation, 1e-9);
 }
 
 TEST(IdentifierKeys, SuspectSetGrowsAndShrinksWithoutCrossTalk) {
@@ -86,7 +63,6 @@ TEST(IdentifierKeys, SuspectSetGrowsAndShrinksWithoutCrossTalk) {
   cfg.correlation_window = 12;
   cfg.min_correlation_samples = 3;
   AntagonistIdentifier ident(cfg);
-  const AntagonistIdentifier batch(cfg);
 
   sim::Rng rng(17);
   sim::TimeSeries victim("victim");
@@ -94,13 +70,16 @@ TEST(IdentifierKeys, SuspectSetGrowsAndShrinksWithoutCrossTalk) {
   sim::TimeSeries s2("s2");
   sim::TimeSeries s3("s3");
 
-  const auto expect_matches_batch = [&](const std::vector<SuspectSignal>& suspects, int tag) {
-    const auto got = ident.score_incremental(0, victim, suspects);
-    const auto want = batch.score(victim, suspects);
+  // The long-lived identifier must score exactly like a fresh one, whose
+  // scratch has never seen another suspect set.
+  const auto expect_matches_fresh = [&](const std::vector<SuspectSignal>& suspects, int tag) {
+    AntagonistIdentifier fresh(cfg);
+    const auto got = scores_of(ident, victim, suspects);
+    const auto want = scores_of(fresh, victim, suspects);
     ASSERT_EQ(got.size(), want.size()) << tag;
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].vm_id, want[i].vm_id) << tag;
-      EXPECT_NEAR(got[i].correlation, want[i].correlation, 1e-9) << tag << " i=" << i;
+      EXPECT_EQ(got[i].correlation, want[i].correlation) << tag << " i=" << i;
       EXPECT_EQ(got[i].antagonist, want[i].antagonist) << tag << " i=" << i;
     }
   };
@@ -114,22 +93,21 @@ TEST(IdentifierKeys, SuspectSetGrowsAndShrinksWithoutCrossTalk) {
     s3.add(t, 30.0 - x);
 
     if (i < 20) {
-      expect_matches_batch({{1, &s1}, {2, &s2}}, i);
+      expect_matches_fresh({{1, &s1}, {2, &s2}}, i);
     } else if (i < 40) {
-      // Suspect 3 appears mid-run: its pair state starts at the current
-      // window, exactly like the batch scorer's windowed view.
-      expect_matches_batch({{1, &s1}, {2, &s2}, {3, &s3}}, i);
+      // Suspect 3 appears mid-run.
+      expect_matches_fresh({{1, &s1}, {2, &s2}, {3, &s3}}, i);
     } else {
-      // Suspects 1 and 3 left (throttled away / evicted): scoring must not
-      // touch their lingering states, and suspect 2 stays incremental.
-      expect_matches_batch({{2, &s2}}, i);
+      // Suspects 1 and 3 left (throttled away / evicted): the scratch is
+      // larger than this call needs, and none of it may leak into it.
+      expect_matches_fresh({{2, &s2}}, i);
     }
   }
 }
 
 TEST(IdentifierKeys, AppendingOverloadAccumulatesAcrossVictims) {
   // The node manager accumulates several victims' scores in one retained
-  // vector; the out-param overload must append, not clobber.
+  // vector; scoring must append, not clobber.
   PerfCloudConfig cfg;
   cfg.correlation_window = 8;
   cfg.min_correlation_samples = 3;
@@ -141,13 +119,13 @@ TEST(IdentifierKeys, AppendingOverloadAccumulatesAcrossVictims) {
   sim::TimeSeries cpi_victim = linear_series(20, -1.0);
 
   std::vector<SuspectScore> out;
-  ident.score_incremental(0, io_victim, suspects, out);
+  ident.score(io_victim, suspects, out);
   ASSERT_EQ(out.size(), 1u);
-  ident.score_incremental(1, cpi_victim, suspects, out);
+  ident.score(cpi_victim, suspects, out);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].vm_id, 5);
   EXPECT_EQ(out[1].vm_id, 5);
-  // Opposite-slope victims: correlations are mirrored, states independent.
+  // Opposite-slope victims: correlations are mirrored.
   EXPECT_NEAR(out[0].correlation, -out[1].correlation, 1e-9);
 }
 
