@@ -38,7 +38,7 @@ void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
 
   // Memory contention is per NUMA socket: partition the tenants (in
   // ascending index order), run each socket's model on its residents, and
-  // scatter the results back.
+  // scatter the results back. Tenants without memory join no socket.
   thread_local std::vector<MemoryGrant> mem;
   thread_local std::vector<TenantDemand> socket_demands;
   thread_local std::vector<double> socket_cpu;
@@ -52,6 +52,7 @@ void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
   for (int s = 0; s < cfg_.sockets; ++s) {
     std::size_t k = 0;
     for (std::size_t i = 0; i < n; ++i) {
+      if (demands[i].numa_node == kNoMemoryTenant) continue;
       const int node = std::clamp(demands[i].numa_node, 0, cfg_.sockets - 1);
       if (node != s) continue;
       socket_demands[k] = demands[i];

@@ -10,6 +10,11 @@ namespace perfcloud::hw {
 
 constexpr double kNoCap = std::numeric_limits<double>::infinity();
 
+/// `TenantDemand::numa_node` of a tenant that has no memory: the memory
+/// model skips it, so it draws no placement factor or CPI jitter and its
+/// memory grant stays zero.
+constexpr int kNoMemoryTenant = -1;
+
 /// One tenant's persistent noise state. The tenant's owner (a VM, an
 /// incoming migration stream) keeps it; the disk and memory models read and
 /// advance it through TenantDemand::noise each tick.
@@ -40,7 +45,9 @@ struct TenantDemand {
   /// NUMA socket this tenant's memory lives on. LLC and bandwidth
   /// contention are per-socket: tenants on different sockets do not
   /// interfere through the memory subsystem. Ignored (treated as 0) on
-  /// single-socket servers.
+  /// single-socket servers. kNoMemoryTenant keeps the tenant out of the
+  /// memory model altogether (an incoming migration's page stream, which
+  /// only writes to disk).
   int numa_node = 0;
   /// The tenant's noise state; must be set before the demand reaches the
   /// disk or memory model. Demand order only decides the order of the

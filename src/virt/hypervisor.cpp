@@ -144,12 +144,14 @@ void Hypervisor::tick(sim::SimTime now, double dt) {
 
   // Incoming pre-copy streams, after the resident VMs. Pages land as large
   // sequential writes; the grants routed back to these slots are discarded
-  // below.
+  // below. A stream only writes to disk, so it stays out of the memory
+  // model and moves no resident's CPI noise.
   constexpr double kMigrationIoBlockBytes = 1.0 * 1024 * 1024;
   for (MigrationInflow& f : migration_in_) {
     hw::TenantDemand d{};
     d.io_bytes = f.bytes_per_sec * dt;
     d.io_ops = d.io_bytes / kMigrationIoBlockBytes;
+    d.numa_node = hw::kNoMemoryTenant;
     d.noise = &f.noise;
     demands.push_back(d);
   }

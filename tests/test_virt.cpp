@@ -3,6 +3,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "virt/hypervisor.hpp"
 
@@ -276,9 +277,8 @@ TEST(Hypervisor, EvictionLeavesSurvivorCpiOnTwoSockets) { expect_eviction_leaves
 
 TEST(Hypervisor, VmBootedDuringInflowKeepsItsOwnPlacement) {
   // The probe boots while a migration stream lands and stays after the
-  // stream ends. Its CPI must match a probe booted next to an idle VM,
-  // which draws the same placement from the same stream: the probe draws
-  // its own factor rather than taking over the stream's.
+  // stream ends. The stream has no memory, so the probe draws the same
+  // placement as on a host without it, and keeps it after the stream ends.
   Hypervisor with_inflow(quiet_server(), sim::Rng(5));
   (void)boot_with(with_inflow, VmConfig{.id = 1, .vcpus = 8}, hog_demand());
   with_inflow.begin_migration_in(7, 1.0e8);
@@ -290,16 +290,42 @@ TEST(Hypervisor, VmBootedDuringInflowKeepsItsOwnPlacement) {
   tick_at(with_inflow, 3);
   const double after = probe->last_cpi;
 
-  Hypervisor with_idle_vm(quiet_server(), sim::Rng(5));
-  (void)boot_with(with_idle_vm, VmConfig{.id = 1, .vcpus = 8}, hog_demand());
-  with_idle_vm.boot(VmConfig{.id = 3});
-  tick_at(with_idle_vm, 1);
-  ConstantGuest* reference = boot_with(with_idle_vm, VmConfig{.id = 2}, probe_demand());
-  tick_at(with_idle_vm, 2);
+  Hypervisor reference_host(quiet_server(), sim::Rng(5));
+  (void)boot_with(reference_host, VmConfig{.id = 1, .vcpus = 8}, hog_demand());
+  tick_at(reference_host, 1);
+  ConstantGuest* reference = boot_with(reference_host, VmConfig{.id = 2}, probe_demand());
+  tick_at(reference_host, 2);
 
   EXPECT_GT(reference->last_cpi, 1.0);
   EXPECT_EQ(during, reference->last_cpi);
   EXPECT_EQ(after, reference->last_cpi);
+}
+
+TEST(Hypervisor, InflowLeavesResidentsCpiUnchanged) {
+  // With CPI jitter on, a page stream landing on the host must not shift
+  // the memory model's draws: every resident retires the same instructions
+  // at the same CPI, tick for tick, as on a twin host without the stream.
+  Hypervisor with_inflow(hw::ServerConfig{}, sim::Rng(8));
+  Hypervisor without(hw::ServerConfig{}, sim::Rng(8));
+  std::vector<ConstantGuest*> guests_with;
+  std::vector<ConstantGuest*> guests_without;
+  for (Hypervisor* hv : {&with_inflow, &without}) {
+    auto& guests = hv == &with_inflow ? guests_with : guests_without;
+    guests.push_back(boot_with(*hv, VmConfig{.id = 1, .vcpus = 8}, hog_demand()));
+    guests.push_back(boot_with(*hv, VmConfig{.id = 2}, probe_demand()));
+  }
+  with_inflow.begin_migration_in(7, 1.0e8);
+  for (int t = 1; t <= 6; ++t) {
+    if (t == 4) with_inflow.end_migration_in(7);
+    tick_at(with_inflow, t);
+    tick_at(without, t);
+    for (std::size_t i = 0; i < guests_with.size(); ++i) {
+      EXPECT_EQ(guests_with[i]->last_cpi, guests_without[i]->last_cpi) << "t=" << t << " vm " << i;
+      EXPECT_EQ(guests_with[i]->total_instructions, guests_without[i]->total_instructions)
+          << "t=" << t << " vm " << i;
+    }
+  }
+  EXPECT_GT(guests_without[1]->last_cpi, 1.0);
 }
 
 TEST(Hypervisor, AdoptedVmDrawsFreshPlacement) {
