@@ -19,23 +19,6 @@ std::vector<int> place_spread(CloudManager& cloud, const std::vector<std::string
   return ids;
 }
 
-std::vector<int> place_random(CloudManager& cloud, const std::vector<std::string>& hosts,
-                              int count, virt::VmConfig shape, const std::string& name_prefix,
-                              sim::Rng& rng) {
-  if (hosts.empty()) throw std::invalid_argument("place_random: no hosts");
-  std::vector<int> ids;
-  ids.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    virt::VmConfig cfg = shape;
-    cfg.name = name_prefix + "-" + std::to_string(i);
-    const auto idx =
-        static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1));
-    const virt::Vm& vm = cloud.boot_vm(hosts[idx], cfg);
-    ids.push_back(vm.id());
-  }
-  return ids;
-}
-
 std::vector<int> place_packed(CloudManager& cloud, const std::vector<std::string>& hosts,
                               int count, int per_host, virt::VmConfig shape,
                               const std::string& app_id) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "cloud/cloud_manager.hpp"
-#include "sim/rng.hpp"
 
 namespace perfcloud::cloud {
 
@@ -15,13 +14,6 @@ namespace perfcloud::cloud {
 /// booted VM ids in order. Names are "<app_id>-<index>".
 std::vector<int> place_spread(CloudManager& cloud, const std::vector<std::string>& hosts,
                               int count, virt::VmConfig shape, const std::string& app_id);
-
-/// Boot `count` VMs on hosts drawn uniformly at random (the paper's §IV-C
-/// randomly distributes antagonistic VMs on each job execution). Returns the
-/// booted VM ids.
-std::vector<int> place_random(CloudManager& cloud, const std::vector<std::string>& hosts,
-                              int count, virt::VmConfig shape, const std::string& name_prefix,
-                              sim::Rng& rng);
 
 /// Boot `count` VMs filling hosts in order, `per_host` VMs per host before
 /// moving on (consolidation-style placement — the packing that makes

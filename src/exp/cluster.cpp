@@ -71,15 +71,6 @@ Cluster make_cluster(const ClusterParams& params) {
                                             shape, params.app_id);
       break;
     }
-    case Placement::kRandom: {
-      // place_random names the VMs but does not set the app id (it places
-      // anonymous antagonists in the paper); workers need the grouping.
-      shape.app_id = params.app_id;
-      sim::Rng placement_rng(params.seed ^ 0x9e3779b97f4a7c15ULL);
-      c.worker_vm_ids = cloud::place_random(*c.cloud, worker_hosts, params.workers, shape,
-                                            params.app_id, placement_rng);
-      break;
-    }
   }
 
   c.framework = std::make_unique<wl::ScaleOutFramework>(*c.engine, params.app_id);

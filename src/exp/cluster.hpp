@@ -28,10 +28,6 @@ enum class Placement {
   /// and DRAM admit — the consolidation pressure that makes high-priority
   /// collisions (and thus §IV-D migration escalations) actually happen.
   kPacked,
-  /// Uniformly random host per VM (the paper's §IV-C antagonist
-  /// distribution), drawn from a dedicated placement RNG seeded from
-  /// `seed` — never from the engine's stream.
-  kRandom,
 };
 
 struct ClusterParams {

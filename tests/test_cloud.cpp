@@ -105,23 +105,10 @@ TEST(Placement, SpreadIsRoundRobin) {
   for (const auto& r : cloud.all_vms()) EXPECT_EQ(r.app_id, "app");
 }
 
-TEST(Placement, RandomCoversHostsEventually) {
-  sim::Engine e;
-  CloudManager cloud(e);
-  for (int i = 0; i < 4; ++i) cloud.add_host(host_cfg("h" + std::to_string(i)));
-  sim::Rng rng(3);
-  place_random(cloud, cloud.host_names(), 100, virt::VmConfig{}, "ant", rng);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_GT(cloud.vms_on_host("h" + std::to_string(i)).size(), 10u);
-  }
-}
-
 TEST(Placement, EmptyHostListThrows) {
   sim::Engine e;
   CloudManager cloud(e);
-  sim::Rng rng(1);
   EXPECT_THROW(place_spread(cloud, {}, 1, virt::VmConfig{}, "a"), std::invalid_argument);
-  EXPECT_THROW(place_random(cloud, {}, 1, virt::VmConfig{}, "a", rng), std::invalid_argument);
 }
 
 }  // namespace
