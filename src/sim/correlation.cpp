@@ -84,9 +84,6 @@ double pearson_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspe
   const std::size_t n = victim.size();
   const std::size_t take = std::min(window, n);
   const std::size_t start = n - take;
-  // Align only the window: the monitor calls this every interval against
-  // ever-growing series, so walking the full history would be quadratic
-  // over a run.
   std::vector<double> aligned(take);
   align_window_missing_as_zero(victim, suspect, start, aligned);
   return pearson(victim.values().subspan(start), aligned);

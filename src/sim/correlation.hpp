@@ -33,8 +33,7 @@ void align_window_missing_as_zero(const TimeSeries& victim, const TimeSeries& su
 
 /// Mean of the suspect's samples over the victim's most recent `window`
 /// sample times, missing values as zero. O(window + log n), like the
-/// windowed Pearson — both run every control interval against ever-growing
-/// series.
+/// windowed Pearson.
 [[nodiscard]] double windowed_mean_missing_as_zero(const TimeSeries& victim,
                                                    const TimeSeries& suspect, std::size_t window);
 
