@@ -41,28 +41,23 @@ double pearson_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspe
 
 void align_window_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspect,
                                   std::size_t start, std::span<double> out) {
-  std::fill(out.begin(), out.end(), 0.0);
+  const std::span<const SimTime> at = victim.times().subspan(start, out.size());
+  const std::span<const SimTime> times = suspect.times();
+  const std::span<const double> values = suspect.values();
   std::size_t j = 0;
-  if (!out.empty() && !suspect.empty()) {
-    const double t0 = victim.time(start).seconds();
-    std::size_t lo = 0;
-    std::size_t hi = suspect.size();
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (suspect.time(mid).seconds() < t0 - kTimeAlignTolS) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    j = lo;
+  if (!at.empty()) {
+    j = static_cast<std::size_t>(
+        std::lower_bound(times.begin(), times.end(), at.front() - kTimeAlignTolS) -
+        times.begin());
   }
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double t = victim.time(start + i).seconds();
-    while (j < suspect.size() && suspect.time(j).seconds() < t - kTimeAlignTolS) ++j;
-    if (j < suspect.size() && std::abs(suspect.time(j).seconds() - t) <= kTimeAlignTolS) {
-      out[i] = suspect.value(j);
+  for (std::size_t i = 0; i < at.size(); ++i) {
+    const double t = at[i].seconds();
+    while (j < times.size() && times[j].seconds() < t - kTimeAlignTolS) ++j;
+    if (j < times.size() && std::abs(times[j].seconds() - t) <= kTimeAlignTolS) {
+      out[i] = values[j];
       ++j;
+    } else {
+      out[i] = 0.0;
     }
   }
 }

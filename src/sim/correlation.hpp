@@ -25,8 +25,8 @@ namespace perfcloud::sim {
                                              std::size_t window);
 
 /// Write into `out` the suspect's samples at the victim's sample times
-/// `start` .. `start + out.size() - 1`, 0 where the suspect has none.
-/// O(out.size() + log n). The windowed statistics here and the identifier's
+/// `start` .. `start + out.size() - 1` (which must exist), 0 where the
+/// suspect has none. O(out.size() + log n). The windowed statistics here and the identifier's
 /// scoring all align through this one routine.
 void align_window_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspect,
                                   std::size_t start, std::span<double> out);
