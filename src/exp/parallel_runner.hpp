@@ -1,4 +1,4 @@
-// Thread-pool runner for independent experiment tasks.
+// Runner for independent experiment tasks.
 //
 // The simulator itself is single-threaded by design (determinism), but whole
 // experiment *runs* — one scheme x mix combination, one repetition — are
@@ -6,26 +6,24 @@
 // framework, and RNG are all self-contained. Nothing in the simulation layer
 // touches global mutable state, so runs parallelize embarrassingly.
 //
-// Threading model: `run` spawns up to `threads` std::threads; workers claim
-// task indices from a shared atomic counter and write results into their own
-// slot of a pre-sized vector. Shared between workers: the counter, the task
-// vector (read-only), and disjoint result/exception slots. Everything a task
-// closure captures must be task-local (build the Cluster inside the task).
-// Results are returned in submission order regardless of completion order,
-// so output built from them is byte-identical across thread counts.
+// Threading model: `run` executes the tasks on a sim::ShardPool of
+// min(threads, tasks) shards — the same pool the engine shards host ticks
+// on — and each task writes its result into its own slot of a pre-sized
+// vector. Everything a task closure captures must be task-local (build the
+// Cluster inside the task). Results are returned in submission order
+// regardless of completion order, so output built from them is
+// byte-identical across thread counts.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <functional>
 #include <optional>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "sim/env.hpp"
+#include "sim/shard_pool.hpp"
 
 namespace perfcloud::exp {
 
@@ -38,35 +36,15 @@ class ParallelRunner {
   [[nodiscard]] unsigned threads() const { return threads_; }
 
   /// Run all tasks to completion and return their results in submission
-  /// order. If any task throws, the first exception (by submission index —
-  /// deterministic) is rethrown after every worker has joined.
+  /// order. If any task throws, every other task still runs and the
+  /// exception of the lowest-indexed failing task is rethrown
+  /// (deterministic, see sim::ShardPool::run).
   template <typename T>
   std::vector<T> run(const std::vector<std::function<T()>>& tasks) const {
     std::vector<std::optional<T>> results(tasks.size());
-    std::vector<std::exception_ptr> errors(tasks.size());
-    std::atomic<std::size_t> next{0};
-
-    const auto worker = [&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= tasks.size()) return;
-        try {
-          results[i].emplace(tasks[i]());
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-    };
-
-    const std::size_t n_workers =
-        std::min<std::size_t>(threads_, std::max<std::size_t>(tasks.size(), 1));
-    std::vector<std::thread> pool;
-    pool.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
+    if (!tasks.empty()) {
+      sim::ShardPool pool(static_cast<unsigned>(std::min<std::size_t>(threads_, tasks.size())));
+      pool.run(tasks.size(), [&](std::size_t i) { results[i].emplace(tasks[i]()); });
     }
     std::vector<T> out;
     out.reserve(tasks.size());

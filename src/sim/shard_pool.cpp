@@ -1,22 +1,9 @@
 #include "sim/shard_pool.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace perfcloud::sim {
-
-namespace {
-
-/// Chunk size for a claim starting at task index `pos`. The first ~2*shards
-/// claims take one task each so a heavy task near the head never drags
-/// neighbours onto its shard; the tail is claimed in linearly growing chunks
-/// to keep CAS traffic low.
-std::size_t ws_chunk(std::size_t pos, unsigned shards) {
-  return std::clamp<std::size_t>(pos / (2 * static_cast<std::size_t>(shards)),
-                                 std::size_t{1}, std::size_t{64});
-}
-
-}  // namespace
 
 ShardPool::ShardPool(unsigned shards) {
   if (shards < 1) throw std::invalid_argument("ShardPool: shards must be >= 1");
@@ -37,94 +24,55 @@ ShardPool::~ShardPool() {
 
 void ShardPool::run(std::size_t n, const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
-  if (n > 0xffffffffull) throw std::invalid_argument("ShardPool: batch too large");
-  std::uint32_t gen;
   {
     std::lock_guard<std::mutex> lk(mu_);
     body_ = &body;
     n_ = n;
-    error_ = nullptr;
-    gen = ++generation_;
-    remaining_.store(n, std::memory_order_relaxed);
-    claim_.store(pack(gen, 0), std::memory_order_release);
+    seats_ = active_ = static_cast<unsigned>(workers_.size());
+    next_.store(0, std::memory_order_relaxed);
   }
   cv_start_.notify_all();
-  drain(gen);
+  drain(body, n);
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] { return remaining_.load(std::memory_order_acquire) == 0; });
+    cv_done_.wait(lk, [&] { return active_ == 0; });
     body_ = nullptr;
-    error = error_;
-    error_ = nullptr;
+    error = std::exchange(error_, nullptr);
   }
   if (error) std::rethrow_exception(error);
 }
 
-void ShardPool::drain(std::uint32_t gen) {
-  // Copy the batch parameters for `gen`. If the batch is already finished
-  // (or superseded), the claim loop below backs off before any of these are
-  // dereferenced, so a stale copy is safe.
-  const std::function<void(std::size_t)>* body;
-  std::size_t n;
-  unsigned shards;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    body = body_;
-    n = n_;
-    shards = this->shards();
-  }
-
-  for (;;) {
-    std::uint64_t cur = claim_.load(std::memory_order_acquire);
-    std::size_t pos = 0;
-    std::size_t count = 0;
-    for (;;) {
-      if (static_cast<std::uint32_t>(cur >> 32) != gen) return;  // superseded batch
-      pos = static_cast<std::size_t>(cur & 0xffffffffull);
-      if (pos >= n) return;  // batch fully claimed
-      count = std::min(ws_chunk(pos, shards), n - pos);
-      if (claim_.compare_exchange_weak(cur, pack(gen, static_cast<std::uint32_t>(pos + count)),
-                                       std::memory_order_acq_rel, std::memory_order_acquire)) {
-        break;
-      }
-    }
-
-    std::exception_ptr error;
-    for (std::size_t k = pos; k < pos + count; ++k) {
-      try {
-        (*body)(k);
-      } catch (...) {
-        // Keep executing: the barrier must complete so the engine thread can
-        // rethrow without leaving workers mid-batch.
-        if (!error) error = std::current_exception();
-      }
-    }
-    if (error) {
+void ShardPool::drain(const std::function<void(std::size_t)>& body, std::size_t n) {
+  for (std::size_t i; (i = next_.fetch_add(1, std::memory_order_relaxed)) < n;) {
+    try {
+      body(i);
+    } catch (...) {
+      // Keep claiming: the barrier must complete so `run` can rethrow
+      // without leaving workers mid-batch.
       std::lock_guard<std::mutex> lk(mu_);
-      if (!error_) error_ = error;
-    }
-    if (remaining_.fetch_sub(count, std::memory_order_acq_rel) == count) {
-      // Last chunk of the batch: wake the caller waiting at the barrier. The
-      // empty critical section pairs with the caller's predicate check under
-      // mu_ so the notification cannot be missed.
-      { std::lock_guard<std::mutex> lk(mu_); }
-      cv_done_.notify_all();
+      if (!error_ || i < error_index_) {
+        error_ = std::current_exception();
+        error_index_ = i;
+      }
     }
   }
 }
 
 void ShardPool::worker_loop() {
-  std::uint32_t seen = 0;
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    std::uint32_t gen;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_start_.wait(lk, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = gen = generation_;
-    }
-    drain(gen);
+    cv_start_.wait(lk, [&] { return shutdown_ || seats_ > 0; });
+    if (shutdown_) return;
+    // A worker back before another has woken may take a second seat of the
+    // same batch; it claims whatever is left and checks out again.
+    --seats_;
+    const std::function<void(std::size_t)>& body = *body_;
+    const std::size_t n = n_;
+    lk.unlock();
+    drain(body, n);
+    lk.lock();
+    if (--active_ == 0) cv_done_.notify_one();
   }
 }
 

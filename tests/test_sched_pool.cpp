@@ -1,5 +1,6 @@
 // ShardPool edge cases: batches smaller than the pool, empty batches,
-// exceptions thrown inside tasks, and a heavy task at the head of the batch.
+// exceptions thrown inside tasks (the lowest-indexed one is rethrown), and a
+// heavy task at the head of the batch.
 // A deadlocked barrier hangs these tests, so completing at all is part of
 // what they assert.
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 #include <cstddef>
 #include <mutex>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/shard_pool.hpp"
@@ -63,6 +66,21 @@ TEST(ShardPool, TaskExceptionPropagatesWithoutDeadlockingTheBarrier) {
   std::atomic<int> next{0};
   pool.run(8, [&](std::size_t) { next.fetch_add(1); });
   EXPECT_EQ(next.load(), 8);
+
+  // Two failures: task 5's is raised first, but the lowest-indexed failing
+  // task's error is the one rethrown, whatever the shard count.
+  try {
+    pool.run(8, [](std::size_t i) {
+      if (i == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw std::runtime_error("task 0");
+      }
+      if (i == 5) throw std::runtime_error("task 5");
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "task 0");
+  }
 }
 
 TEST(ShardPool, SingleShardPoolRunsInline) {
