@@ -409,27 +409,14 @@ int CloudManager::resolve_high_priority_collision(const std::string& host_name) 
     // total population, then provisioning order). Only move on strict
     // improvement — otherwise two node managers would ping-pong the VM
     // between equally-bad hosts — and only where the VM actually fits.
-    // With a destination scorer installed, the hard filters stay (up,
-    // strictly fewer conflicts, capacity) but the pick among survivors is
-    // the scorer's: first-fit / complementary ranking from the policy
-    // layer instead of the raw (conflict, population) heuristic.
     const Host* best = nullptr;
     std::size_t best_conflict = 0;
     std::size_t best_count = 0;
-    double best_score = 0.0;
     for (const Host& h : hosts_) {
       if (h.name == host_name || !h.up) continue;
       const std::size_t c = conflict(h.name);
       if (c >= here) continue;
       if (!host_has_capacity(h, vm->config())) continue;
-      if (scorer_ != nullptr) {
-        const double s = scorer_->score_destination(vm->config(), host_name, h.name);
-        if (best == nullptr || s > best_score) {
-          best = &h;
-          best_score = s;
-        }
-        continue;
-      }
       const std::size_t count = population(h.name);
       if (best == nullptr || c < best_conflict || (c == best_conflict && count < best_count)) {
         best = &h;

@@ -64,23 +64,6 @@ struct MigrationEvent {
   std::string dst;
 };
 
-/// Pluggable destination ranking for §IV-D escalations. When installed (the
-/// policy layer implements this, src/policy/), resolve_high_priority_collision
-/// keeps its own hard filters — host up, strictly fewer conflicting
-/// high-priority VMs, capacity-feasible — but picks among the surviving
-/// candidates by score (higher wins; exact ties fall back to provisioning
-/// order) instead of the built-in (conflict, population) tie-break. Called on
-/// the engine thread only.
-class DestinationScorer {
- public:
-  virtual ~DestinationScorer() = default;
-  /// Score `dst_host` as a destination for a VM of the given shape currently
-  /// on `src_host`. Only invoked for hosts that passed the hard filters.
-  [[nodiscard]] virtual double score_destination(const virt::VmConfig& shape,
-                                                 const std::string& src_host,
-                                                 const std::string& dst_host) = 0;
-};
-
 class CloudManager {
  public:
   explicit CloudManager(sim::Engine& engine) : engine_(engine) {}
@@ -152,16 +135,10 @@ class CloudManager {
 
   /// Node-manager escalation (§IV-D): called when a host has more than one
   /// high-priority application. The manager moves the smaller application
-  /// group's VMs on that host to the least-populated other hosts (or, with a
-  /// destination scorer installed, to the best-scored admissible hosts).
+  /// group's VMs on that host to the least-populated other hosts.
   /// Returns the number of VMs moved (0 when there is nowhere to move them
   /// or no collision exists).
   int resolve_high_priority_collision(const std::string& host_name);
-
-  /// Install (nullptr: remove) the pluggable destination ranking used by
-  /// resolve_high_priority_collision. The scorer must outlive the manager's
-  /// runs; call during setup.
-  void set_destination_scorer(DestinationScorer* scorer) { scorer_ = scorer; }
 
   /// Public face of the migration admission check: would a VM of `shape`
   /// fit on `host` given its residents plus every inbound in-flight
@@ -268,7 +245,6 @@ class CloudManager {
 
   sim::Engine& engine_;
   sim::Interner app_interner_;
-  DestinationScorer* scorer_ = nullptr;
   sim::EmitSink* sink_ = nullptr;
   sim::EmitSink::SourceId sink_source_ = 0;
   std::vector<Host> hosts_;

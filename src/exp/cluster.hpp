@@ -99,8 +99,8 @@ void enable_perfcloud(Cluster& cluster, const core::PerfCloudConfig& cfg, bool c
 
 /// Arm the cluster-wide migration policy (DESIGN.md §5k): builds the
 /// MigrationPolicy over the cluster's node managers and starts it — it
-/// joins the shared host pipeline's barrier phase, subscribes to migration
-/// lifecycle events, and becomes the cloud's escalation destination scorer.
+/// joins the shared host pipeline's barrier phase and subscribes to
+/// migration lifecycle events.
 /// Call after enable_perfcloud (it needs the node managers); called
 /// automatically by enable_perfcloud when ClusterParams::policy is set.
 void enable_policy(Cluster& cluster, const policy::PolicyParams& params);

@@ -78,8 +78,7 @@ class ClusterView {
 
   /// Fold current cluster state into the view. Idempotent per (time,
   /// registry version): a second call at the same timestamp with no
-  /// placement change in between is a no-op, so the escalation scorer and
-  /// the policy tick sharing one barrier phase never double-read.
+  /// placement change in between is a no-op.
   void refresh(sim::SimTime now);
 
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }

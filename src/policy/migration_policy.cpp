@@ -61,7 +61,6 @@ void MigrationPolicy::start() {
     step(now);
   });
   cloud_.add_migration_listener([this](const cloud::MigrationEvent& ev) { on_migration(ev); });
-  cloud_.set_destination_scorer(this);
   started_ = true;
 }
 
@@ -258,26 +257,6 @@ double MigrationPolicy::score(const VmUsage& u, const HostView& dst) const {
     }
   }
   return 0.0;
-}
-
-double MigrationPolicy::score_destination(const virt::VmConfig& shape,
-                                          const std::string& src_host,
-                                          const std::string& dst_host) {
-  // Escalations run in earlier barrier hooks of the same interval; the
-  // refresh is idempotent per (time, registry version), so ranking several
-  // candidate hosts for one VM folds the cluster state exactly once.
-  view_.refresh(cloud_.engine().now());
-  const std::size_t di = view_.index_of(dst_host);
-  if (di == ClusterView::npos) return 0.0;
-  const std::size_t si = view_.index_of(src_host);
-  const VmUsage* u = si == ClusterView::npos ? nullptr : view_.find_vm(si, shape.id);
-  if (u != nullptr) return score(*u, view_.host(di));
-  VmUsage synth;  // Not resident (just booted): shape only, zero usage.
-  synth.vm_id = shape.id;
-  synth.vcpus = shape.vcpus;
-  synth.memory = shape.memory;
-  synth.priority = shape.priority;
-  return score(synth, view_.host(di));
 }
 
 void MigrationPolicy::on_migration(const cloud::MigrationEvent& ev) {

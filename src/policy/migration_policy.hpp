@@ -11,9 +11,8 @@
 // scale-out group) to the best-scored feasible host.
 //
 // Destination choice is pluggable (first-fit or VUPIC-style
-// complementary-usage scoring) and shared with the §IV-D escalation path:
-// the policy installs itself as the cloud manager's DestinationScorer, so
-// resolve_high_priority_collision ranks candidates through the same scorer.
+// complementary-usage scoring). The §IV-D escalation path keeps its own
+// (conflict, population) ranking; the policy only scores its own moves.
 //
 // Runs on the engine thread in the post-barrier phase of the shared host
 // pipeline (registered AFTER the node managers, so it reads the control
@@ -62,7 +61,7 @@ struct PolicyParams {
   Scoring scoring = Scoring::kComplementary;
 };
 
-class MigrationPolicy final : public cloud::DestinationScorer {
+class MigrationPolicy final {
  public:
   /// `nms` indexed by host provisioning order, outliving the policy.
   MigrationPolicy(cloud::CloudManager& cloud, std::vector<core::NodeManager*> nms,
@@ -73,9 +72,8 @@ class MigrationPolicy final : public cloud::DestinationScorer {
   void set_emit_sink(sim::EmitSink* sink);
 
   /// Arm the policy: joins the shared host pipeline (barrier phase only — no
-  /// per-host parallel half), subscribes to migration lifecycle events, and
-  /// installs itself as the cloud's escalation destination scorer. Call once
-  /// during setup, AFTER the node managers have started (barrier hooks run
+  /// per-host parallel half) and subscribes to migration lifecycle events.
+  /// Call once during setup, AFTER the node managers have started (barrier hooks run
   /// in registration order; the policy must read post-control state).
   void start();
 
@@ -83,10 +81,9 @@ class MigrationPolicy final : public cloud::DestinationScorer {
   /// tests may call it directly on the engine thread.
   void step(sim::SimTime now);
 
-  // cloud::DestinationScorer — shared ranking for §IV-D escalations.
-  [[nodiscard]] double score_destination(const virt::VmConfig& shape,
-                                         const std::string& src_host,
-                                         const std::string& dst_host) override;
+  /// Score `dst` as a destination for the VM `u` (higher wins) under
+  /// params().scoring. Reads the view as of its last refresh.
+  [[nodiscard]] double score(const VmUsage& u, const HostView& dst) const;
 
   [[nodiscard]] ClusterView& view() { return view_; }
   [[nodiscard]] const PolicyParams& params() const { return params_; }
@@ -125,7 +122,6 @@ class MigrationPolicy final : public cloud::DestinationScorer {
   void on_migration(const cloud::MigrationEvent& ev);
   void scan_host(const HostView& h, Res res, sim::SimTime now);
   void consider_migration(const HostView& src, const VmUsage& u, Res res, sim::SimTime now);
-  [[nodiscard]] double score(const VmUsage& u, const HostView& dst) const;
   [[nodiscard]] bool pair_blacklisted(const VmState& st, std::size_t a, std::size_t b,
                                       sim::SimTime now) const;
   [[nodiscard]] VmState& state(int vm_id, sim::SimTime now);

@@ -25,8 +25,8 @@ TEST(PolicyAllocGate, ArmedNonTriggeringIntervalIsAllocationFree) {
   // monitored fio antagonist on another host. Monitoring only — no
   // controllers means no cap ever reaches its floor, so the policy scans
   // every interval and never escalates: exactly the steady state the gate
-  // covers. The policy itself is armed the production way (pipeline hook,
-  // migration listener, destination scorer all registered).
+  // covers. The policy itself is armed the production way (pipeline hook
+  // and migration listener registered).
   exp::ClusterParams p;
   p.hosts = 2;
   p.workers = 4;

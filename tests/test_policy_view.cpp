@@ -132,19 +132,23 @@ TEST(Scoring, ComplementaryPrefersOrthogonalHostFirstFitPrefersLowIndex) {
   c.framework->submit(wl::make_terasort(8, 8));
   exp::run_for(c, 150.0);
 
-  const virt::VmConfig& shape = c.vm(fio).config();
-
   PolicyParams comp;
   comp.scoring = Scoring::kComplementary;
   MigrationPolicy complementary(*c.cloud, managers(c), comp);
-  EXPECT_GT(complementary.score_destination(shape, "host-0", "host-2"),
-            complementary.score_destination(shape, "host-0", "host-1"));
+  complementary.view().refresh(c.engine->now());
+  const VmUsage* u = complementary.view().find_vm(0, fio);
+  ASSERT_NE(u, nullptr);
+  EXPECT_GT(complementary.score(*u, complementary.view().host(2)),
+            complementary.score(*u, complementary.view().host(1)));
 
   PolicyParams ff;
   ff.scoring = Scoring::kFirstFit;
   MigrationPolicy first_fit(*c.cloud, managers(c), ff);
-  EXPECT_GT(first_fit.score_destination(shape, "host-0", "host-1"),
-            first_fit.score_destination(shape, "host-0", "host-2"));
+  first_fit.view().refresh(c.engine->now());
+  u = first_fit.view().find_vm(0, fio);
+  ASSERT_NE(u, nullptr);
+  EXPECT_GT(first_fit.score(*u, first_fit.view().host(1)),
+            first_fit.score(*u, first_fit.view().host(2)));
 }
 
 TEST(MigrationPolicy, ValidatesParameters) {
