@@ -62,18 +62,6 @@ void align_window_missing_as_zero(const TimeSeries& victim, const TimeSeries& su
   }
 }
 
-double windowed_mean_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspect,
-                                     std::size_t window) {
-  const std::size_t n = victim.size();
-  const std::size_t take = std::min(window, n);
-  if (take == 0) return 0.0;
-  std::vector<double> aligned(take);
-  align_window_missing_as_zero(victim, suspect, n - take, aligned);
-  double sum = 0.0;
-  for (const double v : aligned) sum += v;
-  return sum / static_cast<double>(take);
-}
-
 double pearson_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspect,
                                std::size_t window) {
   const std::size_t n = victim.size();

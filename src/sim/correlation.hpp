@@ -26,15 +26,9 @@ namespace perfcloud::sim {
 
 /// Write into `out` the suspect's samples at the victim's sample times
 /// `start` .. `start + out.size() - 1` (which must exist), 0 where the
-/// suspect has none. O(out.size() + log n). The windowed statistics here and the identifier's
-/// scoring all align through this one routine.
+/// suspect has none. O(out.size() + log n). The windowed Pearson here and
+/// the identifier's scoring both align through this one routine.
 void align_window_missing_as_zero(const TimeSeries& victim, const TimeSeries& suspect,
                                   std::size_t start, std::span<double> out);
-
-/// Mean of the suspect's samples over the victim's most recent `window`
-/// sample times, missing values as zero. O(window + log n), like the
-/// windowed Pearson.
-[[nodiscard]] double windowed_mean_missing_as_zero(const TimeSeries& victim,
-                                                   const TimeSeries& suspect, std::size_t window);
 
 }  // namespace perfcloud::sim

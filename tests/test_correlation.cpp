@@ -174,23 +174,6 @@ TEST(PearsonMissingAsZero, WindowRestrictsToRecentSamples) {
   EXPECT_NEAR(recent, 1.0, 1e-12);
 }
 
-TEST(WindowedMean, MatchesManualComputation) {
-  const TimeSeries victim = grid_series({1.0, 2.0, 3.0, 4.0});
-  TimeSeries suspect;
-  suspect.add(SimTime(10.0), 6.0);   // aligned with victim sample 2
-  suspect.add(SimTime(20.0), 12.0);  // aligned with victim sample 4
-  // Window 3 covers victim samples at t=10,15,20 -> suspect 6, 0, 12.
-  EXPECT_DOUBLE_EQ(windowed_mean_missing_as_zero(victim, suspect, 3), 6.0);
-  // Full window: (0 + 6 + 0 + 12) / 4.
-  EXPECT_DOUBLE_EQ(windowed_mean_missing_as_zero(victim, suspect, 99), 4.5);
-}
-
-TEST(WindowedMean, EmptyInputsGiveZero) {
-  const TimeSeries victim = grid_series({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(windowed_mean_missing_as_zero(victim, TimeSeries{}, 2), 0.0);
-  EXPECT_DOUBLE_EQ(windowed_mean_missing_as_zero(TimeSeries{}, victim, 2), 0.0);
-}
-
 TEST(WindowedPearson, AgreesWithFullAlignmentReference) {
   // The O(window)-tail implementation must equal the naive full align_to
   // reference on random series.

@@ -61,21 +61,17 @@ TEST(MissingAsZero, CorrelationDecaysUnderBlackoutWithoutNanAndRecovers) {
   }
   EXPECT_LT(last, 0.3);  // after 60 s dark, the evidence is mostly gone
 
-  // Window fully inside the blackout: exactly zero, and the windowed mean
-  // (the magnitude gate's input) is zero too — a fully-dark suspect cannot
-  // pass `usage >= f * max_usage` while any live suspect has usage.
+  // Window fully inside the blackout: exactly zero.
   victim.clear();
   suspect.clear();
   build_pair(victim, suspect, 200.0, 100.0, 1e9);
   EXPECT_DOUBLE_EQ(sim::pearson_missing_as_zero(victim, suspect, window), 0.0);
-  EXPECT_DOUBLE_EQ(sim::windowed_mean_missing_as_zero(victim, suspect, window), 0.0);
 
   // Samples resume: one full window later the correlation is back.
   victim.clear();
   suspect.clear();
   build_pair(victim, suspect, 200.0 + kDt * static_cast<double>(window), 100.0, 200.0);
   EXPECT_GT(sim::pearson_missing_as_zero(victim, suspect, window), 0.95);
-  EXPECT_GT(sim::windowed_mean_missing_as_zero(victim, suspect, window), 0.0);
 }
 
 TEST(Identifier, FullyDarkSuspectScoresZeroWhileLiveSuspectCrosses) {
