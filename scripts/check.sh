@@ -3,7 +3,7 @@
 # sweep), the same suite under TSan with the host shard sweeps actually
 # parallel (PERFCLOUD_SHARDS=4), the zero-steady-state-allocation gate on
 # the release build, and determinism gates diffing real bench output across
-# shard counts and emission modes.
+# shard counts, runner thread counts and emission modes.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 
@@ -27,8 +27,8 @@ echo "== TSan, sharded (PERFCLOUD_SHARDS=4) =="
 # sanitizer sweeps as everything else.
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
-# This sweep runs the pool's CAS-claim path (growing chunks) under TSan
-# everywhere, the policy tests included: the policy's barrier hook folds
+# This sweep runs the pool's batch handoff (one claim cursor, seats taken
+# and checked out under the mutex) under TSan everywhere, the policy tests included: the policy's barrier hook folds
 # every host's monitor/controller state on the engine thread right after
 # the parallel half, which is exactly the boundary a racy shard handoff
 # would corrupt.
@@ -45,6 +45,16 @@ PERFCLOUD_SHARDS=1 ./build-release/bench/ext_heterogeneous > "$tmpdir/shards1.tx
 PERFCLOUD_SHARDS=4 ./build-release/bench/ext_heterogeneous > "$tmpdir/shards4.txt" 2> /dev/null
 diff "$tmpdir/shards1.txt" "$tmpdir/shards4.txt"
 echo "ext_heterogeneous: byte-identical output across shard counts"
+
+echo "== runner thread-count determinism gate =="
+# fig12_variability runs its repetitions through exp::ParallelRunner, which
+# runs them on a ShardPool; stdout must be byte-identical for any thread
+# count (the thread-count banner goes to stderr).
+cmake --build --preset release -j "$(nproc)" --target fig12_variability
+PERFCLOUD_THREADS=1 ./build-release/bench/fig12_variability > "$tmpdir/threads1.txt" 2> /dev/null
+PERFCLOUD_THREADS=4 ./build-release/bench/fig12_variability > "$tmpdir/threads4.txt" 2> /dev/null
+diff "$tmpdir/threads1.txt" "$tmpdir/threads4.txt"
+echo "fig12_variability: byte-identical output across runner thread counts"
 
 echo "== zero-steady-state-allocation gate =="
 # The release build (no sanitizer allocator inflating counts) runs the
