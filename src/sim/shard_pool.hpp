@@ -62,8 +62,6 @@ class ShardPool {
   /// Claim and run tasks of the published batch until none remain.
   void drain(const std::function<void(std::size_t)>& body, std::size_t n);
 
-  std::vector<std::thread> workers_;
-
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
@@ -80,6 +78,9 @@ class ShardPool {
   // Next task index to claim. Reset under mu_ before the batch is published;
   // the mutex orders it, so the claims themselves can be relaxed.
   std::atomic<std::size_t> next_{0};
+
+  // Declared last: built after, and destroyed before, the state workers use.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace perfcloud::sim
