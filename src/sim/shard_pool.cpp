@@ -37,7 +37,6 @@ void ShardPool::run(std::size_t n, const std::function<void(std::size_t)>& body)
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [&] { return active_ == 0; });
-    body_ = nullptr;
     error = std::exchange(error_, nullptr);
   }
   if (error) std::rethrow_exception(error);
