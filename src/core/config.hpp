@@ -2,9 +2,24 @@
 // NodeManager validates it at construction (see its constructor).
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <string_view>
 
 namespace perfcloud::core {
+
+/// The resources PerfCloud's detect-identify-throttle loop runs for (§III):
+/// disk I/O (iowait-ratio deviation, I/O-throughput correlation, blkio
+/// throttle) and processor resources (CPI deviation, LLC-miss-rate
+/// correlation, vCPU quota). Every per-resource table is indexed by it, and
+/// every loop over it visits I/O first.
+enum Resource : std::size_t { kIo, kCpu };
+inline constexpr std::array<Resource, 2> kResources{kIo, kCpu};
+template <typename T>
+using PerResource = std::array<T, kResources.size()>;
+
+/// "io" / "cpu": the prefix of every per-resource event and counter.
+constexpr std::string_view name(Resource r) { return r == kIo ? "io" : "cpu"; }
 
 struct PerfCloudConfig {
   // --- Sampling (§III-D.1) ---
@@ -84,5 +99,10 @@ struct PerfCloudConfig {
   /// the antagonist's usage signal.
   double cap_lift_fraction = 3.0;
 };
+
+/// H for one resource's deviation signal.
+constexpr double deviation_threshold(const PerfCloudConfig& cfg, Resource r) {
+  return r == kIo ? cfg.io_deviation_threshold : cfg.cpi_deviation_threshold;
+}
 
 }  // namespace perfcloud::core

@@ -5,23 +5,19 @@
 namespace perfcloud::core {
 
 DetectionResult InterferenceDetector::evaluate(std::span<const VmSample* const> app_vms) const {
-  std::vector<double>& ratios = ratios_;
-  std::vector<double>& cpis = cpis_;
-  ratios.clear();
-  cpis.clear();
+  for (std::vector<double>& v : values_) v.clear();
   for (const VmSample* s : app_vms) {
     if (s == nullptr) continue;
-    if (s->iowait_ratio_ms) ratios.push_back(*s->iowait_ratio_ms);
-    if (s->cpi) cpis.push_back(*s->cpi);
+    if (s->iowait_ratio_ms) values_[kIo].push_back(*s->iowait_ratio_ms);
+    if (s->cpi) values_[kCpu].push_back(*s->cpi);
   }
-  DetectionResult r;
-  r.io_samples = ratios.size();
-  r.cpi_samples = cpis.size();
-  r.io_deviation = sim::stddev_of(ratios);
-  r.cpi_deviation = sim::stddev_of(cpis);
-  r.io_contended = r.io_deviation > cfg_.io_deviation_threshold;
-  r.cpu_contended = r.cpi_deviation > cfg_.cpi_deviation_threshold;
-  return r;
+  DetectionResult d;
+  for (const Resource r : kResources) {
+    d.samples[r] = values_[r].size();
+    d.deviation[r] = sim::stddev_of(values_[r]);
+    d.contended[r] = d.deviation[r] > deviation_threshold(cfg_, r);
+  }
+  return d;
 }
 
 }  // namespace perfcloud::core

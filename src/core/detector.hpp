@@ -11,14 +11,13 @@
 
 namespace perfcloud::core {
 
-/// One application group's deviation signals at one sample time.
+/// One application group's deviation signals at one sample time, per
+/// resource: the std-dev of the blkio iowait ratio (ms/op) for kIo, of CPI
+/// for kCpu.
 struct DetectionResult {
-  double io_deviation = 0.0;   ///< Std-dev of blkio iowait ratio (ms/op).
-  double cpi_deviation = 0.0;  ///< Std-dev of CPI.
-  bool io_contended = false;   ///< io_deviation > H_io.
-  bool cpu_contended = false;  ///< cpi_deviation > H_cpi.
-  std::size_t io_samples = 0;  ///< VMs that contributed an iowait sample.
-  std::size_t cpi_samples = 0;
+  PerResource<double> deviation{};
+  PerResource<bool> contended{};  ///< deviation > deviation_threshold(cfg, r).
+  PerResource<std::size_t> samples{};  ///< VMs that contributed a sample.
 };
 
 class InterferenceDetector {
@@ -35,8 +34,7 @@ class InterferenceDetector {
   /// Per-call scratch, capacity retained across quanta so a steady-state
   /// evaluation allocates nothing. Each node manager owns its detector and
   /// calls it from its own shard task only, so mutable scratch is safe.
-  mutable std::vector<double> ratios_;
-  mutable std::vector<double> cpis_;
+  mutable PerResource<std::vector<double>> values_;
 };
 
 }  // namespace perfcloud::core

@@ -12,6 +12,9 @@ const sim::TimeSeries NodeManager::kEmptySeries{};
 namespace {
 constexpr double kMinIoBaselineBps = 1.0e6;   // never throttle below-noise usage to zero
 constexpr double kMinCpuBaselineCores = 0.2;
+/// Identification counter keys, kept literal so a bump builds no string.
+constexpr PerResource<std::string_view> kIdentificationCounter{"io_antagonist_identifications",
+                                                                "cpu_antagonist_identifications"};
 
 void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(std::string("PerfCloudConfig: ") + what);
@@ -95,12 +98,14 @@ void NodeManager::attach_sink(sim::EmitSink& sink, const std::vector<std::string
   for (const std::string& app : app_ids) {
     const AppId id = cloud_.app_interner().intern(app);
     sink_columns_.try_emplace(
-        id, SinkColumns{sink.add_trace_column(host_ + "/" + app + "/io_dev"),
-                        sink.add_trace_column(host_ + "/" + app + "/cpi_dev")});
+        id, PerResource<sim::EmitSink::SourceId>{
+                sink.add_trace_column(host_ + "/" + app + "/io_dev"),
+                sink.add_trace_column(host_ + "/" + app + "/cpi_dev")});
   }
 }
 
-sim::TimeSeries& NodeManager::signal(sim::SlotMap<sim::TimeSeries>& store, AppId app) {
+sim::TimeSeries& NodeManager::signal(Resource r, AppId app) {
+  sim::SlotMap<sim::TimeSeries>& store = loops_[r].signals;
   sim::TimeSeries* s = store.find(app);
   if (s == nullptr) {
     // Name the series only on the miss path: building the temporary
@@ -182,22 +187,18 @@ void NodeManager::local_step(sim::SimTime now) {
   escalation_pending_ = cfg_.escalate_app_collisions && view_apps_.size() > 1 &&
                         view_version_ != escalation_noop_version_;
 
-  bool any_io_contended = false;
-  bool any_cpu_contended = false;
-  io_scores_.clear();
-  cpu_scores_.clear();
+  PerResource<bool> any_contended{};
+  for (ResourceLoop& loop : loops_) loop.scores.clear();
 
   // The suspect signal lists are the same for every application group (they
   // depend only on the registry's suspect set), so gather them once per
   // quantum, above the group loop. Nothing inside the loop mutates the
   // monitor, so the series pointers stay valid throughout.
-  thread_local std::vector<SuspectSignal> io_suspects;
-  thread_local std::vector<SuspectSignal> cpu_suspects;
-  io_suspects.clear();
-  cpu_suspects.clear();
+  thread_local PerResource<std::vector<SuspectSignal>> suspects;
+  for (std::vector<SuspectSignal>& v : suspects) v.clear();
   for (const int id : view_suspects_) {
-    io_suspects.push_back(SuspectSignal{id, &monitor_.io_throughput_series(id)});
-    cpu_suspects.push_back(SuspectSignal{id, &monitor_.llc_miss_series(id)});
+    suspects[kIo].push_back(SuspectSignal{id, &monitor_.io_throughput_series(id)});
+    suspects[kCpu].push_back(SuspectSignal{id, &monitor_.llc_miss_series(id)});
   }
 
   for (const AppGroup& g : view_apps_) {
@@ -205,91 +206,47 @@ void NodeManager::local_step(sim::SimTime now) {
     samples.clear();
     for (const int id : g.vm_ids) samples.push_back(monitor_.latest(id));
     const DetectionResult det = detector_.evaluate(samples);
+    const auto* cols = sink_ == nullptr ? nullptr : sink_columns_.find(g.app);
 
-    sim::TimeSeries& io_sig = signal(io_signals_, g.app);
-    sim::TimeSeries& cpi_sig = signal(cpi_signals_, g.app);
-    io_sig.add(now, det.io_deviation);
-    cpi_sig.add(now, det.cpi_deviation);
-    if (sink_ != nullptr) {
-      const SinkColumns* cols = sink_columns_.find(g.app);
-      if (cols != nullptr) {
-        sink_->emit_sample(cols->io_dev, now, det.io_deviation);
-        sink_->emit_sample(cols->cpi_dev, now, det.cpi_deviation);
-      }
-    }
-    any_io_contended |= det.io_contended;
-    any_cpu_contended |= det.cpu_contended;
+    for (const Resource r : kResources) {
+      ResourceLoop& loop = loops_[r];
+      sim::TimeSeries& sig = signal(r, g.app);
+      sig.add(now, det.deviation[r]);
+      if (cols != nullptr) sink_->emit_sample((*cols)[r], now, det.deviation[r]);
+      any_contended[r] |= det.contended[r];
 
-    // Record an identification timestamp; emit a report event only when the
-    // suspect was not already identified within the memory horizon, so the
-    // event stream marks identification *episodes*, not every interval of a
-    // sustained one.
-    //
-    // Blackout guard: while a suspect's monitor is dark, its series carry
-    // only zero-fill — no new evidence — so it may KEEP an identification it
-    // already earned (the memory horizon decays it) but can never NEWLY
-    // cross the threshold. The identifier itself cannot tell "dark" from
-    // "idle"; the node manager can, because it owns the monitor.
-    const auto record_identification = [&](sim::SlotMap<sim::SimTime>& ids,
-                                           std::map<int, sim::SimTime>& first,
-                                           const SuspectScore& s, const char* kind,
-                                           std::string_view counter) {
-      first.try_emplace(s.vm_id, now);
-      const auto [stamp, inserted] = ids.try_emplace(s.vm_id, now);
-      const bool fresh = inserted || now - *stamp > cfg_.identification_memory_s;
-      *stamp = now;
-      if (fresh && sink_ != nullptr) {
-        sink_->emit_event(sink_source_, now, kind + std::string(" vm=") + std::to_string(s.vm_id),
-                          s.correlation);
-        sink_->bump_counter(sink_source_, counter);
-      }
-    };
-    const std::size_t io_start = io_scores_.size();
-    identifier_.score(io_sig, io_suspects, io_scores_);
-    for (std::size_t i = io_start; i < io_scores_.size(); ++i) {
-      const SuspectScore& s = io_scores_[i];
-      if (s.antagonist && !monitor_.blacked_out(s.vm_id)) {
-        record_identification(io_identified_at_, io_first_identified_, s, "io_antagonist",
-                              "io_antagonist_identifications");
-      }
-    }
-    const std::size_t cpu_start = cpu_scores_.size();
-    identifier_.score(cpi_sig, cpu_suspects, cpu_scores_);
-    for (std::size_t i = cpu_start; i < cpu_scores_.size(); ++i) {
-      const SuspectScore& s = cpu_scores_[i];
-      if (s.antagonist && !monitor_.blacked_out(s.vm_id)) {
-        record_identification(cpu_identified_at_, cpu_first_identified_, s, "cpu_antagonist",
-                              "cpu_antagonist_identifications");
+      // Record an identification timestamp; emit a report event only when
+      // the suspect was not already identified within the memory horizon, so
+      // the event stream marks identification *episodes*, not every interval
+      // of a sustained one.
+      //
+      // Blackout guard: while a suspect's monitor is dark, its series carry
+      // only zero-fill — no new evidence — so it may KEEP an identification
+      // it already earned (the memory horizon decays it) but can never NEWLY
+      // cross the threshold. The identifier itself cannot tell "dark" from
+      // "idle"; the node manager can, because it owns the monitor.
+      const std::size_t start = loop.scores.size();
+      identifier_.score(sig, suspects[r], loop.scores);
+      for (std::size_t i = start; i < loop.scores.size(); ++i) {
+        const SuspectScore& s = loop.scores[i];
+        if (!s.antagonist || monitor_.blacked_out(s.vm_id)) continue;
+        loop.first_identified.try_emplace(s.vm_id, now);
+        const auto [stamp, inserted] = loop.identified_at.try_emplace(s.vm_id, now);
+        const bool fresh = inserted || now - *stamp > cfg_.identification_memory_s;
+        *stamp = now;
+        if (fresh && sink_ != nullptr) {
+          sink_->emit_event(sink_source_, now,
+                            std::string(name(r)) + "_antagonist vm=" + std::to_string(s.vm_id),
+                            s.correlation);
+          sink_->bump_counter(sink_source_, kIdentificationCounter[r]);
+        }
       }
     }
   }
   if (sink_ != nullptr) sink_->bump_counter(sink_source_, "control_intervals");
 
-  // A suspect stays identified for a while after its correlation peak: the
-  // strongest evidence appears at the antagonist's arrival, which may lead
-  // the deviation signal's threshold crossing by an interval or two.
-  const auto recently_identified = [&](const sim::SlotMap<sim::SimTime>& ids, int vm_id) {
-    const sim::SimTime* t = ids.find(vm_id);
-    return t != nullptr && now - *t <= cfg_.identification_memory_s;
-  };
-  thread_local std::vector<int> io_antagonists;
-  thread_local std::vector<int> cpu_antagonists;
-  io_antagonists.clear();
-  cpu_antagonists.clear();
-  if (any_io_contended) {
-    for (int id : view_suspects_) {
-      if (recently_identified(io_identified_at_, id)) io_antagonists.push_back(id);
-    }
-  }
-  if (any_cpu_contended) {
-    for (int id : view_suspects_) {
-      if (recently_identified(cpu_identified_at_, id)) cpu_antagonists.push_back(id);
-    }
-  }
-
   if (!control_enabled_) return;
-  run_resource_control(Resource::kIo, any_io_contended, io_antagonists, now);
-  run_resource_control(Resource::kCpu, any_cpu_contended, cpu_antagonists, now);
+  for (const Resource r : kResources) run_resource_control(r, any_contended[r], now);
 }
 
 void NodeManager::set_cap_command_loss(double drop_probability, std::uint64_t seed) {
@@ -304,41 +261,55 @@ void NodeManager::clear_cap_command_loss() {
 }
 
 void NodeManager::forget_vm(int vm_id) {
-  io_controllers_.erase(vm_id);
-  cpu_controllers_.erase(vm_id);
-  io_identified_at_.erase(vm_id);
-  cpu_identified_at_.erase(vm_id);
+  for (ResourceLoop& loop : loops_) {
+    loop.controllers.erase(vm_id);
+    loop.identified_at.erase(vm_id);
+  }
 }
 
-void NodeManager::run_resource_control(Resource res, bool contended,
-                                       std::span<const int> antagonists, sim::SimTime now) {
-  auto& controllers = res == Resource::kIo ? io_controllers_ : cpu_controllers_;
-  virt::Hypervisor& hv = hv_;
+void NodeManager::run_resource_control(Resource r, bool contended, sim::SimTime now) {
+  ResourceLoop& loop = loops_[r];
 
   // CapCommandLoss fault: each actuation attempt may be silently eaten by
   // the (simulated) lossy control channel. One RNG draw per attempt, from
   // the fault's own stream — engine randomness is never touched.
-  const auto actuate = [&](auto&& fn) {
+  const auto actuate = [&](int vm_id, const CubicController& ctrl) {
     if (cap_loss_active_ && cap_loss_rng_.bernoulli(cap_loss_p_)) {
       ++cap_commands_dropped_;
       if (sink_ != nullptr) sink_->bump_counter(sink_source_, "cap_commands_dropped");
       return;
     }
-    fn();
+    if (r == kIo) {
+      if (ctrl.lifted()) {
+        hv_.clear_blkio_throttle(vm_id);
+      } else {
+        hv_.set_blkio_throttle(vm_id, ctrl.cap_absolute());
+      }
+    } else if (ctrl.lifted()) {
+      hv_.clear_vcpu_quota(vm_id);
+    } else {
+      hv_.set_vcpu_quota(vm_id, ctrl.cap_absolute());
+    }
   };
 
-  // Instantiate controllers for newly identified antagonists; the initial
-  // cap equals the VM's currently observed usage (Eq. 1 initialization).
-  auto& history = res == Resource::kIo ? io_cap_history_ : cpu_cap_history_;
-  for (int vm_id : antagonists) {
-    if (controllers.contains(vm_id)) continue;
-    const double baseline =
-        res == Resource::kIo
-            ? std::max(monitor_.observed_io_bps(vm_id), kMinIoBaselineBps)
-            : std::max(monitor_.observed_cpu_cores(vm_id), kMinCpuBaselineCores);
-    controllers.try_emplace(vm_id, CubicController(cfg_, baseline));
-    if (!history.contains(vm_id)) {
-      history.try_emplace(vm_id, sim::TimeSeries("cap-vm-" + std::to_string(vm_id)));
+  // A suspect stays identified for a while after its correlation peak: the
+  // strongest evidence appears at the antagonist's arrival, which may lead
+  // the deviation signal's threshold crossing by an interval or two. Start
+  // a controller for each such antagonist not yet under control; the
+  // initial cap equals the VM's currently observed usage (Eq. 1
+  // initialization).
+  if (contended) {
+    for (const int vm_id : view_suspects_) {
+      const sim::SimTime* t = loop.identified_at.find(vm_id);
+      const bool recent = t != nullptr && now - *t <= cfg_.identification_memory_s;
+      if (!recent || loop.controllers.contains(vm_id)) continue;
+      const double baseline =
+          r == kIo ? std::max(monitor_.observed_io_bps(vm_id), kMinIoBaselineBps)
+                   : std::max(monitor_.observed_cpu_cores(vm_id), kMinCpuBaselineCores);
+      loop.controllers.try_emplace(vm_id, CubicController(cfg_, baseline));
+      if (!loop.cap_history.contains(vm_id)) {
+        loop.cap_history.try_emplace(vm_id, sim::TimeSeries("cap-vm-" + std::to_string(vm_id)));
+      }
     }
   }
 
@@ -348,56 +319,24 @@ void NodeManager::run_resource_control(Resource res, bool contended,
   // recovery lifts its cap: throttling often destroys the correlation that
   // identified it (its usage signal is flattened), so membership cannot be
   // re-derived each interval.
-  for (int vm_id = controllers.first_key(); vm_id != sim::SlotMap<CubicController>::kEnd;) {
-    const int next_id = controllers.next_key(vm_id);
-    CubicController& ctrl = controllers.at(vm_id);
+  for (int vm_id = loop.controllers.first_key(); vm_id != sim::SlotMap<CubicController>::kEnd;) {
+    const int next_id = loop.controllers.next_key(vm_id);
+    CubicController& ctrl = loop.controllers.at(vm_id);
     ctrl.step(contended);
-    history.at(vm_id).add(now, ctrl.cap());
+    loop.cap_history.at(vm_id).add(now, ctrl.cap());
     if (sink_ != nullptr) {
       sink_->emit_event(sink_source_, now,
-                        (res == Resource::kIo ? "io_cap vm=" : "cpu_cap vm=") +
-                            std::to_string(vm_id),
-                        ctrl.cap());
+                        std::string(name(r)) + "_cap vm=" + std::to_string(vm_id), ctrl.cap());
     }
-
-    if (ctrl.lifted()) {
-      if (res == Resource::kIo) {
-        actuate([&] { hv.clear_blkio_throttle(vm_id); });
-      } else {
-        actuate([&] { hv.clear_vcpu_quota(vm_id); });
-      }
-      controllers.erase(vm_id);
-    } else {
-      if (res == Resource::kIo) {
-        actuate([&] { hv.set_blkio_throttle(vm_id, ctrl.cap_absolute()); });
-      } else {
-        actuate([&] { hv.set_vcpu_quota(vm_id, ctrl.cap_absolute()); });
-      }
-    }
+    actuate(vm_id, ctrl);
+    if (ctrl.lifted()) loop.controllers.erase(vm_id);
     vm_id = next_id;
   }
 }
 
-const sim::TimeSeries& NodeManager::io_signal(std::string_view app_id) const {
+const sim::TimeSeries& NodeManager::deviation_signal(Resource r, std::string_view app_id) const {
   const AppId app = cloud_.app_interner().lookup(app_id);
-  const sim::TimeSeries* s = app == sim::Interner::kInvalid ? nullptr : io_signals_.find(app);
-  return s == nullptr ? kEmptySeries : *s;
-}
-
-const sim::TimeSeries& NodeManager::cpi_signal(std::string_view app_id) const {
-  const AppId app = cloud_.app_interner().lookup(app_id);
-  const sim::TimeSeries* s = app == sim::Interner::kInvalid ? nullptr : cpi_signals_.find(app);
-  return s == nullptr ? kEmptySeries : *s;
-}
-
-const sim::TimeSeries& NodeManager::io_cap_series(int vm_id) const {
-  const sim::TimeSeries* s = io_cap_history_.find(vm_id);
-  return s == nullptr ? kEmptySeries : *s;
-}
-
-const sim::TimeSeries& NodeManager::cpu_cap_series(int vm_id) const {
-  const sim::TimeSeries* s = cpu_cap_history_.find(vm_id);
-  return s == nullptr ? kEmptySeries : *s;
+  return or_empty(app == sim::Interner::kInvalid ? nullptr : loops_[r].signals.find(app));
 }
 
 }  // namespace perfcloud::core

@@ -8,6 +8,11 @@
 // cap controllers and actuates CPU quotas and blkio throttles through the
 // hypervisor.
 //
+// Steps (3)-(5) run once per core::Resource, I/O first: each resource owns
+// one ResourceLoop (deviation signals, cap controllers, identification
+// stamps, cap history, scores), and the only per-resource switches are the
+// cap baseline and the cap actuator.
+//
 // Memory layout (DESIGN.md §5i): all per-quantum state is keyed by dense
 // integer ids — interned AppIds for per-application signals and sink
 // columns, VM ids for controllers, identification stamps, and cap history —
@@ -15,12 +20,10 @@
 // contiguous arrays and allocates nothing. The registry view (app grouping
 // + suspects) is cached against the cloud's registry version and rebuilt
 // only when placement changes. Per-quantum scratch (sample pointers,
-// suspect signal lists, antagonist ids) is reused per-thread vectors (see
-// sim/scratch.hpp).
+// suspect signal lists) is reused per-thread vectors (see sim/scratch.hpp).
 #pragma once
 
 #include <map>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -116,16 +119,19 @@ class NodeManager {
 
   [[nodiscard]] const std::string& host_name() const { return host_; }
 
-  /// First time each suspect was ever identified (per resource) — detection/
-  /// identification-latency scoring for the chaos experiments. Unlike the
-  /// rolling identification memory, these never update after the first cross.
-  /// Cold insert-only state, kept as ordered maps for cheap iteration by the
-  /// chaos report.
+  /// First time each suspect was ever identified for one resource —
+  /// detection/identification-latency scoring for the chaos experiments.
+  /// Unlike the rolling identification memory, these never update after the
+  /// first cross. Cold insert-only state, kept as ordered maps for cheap
+  /// iteration by the chaos report.
+  [[nodiscard]] const std::map<int, sim::SimTime>& first_identified(Resource r) const {
+    return loops_[r].first_identified;
+  }
   [[nodiscard]] const std::map<int, sim::SimTime>& io_first_identified() const {
-    return io_first_identified_;
+    return first_identified(kIo);
   }
   [[nodiscard]] const std::map<int, sim::SimTime>& cpu_first_identified() const {
-    return cpu_first_identified_;
+    return first_identified(kCpu);
   }
 
   // --- Policy-facing introspection (src/policy/, engine thread only) ---
@@ -135,14 +141,10 @@ class NodeManager {
   // contract.
   /// The node manager's parameter set (thresholds, floor fraction, interval).
   [[nodiscard]] const PerfCloudConfig& config() const { return cfg_; }
-  /// Latest deviation-signal sample of one protected application on this
-  /// host; negative when the app has no samples here.
-  [[nodiscard]] double latest_io_deviation(AppId app) const {
-    const sim::TimeSeries* s = io_signals_.find(app);
-    return s == nullptr || s->empty() ? -1.0 : s->value(s->size() - 1);
-  }
-  [[nodiscard]] double latest_cpi_deviation(AppId app) const {
-    const sim::TimeSeries* s = cpi_signals_.find(app);
+  /// Latest sample of one protected application's deviation signal for
+  /// resource r on this host; negative when the app has no samples here.
+  [[nodiscard]] double latest_deviation(Resource r, AppId app) const {
+    const sim::TimeSeries* s = loops_[r].signals.find(app);
     return s == nullptr || s->empty() ? -1.0 : s->value(s->size() - 1);
   }
   /// Visit the protected (high-priority) applications resident on this host
@@ -151,18 +153,19 @@ class NodeManager {
   void for_each_protected_app(Fn&& fn) const {
     for (const AppGroup& g : view_apps_) fn(g.app);
   }
-  /// Visit every live cap controller of one resource in ascending VM-id
+  /// Visit every live cap controller of resource r in ascending VM-id
   /// order: fn(vm_id, normalized_cap, ever_decreased). A controller exists
   /// only for an identified antagonist, so "capped" implies "identified";
   /// ever_decreased distinguishes a cap actually driven down from the 1.0 a
   /// fresh controller starts at.
   template <typename Fn>
-  void for_each_io_cap(Fn&& fn) const {
-    visit_caps(io_controllers_, std::forward<Fn>(fn));
-  }
-  template <typename Fn>
-  void for_each_cpu_cap(Fn&& fn) const {
-    visit_caps(cpu_controllers_, std::forward<Fn>(fn));
+  void for_each_cap(Resource r, Fn&& fn) const {
+    const sim::SlotMap<CubicController>& controllers = loops_[r].controllers;
+    for (int id = controllers.first_key(); id != sim::SlotMap<CubicController>::kEnd;
+         id = controllers.next_key(id)) {
+      const CubicController& ctrl = controllers.at(id);
+      fn(id, ctrl.cap(), ctrl.ever_decreased());
+    }
   }
 
   // --- Introspection for tests and figure benches (cold path) ---
@@ -170,18 +173,46 @@ class NodeManager {
   /// Deviation-signal series of one high-priority application on this host.
   /// Heterogeneous lookup: the name resolves through the app interner, no
   /// temporary std::string and no string-keyed tree walk.
-  [[nodiscard]] const sim::TimeSeries& io_signal(std::string_view app_id) const;
-  [[nodiscard]] const sim::TimeSeries& cpi_signal(std::string_view app_id) const;
+  [[nodiscard]] const sim::TimeSeries& deviation_signal(Resource r,
+                                                        std::string_view app_id) const;
+  [[nodiscard]] const sim::TimeSeries& io_signal(std::string_view app_id) const {
+    return deviation_signal(kIo, app_id);
+  }
+  [[nodiscard]] const sim::TimeSeries& cpi_signal(std::string_view app_id) const {
+    return deviation_signal(kCpu, app_id);
+  }
   /// Normalized-cap series of a throttled VM (1.0 = baseline usage); empty
   /// if the VM was never throttled for that resource.
-  [[nodiscard]] const sim::TimeSeries& io_cap_series(int vm_id) const;
-  [[nodiscard]] const sim::TimeSeries& cpu_cap_series(int vm_id) const;
+  [[nodiscard]] const sim::TimeSeries& io_cap_series(int vm_id) const {
+    return or_empty(loops_[kIo].cap_history.find(vm_id));
+  }
+  [[nodiscard]] const sim::TimeSeries& cpu_cap_series(int vm_id) const {
+    return or_empty(loops_[kCpu].cap_history.find(vm_id));
+  }
   /// Latest antagonist correlation scores (per resource), for Fig 5/6.
-  [[nodiscard]] const std::vector<SuspectScore>& last_io_scores() const { return io_scores_; }
-  [[nodiscard]] const std::vector<SuspectScore>& last_cpu_scores() const { return cpu_scores_; }
+  [[nodiscard]] const std::vector<SuspectScore>& last_io_scores() const {
+    return loops_[kIo].scores;
+  }
+  [[nodiscard]] const std::vector<SuspectScore>& last_cpu_scores() const {
+    return loops_[kCpu].scores;
+  }
 
  private:
-  enum class Resource { kIo, kCpu };
+  /// One resource's detect-identify-throttle state.
+  struct ResourceLoop {
+    /// Per-application deviation signals, keyed by AppId.
+    sim::SlotMap<sim::TimeSeries> signals;
+    /// Per-VM control state, keyed by VM id (dense slot stores; see §5i).
+    sim::SlotMap<CubicController> controllers;
+    /// Most recent time each suspect's correlation crossed the threshold.
+    sim::SlotMap<sim::SimTime> identified_at;
+    /// First time it ever crossed (insert-only; chaos-experiment scoring).
+    std::map<int, sim::SimTime> first_identified;
+    /// Cap history persists after a controller retires (Fig 10 plots it).
+    sim::SlotMap<sim::TimeSeries> cap_history;
+    /// This interval's correlation scores, every app group's appended.
+    std::vector<SuspectScore> scores;
+  };
 
   /// One high-priority application's VMs on this host, plus the low-priority
   /// suspect list — the parsed registry view local_step consumes. Rebuilt
@@ -208,23 +239,14 @@ class NodeManager {
   /// order.
   void refresh_view();
 
-  void run_resource_control(Resource res, bool contended, std::span<const int> antagonists,
-                            sim::SimTime now);
-  [[nodiscard]] sim::TimeSeries& signal(sim::SlotMap<sim::TimeSeries>& store, AppId app);
-
-  template <typename Fn>
-  static void visit_caps(const sim::SlotMap<CubicController>& controllers, Fn&& fn) {
-    for (int id = controllers.first_key(); id != sim::SlotMap<CubicController>::kEnd;
-         id = controllers.next_key(id)) {
-      const CubicController& ctrl = controllers.at(id);
-      fn(id, ctrl.cap(), ctrl.ever_decreased());
-    }
+  /// Step (5) for one resource: start controllers for the suspects
+  /// identified within the memory horizon (when `contended`), then step
+  /// every live controller and actuate its cap.
+  void run_resource_control(Resource r, bool contended, sim::SimTime now);
+  [[nodiscard]] sim::TimeSeries& signal(Resource r, AppId app);
+  static const sim::TimeSeries& or_empty(const sim::TimeSeries* s) {
+    return s == nullptr ? kEmptySeries : *s;
   }
-
-  struct SinkColumns {
-    sim::EmitSink::SourceId io_dev = 0;
-    sim::EmitSink::SourceId cpi_dev = 0;
-  };
 
   cloud::CloudManager& cloud_;
   std::string host_;
@@ -235,7 +257,8 @@ class NodeManager {
   PerfCloudConfig cfg_;
   sim::EmitSink* sink_ = nullptr;
   sim::EmitSink::SourceId sink_source_ = 0;
-  sim::SlotMap<SinkColumns> sink_columns_;  ///< Keyed by AppId.
+  /// Deviation-signal trace columns per resource, keyed by AppId.
+  sim::SlotMap<PerResource<sim::EmitSink::SourceId>> sink_columns_;
   PerformanceMonitor monitor_;
   InterferenceDetector detector_;
   AntagonistIdentifier identifier_;
@@ -249,28 +272,12 @@ class NodeManager {
   /// mutation bumps the version and re-arms escalation. 0 = never no-oped.
   std::uint64_t escalation_noop_version_ = 0;
 
-  // Per-application deviation signals, keyed by AppId.
-  sim::SlotMap<sim::TimeSeries> io_signals_;
-  sim::SlotMap<sim::TimeSeries> cpi_signals_;
-  // Per-VM control state, keyed by VM id (dense slot stores; see §5i).
-  sim::SlotMap<CubicController> io_controllers_;
-  sim::SlotMap<CubicController> cpu_controllers_;
-  // Most recent time each suspect's correlation crossed the threshold.
-  sim::SlotMap<sim::SimTime> io_identified_at_;
-  sim::SlotMap<sim::SimTime> cpu_identified_at_;
-  // First time it ever crossed (insert-only; chaos-experiment scoring).
-  std::map<int, sim::SimTime> io_first_identified_;
-  std::map<int, sim::SimTime> cpu_first_identified_;
+  PerResource<ResourceLoop> loops_;
   // CapCommandLoss fault state (see set_cap_command_loss).
   bool cap_loss_active_ = false;
   double cap_loss_p_ = 0.0;
   sim::Rng cap_loss_rng_{0};
   long cap_commands_dropped_ = 0;
-  // Cap history persists after a controller retires (Fig 10 plots it).
-  sim::SlotMap<sim::TimeSeries> io_cap_history_;
-  sim::SlotMap<sim::TimeSeries> cpu_cap_history_;
-  std::vector<SuspectScore> io_scores_;
-  std::vector<SuspectScore> cpu_scores_;
   // Cached registry view (see refresh_view), keyed to the cloud registry
   // version. view_version_ == 0 means never built (versions start at 1).
   std::uint64_t view_version_ = 0;

@@ -36,14 +36,11 @@ ChaosReport chaos_report(Cluster& cluster, const core::PerfCloudConfig& cfg,
 
   std::map<int, double> first_identified;  // vm id -> earliest latency
   for (const auto& nm : cluster.node_managers) {
-    merge_latency(report.detection_latency_s,
-                  first_crossing(nm->io_signal(cluster.params.app_id),
-                                 cfg.io_deviation_threshold, since));
-    merge_latency(report.detection_latency_s,
-                  first_crossing(nm->cpi_signal(cluster.params.app_id),
-                                 cfg.cpi_deviation_threshold, since));
-    for (const auto& ids : {nm->io_first_identified(), nm->cpu_first_identified()}) {
-      for (const auto& [vm_id, t] : ids) {
+    for (const core::Resource r : core::kResources) {
+      merge_latency(report.detection_latency_s,
+                    first_crossing(nm->deviation_signal(r, cluster.params.app_id),
+                                   core::deviation_threshold(cfg, r), since));
+      for (const auto& [vm_id, t] : nm->first_identified(r)) {
         if (t < since) continue;
         const double latency = t - since;
         const auto [it, inserted] = first_identified.try_emplace(vm_id, latency);

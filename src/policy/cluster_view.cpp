@@ -71,38 +71,28 @@ void ClusterView::refresh_host(HostView& h, core::NodeManager& nm) {
     u.cpu_cores = mon.observed_cpu_cores(u.vm_id);
     u.io_bps = mon.observed_io_bps(u.vm_id);
     u.llc_rate = mon.observed_llc_rate(u.vm_id);
-    u.io_cap = -1.0;
-    u.cpu_cap = -1.0;
-    u.io_at_floor = false;
-    u.cpu_at_floor = false;
+    u.cap.fill(-1.0);
+    u.at_floor.fill(false);
     h.cpu_cores_used += u.cpu_cores;
     h.io_bps += u.io_bps;
     h.llc_rate += u.llc_rate;
   }
-  const auto fold_cap = [&](int vm_id, double cap, bool ever_decreased, bool io) {
-    for (VmUsage& u : h.vms) {
-      if (u.vm_id != vm_id) continue;
-      // "At floor" means the controller actually drove the cap down to its
-      // clamp, not that a fresh controller happens to start there.
-      const bool at_floor = ever_decreased && cap <= floor + 1e-12;
-      if (io) {
-        u.io_cap = cap;
-        u.io_at_floor = at_floor;
-      } else {
-        u.cpu_cap = cap;
-        u.cpu_at_floor = at_floor;
+  for (const core::Resource r : core::kResources) {
+    nm.for_each_cap(r, [&](int vm_id, double cap, bool ever_decreased) {
+      for (VmUsage& u : h.vms) {
+        if (u.vm_id != vm_id) continue;
+        u.cap[r] = cap;
+        // "At floor" means the controller actually drove the cap down to
+        // its clamp, not that a fresh controller happens to start there.
+        u.at_floor[r] = ever_decreased && cap <= floor + 1e-12;
+        return;
       }
-      return;
-    }
-  };
-  nm.for_each_io_cap([&](int vm_id, double cap, bool dec) { fold_cap(vm_id, cap, dec, true); });
-  nm.for_each_cpu_cap([&](int vm_id, double cap, bool dec) { fold_cap(vm_id, cap, dec, false); });
-  h.max_io_dev = -1.0;
-  h.max_cpi_dev = -1.0;
-  nm.for_each_protected_app([&](core::NodeManager::AppId app) {
-    h.max_io_dev = std::max(h.max_io_dev, nm.latest_io_deviation(app));
-    h.max_cpi_dev = std::max(h.max_cpi_dev, nm.latest_cpi_deviation(app));
-  });
+    });
+    h.max_dev[r] = -1.0;
+    nm.for_each_protected_app([&](core::NodeManager::AppId app) {
+      h.max_dev[r] = std::max(h.max_dev[r], nm.latest_deviation(r, app));
+    });
+  }
 }
 
 void ClusterView::refresh(sim::SimTime now) {

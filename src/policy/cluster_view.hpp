@@ -37,14 +37,13 @@ struct VmUsage {
   double cpu_cores = 0.0;
   double io_bps = 0.0;
   double llc_rate = 0.0;
-  // Normalized caps (1.0 = baseline); negative when the VM is not capped
-  // for that resource. A cap exists only for an identified antagonist.
-  double io_cap = -1.0;
-  double cpu_cap = -1.0;
+  // Normalized caps per resource (1.0 = baseline); negative when the VM is
+  // not capped for that resource. A cap exists only for an identified
+  // antagonist.
+  core::PerResource<double> cap{-1.0, -1.0};
   /// Cap driven down to the controller's floor by real decreases — the
   /// "throttling is exhausted" half of the escalation trigger.
-  bool io_at_floor = false;
-  bool cpu_at_floor = false;
+  core::PerResource<bool> at_floor{};
 };
 
 /// One host's aggregate state for a policy interval.
@@ -61,10 +60,9 @@ struct HostView {
   double cpu_cores_used = 0.0;
   double io_bps = 0.0;
   double llc_rate = 0.0;
-  /// Worst deviation signal over the host's protected apps; negative when
-  /// no protected app has samples here.
-  double max_io_dev = -1.0;
-  double max_cpi_dev = -1.0;
+  /// Worst deviation signal per resource over the host's protected apps;
+  /// negative when no protected app has samples here.
+  core::PerResource<double> max_dev{-1.0, -1.0};
   /// Residents in ascending VM-id order (deterministic regardless of
   /// adoption history). Rebuilt only when the cloud registry changes.
   std::vector<VmUsage> vms;

@@ -85,30 +85,25 @@ void MigrationPolicy::step(sim::SimTime now) {
   for (std::size_t i = 0; i < view_.host_count(); ++i) {
     const HostView& h = view_.host(i);
     if (!h.up) continue;
-    scan_host(h, Res::kIo, now);
-    scan_host(h, Res::kCpu, now);
+    for (const core::Resource r : core::kResources) scan_host(h, r, now);
   }
 }
 
-void MigrationPolicy::scan_host(const HostView& h, Res res, sim::SimTime now) {
-  const bool io = res == Res::kIo;
-  const double dev = io ? h.max_io_dev : h.max_cpi_dev;
-  const double threshold = io ? cfg_.io_deviation_threshold : cfg_.cpi_deviation_threshold;
-  const bool victim_suffering = dev > threshold;
+void MigrationPolicy::scan_host(const HostView& h, core::Resource r, sim::SimTime now) {
+  const bool victim_suffering = h.max_dev[r] > core::deviation_threshold(cfg_, r);
   for (const VmUsage& u : h.vms) {
     VmState& st = state(u.vm_id, now);
-    const bool at_floor = io ? u.io_at_floor : u.cpu_at_floor;
-    int& streak = io ? st.io_floor_streak : st.cpu_floor_streak;
+    int& streak = st.floor_streak[r];
     // The trigger wants BOTH halves sustained: throttling exhausted (cap at
     // floor) while the victim still deviates. Either half recovering resets
     // the escalation clock.
-    if (!(at_floor && victim_suffering)) {
+    if (!(u.at_floor[r] && victim_suffering)) {
       streak = 0;
       continue;
     }
     ++streak;
     if (streak < params_.floor_windows) continue;
-    consider_migration(h, u, res, now);
+    consider_migration(h, u, r, now);
   }
 }
 
@@ -119,17 +114,15 @@ bool MigrationPolicy::pair_blacklisted(const VmState& st, std::size_t a, std::si
   return st.bl_a == lo && st.bl_b == hi && now < st.bl_until;
 }
 
-void MigrationPolicy::consider_migration(const HostView& src, const VmUsage& u, Res res,
-                                         sim::SimTime now) {
+void MigrationPolicy::consider_migration(const HostView& src, const VmUsage& u,
+                                         core::Resource r, sim::SimTime now) {
   VmState& st = vm_state_.at(u.vm_id);
   // A migration already in flight IS the remedy; don't double-decide.
   if (st.policy_in_flight || cloud_.migration_in_flight(u.vm_id)) return;
-  const bool io = res == Res::kIo;
-  const char* rn = io ? "io" : "cpu";
-  const std::string tag = std::string(rn) + " vm=" + std::to_string(u.vm_id);
+  const std::string tag = std::string(core::name(r)) + " vm=" + std::to_string(u.vm_id);
   ++triggered_;
   if (sink_ != nullptr) sink_->bump_counter(source_, "policy_triggered");
-  emit(now, "trigger " + tag + " host=" + src.name, io ? src.max_io_dev : src.max_cpi_dev);
+  emit(now, "trigger " + tag + " host=" + src.name, src.max_dev[r]);
 
   // Guardrails, in fixed order; each suppression is counted and emitted so
   // the decision trail explains every interval the antagonist stayed put.
@@ -159,10 +152,9 @@ void MigrationPolicy::consider_migration(const HostView& src, const VmUsage& u, 
   // placement constraint applied to the interference verdict).
   victim_apps_.clear();
   const core::NodeManager& nm = view_.node_manager(src.index);
-  const double threshold = io ? cfg_.io_deviation_threshold : cfg_.cpi_deviation_threshold;
+  const double threshold = core::deviation_threshold(cfg_, r);
   nm.for_each_protected_app([&](core::NodeManager::AppId app) {
-    const double d = io ? nm.latest_io_deviation(app) : nm.latest_cpi_deviation(app);
-    if (d > threshold) victim_apps_.push_back(app);
+    if (nm.latest_deviation(r, app) > threshold) victim_apps_.push_back(app);
   });
 
   virt::VmConfig shape;  // Admission math reads vcpus + memory only.
@@ -221,7 +213,7 @@ void MigrationPolicy::consider_migration(const HostView& src, const VmUsage& u, 
   }
   st.last_src = static_cast<std::int32_t>(src.index);
   st.last_dst = static_cast<std::int32_t>(best);
-  (io ? st.io_floor_streak : st.cpu_floor_streak) = 0;
+  st.floor_streak[r] = 0;
   st.policy_in_flight = true;
   ++in_flight_;
   ++migrated_;

@@ -100,15 +100,12 @@ class MigrationPolicy final {
   [[nodiscard]] int in_flight() const { return in_flight_; }
 
  private:
-  enum class Res { kIo, kCpu };
-
   /// Per-VM hysteresis state. Keyed by VM id; entries of departed VMs
   /// linger unreachable (ids are never reused cloud-wide).
   struct VmState {
     sim::SimTime placed_at = sim::SimTime(0.0);
     bool placed_known = false;
-    int io_floor_streak = 0;
-    int cpu_floor_streak = 0;
+    core::PerResource<int> floor_streak{};
     bool policy_in_flight = false;  ///< A migration WE started is in flight.
     // Last completed policy move (host indexes), for bounce detection.
     std::int32_t last_src = -1;
@@ -120,8 +117,9 @@ class MigrationPolicy final {
   };
 
   void on_migration(const cloud::MigrationEvent& ev);
-  void scan_host(const HostView& h, Res res, sim::SimTime now);
-  void consider_migration(const HostView& src, const VmUsage& u, Res res, sim::SimTime now);
+  void scan_host(const HostView& h, core::Resource r, sim::SimTime now);
+  void consider_migration(const HostView& src, const VmUsage& u, core::Resource r,
+                          sim::SimTime now);
   [[nodiscard]] bool pair_blacklisted(const VmState& st, std::size_t a, std::size_t b,
                                       sim::SimTime now) const;
   [[nodiscard]] VmState& state(int vm_id, sim::SimTime now);

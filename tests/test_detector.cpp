@@ -27,11 +27,11 @@ TEST(Detector, UniformSamplesNotContended) {
   const VmSample c = sample(2.9, 0.98);
   const std::vector<const VmSample*> vms = {&a, &b, &c};
   const DetectionResult r = det.evaluate(vms);
-  EXPECT_FALSE(r.io_contended);
-  EXPECT_FALSE(r.cpu_contended);
-  EXPECT_LT(r.io_deviation, 10.0);
-  EXPECT_LT(r.cpi_deviation, 1.0);
-  EXPECT_EQ(r.io_samples, 3u);
+  EXPECT_FALSE(r.contended[kIo]);
+  EXPECT_FALSE(r.contended[kCpu]);
+  EXPECT_LT(r.deviation[kIo], 10.0);
+  EXPECT_LT(r.deviation[kCpu], 1.0);
+  EXPECT_EQ(r.samples[kIo], 3u);
 }
 
 TEST(Detector, SpreadIowaitRatiosTriggerIo) {
@@ -41,8 +41,8 @@ TEST(Detector, SpreadIowaitRatiosTriggerIo) {
   const VmSample c = sample(110.0, 1.0);
   const std::vector<const VmSample*> vms = {&a, &b, &c};
   const DetectionResult r = det.evaluate(vms);
-  EXPECT_TRUE(r.io_contended);
-  EXPECT_FALSE(r.cpu_contended);
+  EXPECT_TRUE(r.contended[kIo]);
+  EXPECT_FALSE(r.contended[kCpu]);
 }
 
 TEST(Detector, SpreadCpiTriggersCpu) {
@@ -52,8 +52,8 @@ TEST(Detector, SpreadCpiTriggersCpu) {
   const VmSample c = sample(3.0, 4.5);
   const std::vector<const VmSample*> vms = {&a, &b, &c};
   const DetectionResult r = det.evaluate(vms);
-  EXPECT_FALSE(r.io_contended);
-  EXPECT_TRUE(r.cpu_contended);
+  EXPECT_FALSE(r.contended[kIo]);
+  EXPECT_TRUE(r.contended[kCpu]);
 }
 
 TEST(Detector, MissingMetricsAreSkipped) {
@@ -62,16 +62,16 @@ TEST(Detector, MissingMetricsAreSkipped) {
   const VmSample a = sample(3.0, 1.0);
   const std::vector<const VmSample*> vms = {&a, &idle, nullptr};
   const DetectionResult r = det.evaluate(vms);
-  EXPECT_EQ(r.io_samples, 1u);
-  EXPECT_EQ(r.cpi_samples, 1u);
-  EXPECT_DOUBLE_EQ(r.io_deviation, 0.0);  // single sample, no deviation
+  EXPECT_EQ(r.samples[kIo], 1u);
+  EXPECT_EQ(r.samples[kCpu], 1u);
+  EXPECT_DOUBLE_EQ(r.deviation[kIo], 0.0);  // single sample, no deviation
 }
 
 TEST(Detector, EmptyGroupIsQuiet) {
   const InterferenceDetector det{PerfCloudConfig{}};
   const DetectionResult r = det.evaluate({});
-  EXPECT_FALSE(r.io_contended);
-  EXPECT_FALSE(r.cpu_contended);
+  EXPECT_FALSE(r.contended[kIo]);
+  EXPECT_FALSE(r.contended[kCpu]);
 }
 
 TEST(Detector, CustomThresholds) {
@@ -83,8 +83,8 @@ TEST(Detector, CustomThresholds) {
   const VmSample b = sample(1.1, 1.1);
   const std::vector<const VmSample*> vms = {&a, &b};
   const DetectionResult r = det.evaluate(vms);
-  EXPECT_TRUE(r.io_contended);
-  EXPECT_TRUE(r.cpu_contended);
+  EXPECT_TRUE(r.contended[kIo]);
+  EXPECT_TRUE(r.contended[kCpu]);
 }
 
 // --- Identifier ---

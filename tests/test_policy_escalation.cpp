@@ -149,13 +149,13 @@ TEST(ThrottleEscalation, ViewShowsCapPinnedAtFloorBeforeTheMove) {
   c.policy->view().refresh(c.engine->now());
   const VmUsage* u = c.policy->view().find_vm(0, fio);
   ASSERT_NE(u, nullptr);
-  EXPECT_GE(u->io_cap, 0.0);
-  EXPECT_TRUE(u->io_at_floor);
+  EXPECT_GE(u->cap[core::kIo], 0.0);
+  EXPECT_TRUE(u->at_floor[core::kIo]);
   // The deviation signal is bursty (the antagonist duty-cycles), so the
   // instantaneous value at the arbitrary end time proves nothing; samples
   // must exist, and triggered() >= 1 above already proves the deviation
   // exceeded the threshold inside the policy's own windows.
-  EXPECT_GE(c.policy->view().host(0).max_io_dev, 0.0);
+  EXPECT_GE(c.policy->view().host(0).max_dev[core::kIo], 0.0);
 }
 
 TEST(Hysteresis, HostCooldownHoldsTheSecondAntagonist) {

@@ -55,7 +55,7 @@ TEST(ClusterView, AggregatesShapePlacementAndUsage) {
   for (const VmUsage& u : h0.vms) {
     EXPECT_EQ(u.priority, virt::Priority::kHigh);
     EXPECT_EQ(u.app, c.cloud->app_interner().lookup(p.app_id));
-    EXPECT_LT(u.io_cap, 0.0);  // monitoring-only: nothing capped
+    EXPECT_LT(u.cap[core::kIo], 0.0);  // monitoring-only: nothing capped
   }
 
   // Antagonist hosts: the dd writer shows up as disk throughput, the
@@ -68,8 +68,8 @@ TEST(ClusterView, AggregatesShapePlacementAndUsage) {
   const VmUsage* cpu_u = view.find_vm(2, cpu);
   ASSERT_NE(cpu_u, nullptr);
   EXPECT_GT(cpu_u->cpu_cores, 0.5);
-  EXPECT_LT(view.host(1).max_io_dev, 0.0);
-  EXPECT_LT(view.host(2).max_cpi_dev, 0.0);
+  EXPECT_LT(view.host(1).max_dev[core::kIo], 0.0);
+  EXPECT_LT(view.host(2).max_dev[core::kCpu], 0.0);
   EXPECT_EQ(view.find_vm(0, dd), nullptr);
 }
 
