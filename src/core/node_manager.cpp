@@ -22,6 +22,8 @@ void require(bool ok, const char* what) {
 
 /// Reject settings that would otherwise fail silently or deep inside a run.
 const PerfCloudConfig& validated(const PerfCloudConfig& cfg) {
+  require(std::isfinite(cfg.sample_interval_s) && cfg.sample_interval_s > 0.0,
+          "sample_interval_s must be finite and > 0");
   require(cfg.correlation_window > 0, "correlation_window must be > 0");
   // Fewer points than that and Pearson degenerates (two points are always
   // +-1), so every suspect would "correlate".
@@ -37,9 +39,21 @@ const PerfCloudConfig& validated(const PerfCloudConfig& cfg) {
   require(!std::isnan(cfg.io_deviation_threshold), "io_deviation_threshold is NaN");
   require(!std::isnan(cfg.cpi_deviation_threshold), "cpi_deviation_threshold is NaN");
   require(!std::isnan(cfg.correlation_threshold), "correlation_threshold is NaN");
+  // A NaN op floor rejects every iowait sample; a NaN memory never remembers.
+  require(!std::isnan(cfg.min_ops_per_interval), "min_ops_per_interval is NaN");
+  require(cfg.identification_memory_s >= 0.0, "identification_memory_s must be >= 0");
+  require(cfg.min_usage_fraction >= 0.0 && cfg.min_usage_fraction <= 1.0,
+          "min_usage_fraction must be in [0, 1]");
   // CUBIC's k = cbrt(beta * cap / gamma): a zero, negative or non-finite
-  // gamma makes the recovery curve infinite or NaN and freezes the cap.
+  // gamma makes the recovery curve infinite or NaN and freezes the cap, and
+  // a beta outside (0, 1] turns the decrease into a negative or NaN cap.
   require(std::isfinite(cfg.gamma) && cfg.gamma > 0.0, "gamma must be finite and > 0");
+  require(cfg.beta > 0.0 && cfg.beta <= 1.0, "beta must be in (0, 1]");
+  require(cfg.min_cap_fraction >= 0.0 && cfg.min_cap_fraction <= 1.0,
+          "min_cap_fraction must be in [0, 1]");
+  // At 1.0 a fresh controller (cap 1.0) retires on its first uncontended step.
+  require(std::isfinite(cfg.cap_lift_fraction) && cfg.cap_lift_fraction > 1.0,
+          "cap_lift_fraction must be finite and > 1");
   return cfg;
 }
 

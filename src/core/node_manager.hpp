@@ -46,10 +46,14 @@ class NodeManager {
   /// Interned application id (see cloud::CloudManager::app_interner()).
   using AppId = sim::Interner::Id;
 
-  /// Throws std::invalid_argument if `cfg` is unusable: correlation_window
-  /// zero or below min_correlation_samples, monitor_series_capacity in
-  /// [1, correlation_window), ewma_alpha outside (0, 1], a NaN detection or
-  /// correlation threshold, or gamma not finite and > 0.
+  /// Throws std::invalid_argument if `cfg` is unusable: sample_interval_s
+  /// not finite and > 0; correlation_window zero or below
+  /// min_correlation_samples; monitor_series_capacity in
+  /// [1, correlation_window); ewma_alpha, beta outside (0, 1];
+  /// min_cap_fraction, min_usage_fraction outside [0, 1]; a NaN detection or
+  /// correlation threshold or min_ops_per_interval; identification_memory_s
+  /// negative or NaN; gamma not finite and > 0; cap_lift_fraction not finite
+  /// and > 1.
   NodeManager(cloud::CloudManager& cloud, std::string host_name, PerfCloudConfig cfg = {});
 
   NodeManager(const NodeManager&) = delete;

@@ -41,6 +41,26 @@ TEST(NodeManager, RejectsInvalidConfig) {
       {"gamma negative", [](PerfCloudConfig& k) { k.gamma = -0.005; }},
       {"gamma infinite", [](PerfCloudConfig& k) { k.gamma = kInf; }},
       {"gamma NaN", [](PerfCloudConfig& k) { k.gamma = kNaN; }},
+      {"beta 0", [](PerfCloudConfig& k) { k.beta = 0.0; }},
+      {"beta above 1", [](PerfCloudConfig& k) { k.beta = 1.5; }},
+      {"beta NaN", [](PerfCloudConfig& k) { k.beta = kNaN; }},
+      {"min_cap_fraction negative", [](PerfCloudConfig& k) { k.min_cap_fraction = -0.1; }},
+      {"min_cap_fraction above 1", [](PerfCloudConfig& k) { k.min_cap_fraction = 1.5; }},
+      {"min_cap_fraction NaN", [](PerfCloudConfig& k) { k.min_cap_fraction = kNaN; }},
+      {"cap_lift_fraction 1", [](PerfCloudConfig& k) { k.cap_lift_fraction = 1.0; }},
+      {"cap_lift_fraction infinite", [](PerfCloudConfig& k) { k.cap_lift_fraction = kInf; }},
+      {"cap_lift_fraction NaN", [](PerfCloudConfig& k) { k.cap_lift_fraction = kNaN; }},
+      {"identification_memory_s negative",
+       [](PerfCloudConfig& k) { k.identification_memory_s = -1.0; }},
+      {"identification_memory_s NaN",
+       [](PerfCloudConfig& k) { k.identification_memory_s = kNaN; }},
+      {"min_usage_fraction negative", [](PerfCloudConfig& k) { k.min_usage_fraction = -0.1; }},
+      {"min_usage_fraction above 1", [](PerfCloudConfig& k) { k.min_usage_fraction = 1.5; }},
+      {"min_usage_fraction NaN", [](PerfCloudConfig& k) { k.min_usage_fraction = kNaN; }},
+      {"min_ops_per_interval NaN", [](PerfCloudConfig& k) { k.min_ops_per_interval = kNaN; }},
+      {"sample_interval_s 0", [](PerfCloudConfig& k) { k.sample_interval_s = 0.0; }},
+      {"sample_interval_s infinite", [](PerfCloudConfig& k) { k.sample_interval_s = kInf; }},
+      {"sample_interval_s NaN", [](PerfCloudConfig& k) { k.sample_interval_s = kNaN; }},
   };
   for (const auto& [name, mutate] : bad) {
     SCOPED_TRACE(name);
@@ -54,7 +74,15 @@ TEST(NodeManager, RejectsInvalidConfig) {
   edges.correlation_window = edges.min_correlation_samples;
   edges.monitor_series_capacity = edges.correlation_window;
   edges.ewma_alpha = 1.0;
-  EXPECT_NO_THROW(NodeManager(*c.cloud, "host-0", edges));
+  edges.beta = 1.0;
+  // The ablation benches switch identification memory and the usage gate off.
+  edges.identification_memory_s = 0.0;
+  edges.min_usage_fraction = 0.0;
+  for (const double floor : {0.0, 1.0}) {
+    SCOPED_TRACE(floor);
+    edges.min_cap_fraction = floor;
+    EXPECT_NO_THROW(NodeManager(*c.cloud, "host-0", edges));
+  }
   EXPECT_NO_THROW(NodeManager(*c.cloud, "host-0", PerfCloudConfig{}));
 }
 
