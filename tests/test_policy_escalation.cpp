@@ -158,6 +158,47 @@ TEST(ThrottleEscalation, ViewShowsCapPinnedAtFloorBeforeTheMove) {
   EXPECT_GE(c.policy->view().host(0).max_dev[core::kIo], 0.0);
 }
 
+TEST(ThrottleEscalation, MigratesCpuAntagonistOnCpiSignal) {
+  // The processor half of the loop: a STREAM antagonist widens the Spark
+  // workers' CPI spread, is identified by its LLC miss rate, pinned at the
+  // vCPU-quota floor, and migrated on the CPI signal alone.
+  Scenario s;
+  s.policy = eager_policy();
+  exp::Cluster c = build(s);
+  const int stream = exp::add_stream(c, "host-0", wl::StreamBenchmark::Params{.threads = 16});
+  exp::enable_perfcloud(c, control_cfg(s));
+
+  const std::string jsonl = "/tmp/perfcloud_policy_escalation_cpu.jsonl";
+  exp::EventSink sink(exp::EventSink::Options{.events_jsonl_path = jsonl, .async = false});
+  exp::attach_sink(c, sink);
+
+  for (double at : {0.0, 150.0, 300.0, 450.0}) {
+    c.engine->at(sim::SimTime(at), [&c](sim::SimTime) {
+      c.framework->submit(wl::make_spark_logreg(16, 8));
+    });
+  }
+  exp::run_for(c, 600.0);
+
+  EXPECT_GE(c.policy->triggered(), 1);
+  EXPECT_GE(c.policy->migrated(), 1);
+  for (const cloud::VmRecord& r : c.cloud->all_vms()) {
+    if (r.id == stream) {
+      EXPECT_NE(r.host, "host-0");
+    }
+    for (const int id : c.worker_vm_ids) {
+      if (r.id == id) {
+        EXPECT_EQ(r.host, "host-0");
+      }
+    }
+  }
+  EXPECT_TRUE(c.node_manager(0).io_cap_series(stream).empty());
+
+  sink.close();
+  const std::string events = slurp(jsonl);
+  EXPECT_NE(events.find("trigger cpu vm="), std::string::npos);
+  EXPECT_EQ(events.find("trigger io"), std::string::npos);
+}
+
 TEST(Hysteresis, HostCooldownHoldsTheSecondAntagonist) {
   Scenario s;
   s.policy = eager_policy();
