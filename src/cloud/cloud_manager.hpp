@@ -118,7 +118,6 @@ class CloudManager {
   /// Configure the live-migration cost model. Call during setup; throws if
   /// migrations are currently in flight.
   void set_migration_model(MigrationModel model);
-  [[nodiscard]] const MigrationModel& migration_model() const { return migration_model_; }
   [[nodiscard]] bool migration_in_flight(int vm_id) const;
   [[nodiscard]] std::size_t migrations_in_flight() const { return migrations_.size(); }
   // Lifetime counters (instantaneous handoffs count as started+completed).

@@ -96,7 +96,6 @@ class FaultPlan {
   [[nodiscard]] std::size_t size() const { return specs_.size(); }
   [[nodiscard]] bool empty() const { return specs_.empty(); }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  void set_seed(std::uint64_t seed) { seed_ = seed; }
 
  private:
   std::vector<FaultSpec> specs_;

@@ -97,7 +97,6 @@ class MigrationPolicy final {
   [[nodiscard]] long suppressed_blacklist() const { return suppressed_blacklist_; }
   [[nodiscard]] long no_feasible() const { return no_feasible_; }
   [[nodiscard]] long aborted() const { return aborted_; }
-  [[nodiscard]] int in_flight() const { return in_flight_; }
 
  private:
   /// Per-VM hysteresis state. Keyed by VM id; entries of departed VMs

@@ -20,7 +20,6 @@ class SimTime {
 
   /// Seconds since simulation start.
   [[nodiscard]] constexpr double seconds() const { return seconds_; }
-  [[nodiscard]] constexpr double millis() const { return seconds_ * 1e3; }
 
   constexpr auto operator<=>(const SimTime&) const = default;
 
