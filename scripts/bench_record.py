@@ -49,7 +49,9 @@ def git(checkout, *args):
                              capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
-    return out.stdout.strip() if out.returncode == 0 else None
+    # Trailing whitespace only: a porcelain status line starts with a space
+    # when the index is clean (" M path").
+    return out.stdout.rstrip() if out.returncode == 0 else None
 
 
 def tree_dirty(checkout, out_path):
