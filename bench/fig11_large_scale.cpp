@@ -137,25 +137,17 @@ void print_breakdown(const std::string& title, const std::vector<base::Scheme>& 
   exp::Table t({"scheme", "<10%", "10-30%", ">30%", "median degr %"});
   for (const base::Scheme s : schemes) {
     const SchemeResult& r = results.at(s);
-    int lo = 0;
-    int mid = 0;
-    int hi = 0;
+    sim::Histogram bars({0.10, 0.30});
     std::vector<double> degr;
     for (std::size_t i = 0; i < r.jct.size(); ++i) {
       if (r.jct[i] < 0.0 || clean.jct[i] <= 0.0) continue;
       const double d = r.jct[i] / clean.jct[i] - 1.0;
       degr.push_back(d * 100.0);
-      if (d < 0.10) {
-        ++lo;
-      } else if (d < 0.30) {
-        ++mid;
-      } else {
-        ++hi;
-      }
+      bars.add(d);
     }
-    const double n = std::max<double>(1.0, static_cast<double>(lo + mid + hi));
     t.add_row(base::to_string(s),
-              {lo / n, mid / n, hi / n, sim::percentile_of(degr, 0.5)}, 2);
+              {bars.fraction(0), bars.fraction(1), bars.fraction(2), sim::percentile_of(degr, 0.5)},
+              2);
   }
   t.print(std::cout);
 }
