@@ -159,7 +159,7 @@ int main() {
                                              base::Scheme::kDolly4, base::Scheme::kDolly6,
                                              base::Scheme::kPerfCloud};
 
-  const exp::ParallelRunner pool(exp::ParallelRunner::threads_from_env());
+  const exp::ParallelRunner pool;
   std::cout << "Running the large-scale mixes (150 workers / 15 hosts, 100+100 jobs,\n"
                "5 schemes + 2 clean baselines); this takes a little while...\n";
   // Thread count to stderr so stdout stays byte-identical across

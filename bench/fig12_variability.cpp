@@ -89,7 +89,7 @@ double clean_jct_of(const wl::JobSpec& job) {
 }  // namespace
 
 int main() {
-  const exp::ParallelRunner pool(exp::ParallelRunner::threads_from_env());
+  const exp::ParallelRunner pool;
   std::cout << "Running 2 workloads x 3 schemes x " << kRepetitions
             << " repetitions on the 15-host cluster; this takes a little while...\n";
   std::cerr << "[fig12] running on " << pool.threads() << " thread(s)\n";

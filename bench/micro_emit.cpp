@@ -84,6 +84,7 @@ const char* to_string(Mode m) {
 
 struct RunResult {
   double wall_s = 0.0;
+  unsigned shards = 0;  ///< The engine's shard count after the run.
   double drain_s = 0.0;  ///< Engine-thread seconds left on the barrier phase.
   std::uint64_t samples = 0;
   std::uint64_t events = 0;
@@ -154,6 +155,7 @@ RunResult run_once(Mode mode) {
     r.batches = sink->batches_drained();
   }
   r.wall_s = now_seconds() - t0;
+  r.shards = c.engine->shards();
   return r;
 }
 
@@ -255,7 +257,7 @@ int main() {
   std::ofstream json("BENCH_emit.json");
   json << "{\n"
        << "  \"topology\": {\"hosts\": 8, \"workers\": 48, \"jobs\": " << kJobs << "},\n"
-       << "  \"hw_context\": " << bench::hw_context_json() << ",\n"
+       << "  \"hw_context\": " << bench::hw_context_json(sync.shards) << ",\n"
        << "  \"samples\": " << sync.samples << ",\n"
        << "  \"events\": " << sync.events << ",\n"
        << "  \"batches\": " << sync.batches << ",\n"

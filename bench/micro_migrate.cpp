@@ -7,13 +7,13 @@
 // which shows up in the job completion times.
 //
 // Everything printed to STDOUT is simulation output and therefore
-// deterministic: scripts/check.sh runs this binary under PERFCLOUD_SHARDS=1
-// and =4 (the reported runs leave ClusterParams::shards = 0, inheriting the
-// env) and diffs the two stdouts byte for byte. Wall-clock timings go only
-// to BENCH_migrate.json. An internal gate additionally re-runs the
-// packed+live configuration at explicit shards 1 and 4 and hard-fails on
-// any fingerprint mismatch, so the bench polices its own determinism even
-// when run by hand.
+// deterministic: scripts/check.sh runs this binary under PERFCLOUD_THREADS=1
+// and =4 (the reported runs leave ClusterParams::shards = 0, so the
+// override sets their shard count) and diffs the two stdouts byte for byte.
+// Wall-clock timings go only to BENCH_migrate.json. An internal gate
+// additionally re-runs the packed+live configuration at explicit shards 1
+// and 4 and hard-fails on any fingerprint mismatch, so the bench polices its
+// own determinism even when run by hand.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -43,6 +43,7 @@ double now_seconds() {
 struct RunResult {
   std::string label;
   double wall_s = 0.0;
+  unsigned shards = 0;  ///< The engine's shard count after the run.
   // Simulation fingerprint: identical across shard counts per configuration.
   double final_time_s = 0.0;
   double jct_sum = 0.0;
@@ -63,7 +64,7 @@ RunResult run_once(const std::string& label, exp::Placement placement, bool live
   p.hosts = kHosts;
   p.workers = kWorkers;
   p.seed = kSeed;
-  p.shards = shards;  // 0 = inherit PERFCLOUD_SHARDS (the reported runs)
+  p.shards = shards;  // 0 = the engine's own count (the reported runs)
   p.placement = placement;
   if (live) p.migration = {.bandwidth_bps = 1.0e9, .downtime_s = 0.25};
 
@@ -108,6 +109,7 @@ RunResult run_once(const std::string& label, exp::Placement placement, bool live
   RunResult r;
   r.label = label;
   r.wall_s = now_seconds() - t0;
+  r.shards = c.engine->shards();
   r.final_time_s = c.engine->now().seconds();
   r.migrations_started = c.cloud->migrations_started();
   r.migrations_completed = c.cloud->migrations_completed();
@@ -167,7 +169,7 @@ int main() {
   json << "{\n"
        << "  \"topology\": {\"hosts\": " << kHosts << ", \"workers\": " << kWorkers
        << ", \"rival_vms\": 2},\n"
-       << "  \"hw_context\": " << bench::hw_context_json() << ",\n"
+       << "  \"hw_context\": " << bench::hw_context_json(results.back().shards) << ",\n"
        << "  \"runs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];

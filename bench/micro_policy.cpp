@@ -9,12 +9,12 @@
 // then price.
 //
 // Everything printed to STDOUT is simulation output and therefore
-// deterministic: scripts/check.sh runs this binary under PERFCLOUD_SHARDS=1
-// and =4 (the reported runs leave ClusterParams::shards = 0, inheriting the
-// env) and diffs the two stdouts byte for byte. Wall-clock timings go only
-// to BENCH_policy.json. An internal gate additionally re-runs the scored
-// configuration at explicit shards 1 and 4 and hard-fails on any
-// fingerprint mismatch. One caveat for absolute wall numbers: CI runs this
+// deterministic: scripts/check.sh runs this binary under PERFCLOUD_THREADS=1
+// and =4 (the reported runs leave ClusterParams::shards = 0, so the
+// override sets their shard count) and diffs the two stdouts byte for byte.
+// Wall-clock timings go only to BENCH_policy.json. An internal gate
+// additionally re-runs the scored configuration at explicit shards 1 and 4
+// and hard-fails on any fingerprint mismatch. One caveat for absolute wall numbers: CI runs this
 // on a 1-core box, where sharding only adds coordination cost.
 #include <chrono>
 #include <fstream>
@@ -45,6 +45,7 @@ double now_seconds() {
 struct RunResult {
   std::string label;
   double wall_s = 0.0;
+  unsigned shards = 0;  ///< The engine's shard count after the run.
   // Simulation fingerprint: identical across shard counts per configuration.
   double final_time_s = 0.0;
   double jct_sum = 0.0;
@@ -70,7 +71,7 @@ RunResult run_once(const std::string& label, Mode mode, unsigned shards) {
   p.hosts = kHosts;
   p.workers = kWorkers;
   p.seed = kSeed;
-  p.shards = shards;  // 0 = inherit PERFCLOUD_SHARDS (the reported runs)
+  p.shards = shards;  // 0 = the engine's own count (the reported runs)
   p.placement = exp::Placement::kPacked;  // all workers (the victim) on host-0
   p.migration = {.bandwidth_bps = 1.0e9, .downtime_s = 0.25};
   if (mode != Mode::kOff) {
@@ -123,6 +124,7 @@ RunResult run_once(const std::string& label, Mode mode, unsigned shards) {
   RunResult r;
   r.label = label;
   r.wall_s = now_seconds() - t0;
+  r.shards = c.engine->shards();
   r.final_time_s = c.engine->now().seconds();
   r.migrations_completed = c.cloud->migrations_completed();
   if (c.policy != nullptr) {
@@ -202,7 +204,7 @@ int main() {
   json << "{\n"
        << "  \"topology\": {\"hosts\": " << kHosts << ", \"workers\": " << kWorkers
        << ", \"antagonists\": 4},\n"
-       << "  \"hw_context\": " << bench::hw_context_json() << ",\n"
+       << "  \"hw_context\": " << bench::hw_context_json(results.back().shards) << ",\n"
        << "  \"runs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];

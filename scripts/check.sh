@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Full check: the test suite under ASan+UBSan (plus a sharded perf-label
 # sweep), the same suite under TSan with the host shard sweeps actually
-# parallel (PERFCLOUD_SHARDS=4), the zero-steady-state-allocation gate on
-# the release build, and determinism gates diffing real bench output across
-# shard counts, runner thread counts and emission modes.
+# parallel (PERFCLOUD_THREADS=4, the one parallelism override: every
+# top-level engine runs 4 shards and every runner 4 threads), the
+# zero-steady-state-allocation gate on the release build, and determinism
+# gates diffing real bench output across shard counts, runner thread counts
+# and emission modes.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 
@@ -16,11 +18,11 @@ UBSAN_OPTIONS=halt_on_error=1 ctest --preset asan -j "$(nproc)" "$@"
 # The perf-label tests again, sharded: the slot-store/scratch hot path and
 # the identifier's reused scoring scratch run their multi-host scenarios
 # with ASan watching for stale-slot reads after VM eviction and host crashes.
-UBSAN_OPTIONS=halt_on_error=1 PERFCLOUD_SHARDS=4 ctest --preset asan -L perf -j "$(nproc)"
+UBSAN_OPTIONS=halt_on_error=1 PERFCLOUD_THREADS=4 ctest --preset asan -L perf -j "$(nproc)"
 
-echo "== TSan, sharded (PERFCLOUD_SHARDS=4) =="
-# Every sharded periodic in every test runs its host-local tasks across 4
-# threads, so the pool's handoffs and the thread-confinement of the
+echo "== TSan, sharded (PERFCLOUD_THREADS=4) =="
+# Every sharded periodic of every top-level engine in every test runs its
+# host-local tasks across 4 threads, so the pool's handoffs and the thread-confinement of the
 # hypervisor/monitor/node-manager pipelines are exercised under TSan. The
 # fault tests (pc_faults_tests, label "faults") are part of the suite, so
 # chaos runs — host crashes, blackouts, lossy cap channels — get the same
@@ -32,7 +34,7 @@ cmake --build --preset tsan -j "$(nproc)"
 # every host's monitor/controller state on the engine thread right after
 # the parallel half, which is exactly the boundary a racy shard handoff
 # would corrupt.
-PERFCLOUD_SHARDS=4 ctest --preset tsan -j "$(nproc)" "$@"
+PERFCLOUD_THREADS=4 ctest --preset tsan -j "$(nproc)" "$@"
 
 echo "== shard count determinism gate =="
 # A multi-host figure bench must emit byte-identical stdout for any shard
@@ -41,15 +43,17 @@ cmake --preset release
 cmake --build --preset release -j "$(nproc)" --target ext_heterogeneous
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-PERFCLOUD_SHARDS=1 ./build-release/bench/ext_heterogeneous > "$tmpdir/shards1.txt" 2> /dev/null
-PERFCLOUD_SHARDS=4 ./build-release/bench/ext_heterogeneous > "$tmpdir/shards4.txt" 2> /dev/null
+PERFCLOUD_THREADS=1 ./build-release/bench/ext_heterogeneous > "$tmpdir/shards1.txt" 2> /dev/null
+PERFCLOUD_THREADS=4 ./build-release/bench/ext_heterogeneous > "$tmpdir/shards4.txt" 2> /dev/null
 diff "$tmpdir/shards1.txt" "$tmpdir/shards4.txt"
 echo "ext_heterogeneous: byte-identical output across shard counts"
 
 echo "== runner thread-count determinism gate =="
 # fig12_variability runs its repetitions through exp::ParallelRunner, which
 # runs them on a ShardPool; stdout must be byte-identical for any thread
-# count (the thread-count banner goes to stderr).
+# count (the thread-count banner goes to stderr). The override moves runner
+# threads and top-level shards together: at 1 everything runs on one
+# thread, at 4 the runner takes 4 and each scenario's engine runs inline.
 cmake --build --preset release -j "$(nproc)" --target fig12_variability
 PERFCLOUD_THREADS=1 ./build-release/bench/fig12_variability > "$tmpdir/threads1.txt" 2> /dev/null
 PERFCLOUD_THREADS=4 ./build-release/bench/fig12_variability > "$tmpdir/threads4.txt" 2> /dev/null
@@ -86,14 +90,14 @@ echo "== packed-placement migration determinism gate =="
 # flight (packed placement manufactures the collision) and prints only
 # simulation results to stdout; it also hard-fails internally if its packed
 # live-migration run differs between explicit shards 1 and 4. The diff
-# re-checks the env-driven path from the outside: migrations, escalations,
+# re-checks the override-driven path from the outside: migrations, escalations,
 # pre-copy inflows, pauses, and node-manager state handoffs may not change a
 # single output bit with the host sweeps actually parallel. (The new
 # migration/fault tests themselves run under TSan above via the full suite.)
 cmake --build --preset release -j "$(nproc)" --target micro_migrate
-( cd "$tmpdir" && PERFCLOUD_SHARDS=1 "$OLDPWD/build-release/bench/micro_migrate" \
+( cd "$tmpdir" && PERFCLOUD_THREADS=1 "$OLDPWD/build-release/bench/micro_migrate" \
     > migrate_shards1.txt )
-( cd "$tmpdir" && PERFCLOUD_SHARDS=4 "$OLDPWD/build-release/bench/micro_migrate" \
+( cd "$tmpdir" && PERFCLOUD_THREADS=4 "$OLDPWD/build-release/bench/micro_migrate" \
     > migrate_shards4.txt )
 diff "$tmpdir/migrate_shards1.txt" "$tmpdir/migrate_shards4.txt"
 echo "micro_migrate: byte-identical output across shard counts"
@@ -106,9 +110,9 @@ echo "== migration-policy determinism gate =="
 # The binary also hard-fails internally if the scored run differs between
 # explicit shards 1 and 4.
 cmake --build --preset release -j "$(nproc)" --target micro_policy
-( cd "$tmpdir" && PERFCLOUD_SHARDS=1 "$OLDPWD/build-release/bench/micro_policy" \
+( cd "$tmpdir" && PERFCLOUD_THREADS=1 "$OLDPWD/build-release/bench/micro_policy" \
     > policy_shards1.txt )
-( cd "$tmpdir" && PERFCLOUD_SHARDS=4 "$OLDPWD/build-release/bench/micro_policy" \
+( cd "$tmpdir" && PERFCLOUD_THREADS=4 "$OLDPWD/build-release/bench/micro_policy" \
     > policy_shards4.txt )
 diff "$tmpdir/policy_shards1.txt" "$tmpdir/policy_shards4.txt"
 echo "micro_policy: byte-identical output across shard counts"
@@ -123,11 +127,11 @@ cmake --build --preset release -j "$(nproc)" --target chaos_resilience
 for mode in s1-async s4-async s1-sync; do
   mkdir -p "$tmpdir/chaos-$mode"
 done
-PERFCLOUD_SHARDS=1 ./build-release/examples/chaos_resilience \
+PERFCLOUD_THREADS=1 ./build-release/examples/chaos_resilience \
   "$tmpdir/chaos-s1-async" async > "$tmpdir/chaos-s1-async/stdout.txt"
-PERFCLOUD_SHARDS=4 ./build-release/examples/chaos_resilience \
+PERFCLOUD_THREADS=4 ./build-release/examples/chaos_resilience \
   "$tmpdir/chaos-s4-async" async > "$tmpdir/chaos-s4-async/stdout.txt"
-PERFCLOUD_SHARDS=1 ./build-release/examples/chaos_resilience \
+PERFCLOUD_THREADS=1 ./build-release/examples/chaos_resilience \
   "$tmpdir/chaos-s1-sync" sync > "$tmpdir/chaos-s1-sync/stdout.txt"
 for f in stdout.txt chaos_trace.csv chaos_events.jsonl; do
   diff "$tmpdir/chaos-s1-async/$f" "$tmpdir/chaos-s4-async/$f"

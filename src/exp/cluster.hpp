@@ -40,9 +40,10 @@ struct ClusterParams {
   int vm_vcpus = 2;
   std::uint64_t seed = 42;
   /// Shard-pool threads for the engine's per-quantum host sweeps (hypervisor
-  /// ticks, node-manager pipelines). 0 = keep the engine's default, which
-  /// reads PERFCLOUD_SHARDS (1 when unset). Results are byte-identical for
-  /// any value; >1 only buys wall-clock time on multi-host clusters.
+  /// ticks, node-manager pipelines). 0 = the engine's own count:
+  /// PERFCLOUD_THREADS if set, otherwise worked out from the host count and
+  /// the hardware (sim::Engine::shards). Results are byte-identical for any
+  /// value; >1 only buys wall-clock time on multi-host clusters.
   unsigned shards = 0;
   /// When > 0, workers are spread over only the first `worker_host_limit`
   /// hosts, leaving the rest empty (skewed clusters with quiescent hosts).

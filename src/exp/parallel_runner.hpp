@@ -9,7 +9,9 @@
 // Threading model: `run` executes the tasks on a sim::ShardPool of
 // min(threads, tasks) shards — the same pool the engine shards host ticks
 // on — and each task writes its result into its own slot of a pre-sized
-// vector. Everything a task closure captures must be task-local (build the
+// vector. With more than one thread, each task's engine runs its host
+// sweeps inline (pools do not nest), so the threads in use stay within the
+// budget. Everything a task closure captures must be task-local (build the
 // Cluster inside the task). Results are returned in submission order
 // regardless of completion order, so output built from them is
 // byte-identical across thread counts.
@@ -18,7 +20,6 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -29,9 +30,11 @@ namespace perfcloud::exp {
 
 class ParallelRunner {
  public:
-  /// `threads` = 0 picks std::thread::hardware_concurrency() (min 1).
+  /// `threads` = 0 takes the parallelism budget: PERFCLOUD_THREADS if set
+  /// (a malformed value throws std::invalid_argument), otherwise the
+  /// hardware concurrency (see sim::thread_budget).
   explicit ParallelRunner(unsigned threads = 0)
-      : threads_(threads != 0 ? threads : default_threads()) {}
+      : threads_(threads != 0 ? threads : sim::thread_budget()) {}
 
   [[nodiscard]] unsigned threads() const { return threads_; }
 
@@ -52,23 +55,7 @@ class ParallelRunner {
     return out;
   }
 
-  /// Thread count for bench binaries: PERFCLOUD_THREADS if set (so a
-  /// sequential reference run of the same binary is one env var away),
-  /// otherwise the hardware concurrency. A malformed value throws
-  /// std::invalid_argument (see sim::count_from_env).
-  static unsigned threads_from_env() {
-    return sim::count_from_env("PERFCLOUD_THREADS", kMaxThreads).value_or(default_threads());
-  }
-
  private:
-  /// Thread counts above this are certainly a typo, not a machine.
-  static constexpr unsigned kMaxThreads = 4096;
-
-  static unsigned default_threads() {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 ? hw : 1;
-  }
-
   unsigned threads_;
 };
 

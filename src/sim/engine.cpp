@@ -1,8 +1,10 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "sim/env.hpp"
 
@@ -13,6 +15,19 @@ namespace {
 /// Shard counts above this are certainly a typo, not a machine.
 constexpr unsigned kMaxShards = 4096;
 
+/// The worked-out shard count for a sweep of `tasks` hosts. Sharding pays
+/// only where it was measured to (4-vCPU shared VM, EXPERIMENTS.md "One
+/// parallelism budget"): at 150 hosts 4 shards beat 1 in 11 of 12 paired
+/// e2e runs and 2 beat 1 in 12 of 12, while at 15 and 16 hosts neither
+/// reached 8 in 10. Nothing above 4 shards was measured, so 4 is the
+/// ceiling.
+unsigned worked_out_shards(std::size_t tasks) {
+  constexpr std::size_t kShardedFromHosts = 150;
+  constexpr unsigned kMaxMeasuredShards = 4;
+  if (tasks < kShardedFromHosts) return 1;
+  return std::min(std::max(1u, std::thread::hardware_concurrency()), kMaxMeasuredShards);
+}
+
 /// Longest lookahead window. Windows end at the next serial step long
 /// before this in every cluster run (the framework poll ends them every few
 /// ticks); the bound keeps window_ at a fixed capacity in a run where
@@ -21,8 +36,15 @@ constexpr std::size_t kMaxWindow = 256;
 
 }  // namespace
 
-Engine::Engine(std::uint64_t seed)
-    : shards_(count_from_env("PERFCLOUD_SHARDS", kMaxShards).value_or(1)), rng_(seed) {
+Engine::Engine(std::uint64_t seed) : rng_(seed) {
+  // Reject the retired variable loudly: a stale script would otherwise run
+  // with a different shard count than it asks for and never know.
+  if (std::getenv("PERFCLOUD_SHARDS") != nullptr) {
+    throw std::invalid_argument(
+        "PERFCLOUD_SHARDS is no longer read: the engine works out its shard count; set "
+        "PERFCLOUD_THREADS to cap every pool (shards and runner threads) instead");
+  }
+  shards_ = thread_override().value_or(0);
   window_.reserve(kMaxWindow);
 }
 
@@ -80,11 +102,15 @@ void Engine::run_shard_tasks(const ShardedPeriodic& sp, const std::vector<SimTim
   const auto run_task = [&](std::size_t i) {
     for (const SimTime t : times) tasks[i](t);
   };
-  if (shards_ <= 1 || tasks.size() <= 1) {
+  const bool parallel = tasks.size() > 1 && !ShardPool::in_task();
+  if (parallel && pool_ == nullptr) {
+    if (shards_ == 0) shards_ = worked_out_shards(tasks.size());
+    if (shards_ > 1) pool_ = std::make_unique<ShardPool>(shards_);
+  }
+  if (!parallel || pool_ == nullptr) {
     for (std::size_t i = 0; i < tasks.size(); ++i) run_task(i);
     return;
   }
-  if (pool_ == nullptr) pool_ = std::make_unique<ShardPool>(shards_);
   pool_->run(tasks.size(), run_task);
 }
 

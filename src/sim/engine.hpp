@@ -117,10 +117,14 @@ class Engine {
   /// registration order, every time a run returns.
   void add_run_end_hook(PeriodicFn fn) { run_end_hooks_.push_back(std::move(fn)); }
 
-  /// Worker threads for sharded periodics. Defaults to PERFCLOUD_SHARDS
-  /// (a decimal integer in [1, 4096]; anything else — "abc", "0", "-2" —
-  /// throws std::invalid_argument at construction rather than silently
-  /// falling back) or 1 when unset; results are byte-identical for any value.
+  /// Worker threads for sharded periodics. An explicit set_shards wins;
+  /// otherwise PERFCLOUD_THREADS sets it (see sim::thread_override), and
+  /// failing both the engine works it out at its first sweep with more
+  /// than one task, from that task count (the host count) and
+  /// std::thread::hardware_concurrency(). Reads 0 until then. Results are
+  /// byte-identical for any value. Construction throws
+  /// std::invalid_argument on a malformed PERFCLOUD_THREADS and when the
+  /// retired shard variable it replaced is set.
   [[nodiscard]] unsigned shards() const { return shards_; }
   /// Override the shard count. Throws std::invalid_argument outside
   /// [1, 4096] and std::logic_error once the pool exists (a sharded
@@ -169,7 +173,8 @@ class Engine {
   /// kMaxWindow, one if it has a barrier), then barrier and hooks.
   void fire_sweep(std::size_t index, SimTime horizon);
   /// Run every task over `times` in order: inline in index order with one
-  /// shard, across the pool (created lazily) otherwise.
+  /// task, one shard, or inside another pool's task; across the pool
+  /// (created lazily, the shard count worked out first) otherwise.
   void run_shard_tasks(const ShardedPeriodic& sp, const std::vector<SimTime>& times);
 
   SimTime now_{0.0};
@@ -180,7 +185,7 @@ class Engine {
   std::vector<std::unique_ptr<ShardedPeriodic>> sharded_;
   std::vector<PeriodicFn> post_barrier_hooks_;
   std::vector<PeriodicFn> run_end_hooks_;
-  unsigned shards_;
+  unsigned shards_ = 0;  ///< 0 until set or worked out.
   std::unique_ptr<ShardPool> pool_;
   /// The current window's fire times; reserved once, so dispatch never
   /// allocates.

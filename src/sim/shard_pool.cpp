@@ -5,6 +5,14 @@
 
 namespace perfcloud::sim {
 
+namespace {
+
+thread_local bool t_in_task = false;
+
+}  // namespace
+
+bool ShardPool::in_task() { return t_in_task; }
+
 ShardPool::ShardPool(unsigned shards) {
   if (shards < 1) throw std::invalid_argument("ShardPool: shards must be >= 1");
   workers_.reserve(shards - 1);
@@ -43,6 +51,9 @@ void ShardPool::run(std::size_t n, const std::function<void(std::size_t)>& body)
 }
 
 void ShardPool::drain(const std::function<void(std::size_t)>& body, std::size_t n) {
+  // A 1-shard pool runs inline and uses no thread of the budget, so its
+  // tasks may still open a pool of their own.
+  const bool outer = std::exchange(t_in_task, t_in_task || !workers_.empty());
   for (std::size_t i; (i = next_.fetch_add(1, std::memory_order_relaxed)) < n;) {
     try {
       body(i);
@@ -56,6 +67,7 @@ void ShardPool::drain(const std::function<void(std::size_t)>& body, std::size_t 
       }
     }
   }
+  t_in_task = outer;
 }
 
 void ShardPool::worker_loop() {

@@ -2,7 +2,9 @@
 // for exp::ParallelRunner's independent experiment runs.
 //
 // The engine creates one pool lazily when the first sharded periodic fires
-// with more than one shard configured. `run` executes a batch of independent
+// with more than one shard worked out (or set). Pools do not nest: a thread
+// running a task of a pool with workers (a runner scenario) runs its
+// engine's sweeps inline, so the threads in use never exceed the budget. `run` executes a batch of independent
 // tasks across the pool and returns only when every task has completed —
 // the barrier at the end of one lookahead window, in which each task runs
 // its host's firings up to the next serial step (DESIGN.md §5e). Tasks must
@@ -56,6 +58,11 @@ class ShardPool {
   /// barrier completes, and the exception of the lowest-indexed failing
   /// task is rethrown here.
   void run(std::size_t n, const std::function<void(std::size_t)>& body);
+
+  /// True on a thread that is running a task of a pool with workers; an
+  /// engine asked to dispatch a sweep there runs it inline instead of
+  /// opening a nested pool.
+  [[nodiscard]] static bool in_task();
 
  private:
   void worker_loop();
