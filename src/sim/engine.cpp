@@ -39,9 +39,10 @@ constexpr std::size_t kMaxWindow = 256;
 Engine::Engine(std::uint64_t seed) : rng_(seed) {
   // Reject the retired variable loudly: a stale script would otherwise run
   // with a different shard count than it asks for and never know.
-  if (std::getenv("PERFCLOUD_SHARDS") != nullptr) {
+  if (const char* retired = std::getenv("PERFCLOUD_SHARDS")) {
     throw std::invalid_argument(
-        "PERFCLOUD_SHARDS is no longer read: the engine works out its shard count; set "
+        "PERFCLOUD_SHARDS='" + std::string(retired) +
+        "' is no longer read: the engine works out its shard count; set "
         "PERFCLOUD_THREADS to cap every pool (shards and runner threads) instead");
   }
   shards_ = thread_override().value_or(0);

@@ -88,6 +88,25 @@ TEST(SchedulerEnv, SetShardsRejectsOutOfRange) {
   EXPECT_EQ(e.shards(), 4096u);
 }
 
+TEST(SchedulerEnv, ValidShardsParses) {
+  // The shard count now comes from the one override.
+  ScopedEnv retired("PERFCLOUD_SHARDS", nullptr);
+  ScopedEnv env("PERFCLOUD_THREADS", "8");
+  EXPECT_EQ(Engine().shards(), 8u);
+}
+
+TEST(SchedulerEnv, GarbageShardsErrorNamesTheVariable) {
+  // The retired variable is rejected whatever it holds, naming it and its value.
+  ScopedEnv env("PERFCLOUD_SHARDS", "abc");
+  try {
+    Engine e;
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_NE(std::string(err.what()).find("PERFCLOUD_SHARDS"), std::string::npos);
+    EXPECT_NE(std::string(err.what()).find("abc"), std::string::npos);
+  }
+}
+
 TEST(ParallelRunnerEnv, ValidThreadsParses) {
   ScopedEnv env("PERFCLOUD_THREADS", "3");
   EXPECT_EQ(exp::ParallelRunner().threads(), 3u);
