@@ -2,7 +2,8 @@
 # Full check: the test suite under ASan+UBSan (plus a sharded perf-label
 # sweep), the same suite under TSan with the host shard sweeps actually
 # parallel (PERFCLOUD_THREADS=4, the one parallelism override: every
-# top-level engine runs 4 shards and every runner 4 threads), the
+# top-level engine runs 4 shards and every runner 4 threads), the golden
+# output manifest on the release build at PERFCLOUD_THREADS=4, the
 # zero-steady-state-allocation gate on the release build, and determinism
 # gates diffing real bench output across shard counts, runner thread counts
 # and emission modes.
@@ -35,6 +36,18 @@ cmake --build --preset tsan -j "$(nproc)"
 # the parallel half, which is exactly the boundary a racy shard handoff
 # would corrupt.
 PERFCLOUD_THREADS=4 ctest --preset tsan -j "$(nproc)" "$@"
+
+echo "== sharded golden gate (PERFCLOUD_THREADS=4) =="
+# The golden test (every figure/ablation/extension bench, the examples and
+# the chaos/trace outputs against tests/golden/outputs.sha256) is not
+# registered in the sanitizer builds and the tier-1 run leaves the thread
+# budget to the hardware. Here it runs on the full release build with every
+# top-level engine at 4 shards and every runner at 4 threads, so tick state
+# that leaks between hosts ticked on one thread, or between threads, moves a
+# hash.
+cmake --preset release
+cmake --build --preset release -j "$(nproc)"
+PERFCLOUD_THREADS=4 ctest --preset release -L golden
 
 echo "== shard count determinism gate =="
 # A multi-host figure bench must emit byte-identical stdout for any shard

@@ -20,7 +20,9 @@
 // contiguous arrays and allocates nothing. The registry view (app grouping
 // + suspects) is cached against the cloud's registry version and rebuilt
 // only when placement changes. Per-quantum scratch (sample pointers,
-// suspect signal lists) is reused per-thread vectors (see sim/scratch.hpp).
+// suspect signal lists) is reused function-local thread_local vectors: each
+// thread has its own, and they stay live until local_step is next called on
+// that thread, so local_step must not be re-entered on its own thread.
 #pragma once
 
 #include <map>

@@ -33,6 +33,7 @@ void weighted_fair_allocate(double capacity, std::span<const Claim> claims,
     if (active_weight <= 0.0 || remaining <= 1e-15) break;
 
     bool any_frozen = false;
+    bool all_frozen = true;
     double handed_out = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       const double w = want(claims[i]);
@@ -46,10 +47,14 @@ void weighted_fair_allocate(double capacity, std::span<const Claim> claims,
       } else {
         granted[i] += share;
         handed_out += share;
+        all_frozen = false;
       }
     }
+    // Everyone got exactly their proportional share, or every active
+    // claimant now holds its want (the usual CPU shape), in which case the
+    // next round would find no active weight and stop anyway.
+    if (!any_frozen || all_frozen) break;
     remaining -= handed_out;
-    if (!any_frozen) break;  // everyone got exactly their proportional share
   }
 }
 

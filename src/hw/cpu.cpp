@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "hw/allocation.hpp"
-#include "sim/scratch.hpp"
 
 namespace perfcloud::hw {
 
@@ -16,8 +15,10 @@ void CpuScheduler::allocate(double dt, std::span<const TenantDemand> demands,
     std::fill(core_seconds.begin(), core_seconds.end(), 0.0);
     return;
   }
+  // Per-thread scratch, sized but not cleared (every claim is written
+  // below); live until the next call on this thread.
   thread_local std::vector<Claim> claims;
-  sim::refill(claims, demands.size());
+  claims.resize(demands.size());
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const TenantDemand& d = demands[i];
     claims[i] = Claim{

@@ -29,8 +29,8 @@ class CpuScheduler {
   /// Allocate core-seconds for one tick: writes one grant per demand, in
   /// order, into `core_seconds` (same size as `demands`). Instruction
   /// retirement is computed by the memory model afterwards (CPI depends on
-  /// LLC/bandwidth contention). Scratch is a reused per-thread vector
-  /// (see sim/scratch.hpp).
+  /// LLC/bandwidth contention). Scratch is a reused per-thread vector, so
+  /// a call must not start on a thread where another is still running.
   void allocate(double dt, std::span<const TenantDemand> demands,
                 std::span<double> core_seconds) const;
 

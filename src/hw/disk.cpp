@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "hw/allocation.hpp"
-#include "sim/scratch.hpp"
 
 namespace perfcloud::hw {
 
@@ -30,20 +29,29 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
   const double inv_bw = 1.0 / (cfg_.bw_capacity * degradation_);  // transfer cost per byte
 
   // Advance each tenant's AR(1) jitter state (stationary standard normal).
-  const double phi = std::exp(-dt / cfg_.jitter_correlation_time);
-  const double innov = std::sqrt(std::max(0.0, 1.0 - phi * phi));
+  ar1_.update(cfg_.jitter_correlation_time, dt);
+  const double phi = ar1_.phi;
+  const double innov = ar1_.innov;
   for (const TenantDemand& d : demands) {
     assert(d.noise != nullptr);
     d.noise->disk_z = phi * d.noise->disk_z + innov * rng_.normal();
   }
 
-  // 1. Apply blkio throttles: scale ops and bytes together so the request
-  //    mix is preserved (the throttler delays whole requests).
+  // Scratch is per thread, sized but not cleared (every element is written
+  // before it is read), and live until the next call on this thread.
   thread_local std::vector<double> ops;
   thread_local std::vector<double> bytes;
-  sim::refill(ops, n);
-  sim::refill(bytes, n);
+  thread_local std::vector<Claim> claims;
+  thread_local std::vector<double> granted_sec;
+  ops.resize(n);
+  bytes.resize(n);
+  claims.resize(n);
+  granted_sec.resize(n);
+  double total_need = 0.0;
+  double bursty_need = 0.0;  // device-seconds offered by deep-queue tenants
   for (std::size_t i = 0; i < n; ++i) {
+    // 1. Apply blkio throttles: scale ops and bytes together so the
+    //    request mix is preserved (the throttler delays whole requests).
     const TenantDemand& d = demands[i];
     double scale = 1.0;
     if (d.io_bytes > 0.0 && d.io_cap_bytes_per_sec != kNoCap) {
@@ -52,24 +60,17 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
     scale = std::clamp(scale, 0.0, 1.0);
     ops[i] = d.io_ops * scale;
     bytes[i] = d.io_bytes * scale;
-  }
 
-  // 2. Convert to device-seconds (each op costs a seek plus its transfer)
-  //    and water-fill the device's dt seconds of service capacity.
-  thread_local std::vector<Claim> claims;
-  sim::refill(claims, n);
-  double total_need = 0.0;
-  double bursty_need = 0.0;  // device-seconds offered by deep-queue tenants
-  for (std::size_t i = 0; i < n; ++i) {
+    // 2. Convert to device-seconds (each op costs a seek plus its
+    //    transfer); the device's dt seconds of service capacity are
+    //    water-filled below.
     const double need = ops[i] * t_op + bytes[i] * inv_bw;
-    claims[i] = Claim{.demand = need, .weight = demands[i].io_weight, .cap = need};
+    claims[i] = Claim{.demand = need, .weight = d.io_weight, .cap = need};
     total_need += need;
     // "Burstiness" of a stream: the fraction of its queue occupancy beyond
     // a fair shallow queue, 1 - 1/weight, times its offered device time.
     bursty_need += (1.0 - 1.0 / std::max(demands[i].io_weight, 1.0)) * need;
   }
-  thread_local std::vector<double> granted_sec;
-  sim::refill(granted_sec, n);
   weighted_fair_allocate(dt, claims, granted_sec);
 
   const double rho = total_need / dt;

@@ -81,8 +81,8 @@ class BlockDevice {
   /// (scaling ops and bytes together), then device time (seek + transfer
   /// cost) is allocated by weighted fair sharing. Advances each demand's
   /// `noise->disk_z`. Writes one grant per demand into `grants` (same size
-  /// as `demands`); scratch is reused per-thread vectors (see
-  /// sim/scratch.hpp).
+  /// as `demands`); scratch is reused per-thread vectors, so a call must
+  /// not start on a thread where another is still running.
   void serve(double dt, std::span<const TenantDemand> demands, std::span<DiskGrant> grants);
 
   /// Device utilization of the last served tick (demand over capacity; can
@@ -94,6 +94,7 @@ class BlockDevice {
   sim::Rng rng_;
   double last_utilization_ = 0.0;
   double degradation_ = 1.0;  ///< Fault-injected throughput multiplier.
+  Ar1Step ar1_;               ///< Jitter step for the last tick length.
 };
 
 }  // namespace perfcloud::hw

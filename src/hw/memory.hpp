@@ -7,6 +7,7 @@
 // memory bandwidth (§III-A.2).
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 #include "hw/tenant.hpp"
@@ -66,17 +67,30 @@ class MemorySystem {
   /// one grant per demand is written into `grants` (all three spans the
   /// same size). Draws a placement factor, in demand order, for each tenant
   /// whose `noise->placement` is 0, then advances every `noise->mem_z`.
-  /// Scratch is reused per-thread vectors (see sim/scratch.hpp).
   void compute(double dt, std::span<const TenantDemand> demands,
                std::span<const double> cpu_core_seconds, std::span<MemoryGrant> grants);
+  /// The same model over only the rows listed in `members` (ascending
+  /// indices into all three spans), read and written in place: the result
+  /// is what compute() gives for a copy of just those rows. Other rows are
+  /// neither read nor written.
+  void compute(double dt, std::span<const TenantDemand> demands,
+               std::span<const double> cpu_core_seconds, std::span<MemoryGrant> grants,
+               std::span<const std::size_t> members);
 
   /// Bandwidth utilization (demand over capacity) of the last tick.
   [[nodiscard]] double last_bw_utilization() const { return last_bw_utilization_; }
 
  private:
+  /// Both compute() overloads: the model over `n` rows, the j-th being
+  /// row(j) of the spans.
+  template <class Row>
+  void model(double dt, std::size_t n, Row row, std::span<const TenantDemand> demands,
+             std::span<const double> cpu_core_seconds, std::span<MemoryGrant> grants);
+
   MemoryConfig cfg_;
   sim::Rng rng_;
   double last_bw_utilization_ = 0.0;
+  Ar1Step ar1_;  ///< Jitter step for the last tick length.
 };
 
 }  // namespace perfcloud::hw

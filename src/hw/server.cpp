@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/scratch.hpp"
 
 namespace perfcloud::hw {
 
@@ -30,44 +29,42 @@ void Server::arbitrate(double dt, std::span<const TenantDemand> demands,
   const std::size_t n = demands.size();
   if (n == 0) return;
 
+  // Per-thread columns, sized but not cleared: every element is written
+  // before it is read. They stay live until the next call on this thread,
+  // which must not start while this one runs.
+  thread_local std::vector<double> cpu_sec;
+  thread_local std::vector<MemoryGrant> mem;
+  thread_local std::vector<DiskGrant> disk;
+  thread_local std::vector<std::size_t> members;
+  cpu_sec.resize(n);
+  mem.resize(n);
+  disk.resize(n);
+
   // CPU first: instruction retirement depends on the memory model, which in
   // turn needs to know how much CPU time each tenant ran.
-  thread_local std::vector<double> cpu_sec;
-  sim::refill(cpu_sec, n);
   cpu_.allocate(dt, demands, cpu_sec);
 
-  // Memory contention is per NUMA socket: partition the tenants (in
-  // ascending index order), run each socket's model on its residents, and
-  // scatter the results back. Tenants without memory join no socket.
-  thread_local std::vector<MemoryGrant> mem;
-  thread_local std::vector<TenantDemand> socket_demands;
-  thread_local std::vector<double> socket_cpu;
-  thread_local std::vector<MemoryGrant> socket_mem;
-  thread_local std::vector<std::size_t> index;
-  sim::refill(mem, n);
-  sim::refill(socket_demands, n);
-  sim::refill(socket_cpu, n);
-  sim::refill(socket_mem, n);
-  sim::refill(index, n);
-  for (int s = 0; s < cfg_.sockets; ++s) {
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (demands[i].numa_node == kNoMemoryTenant) continue;
-      const int node = std::clamp(demands[i].numa_node, 0, cfg_.sockets - 1);
-      if (node != s) continue;
-      socket_demands[k] = demands[i];
-      socket_cpu[k] = cpu_sec[i];
-      index[k] = i;
-      ++k;
+  // Memory contention is per NUMA socket. On one socket with every tenant
+  // in the memory model, the model reads the rows in place; otherwise each
+  // socket's model runs on the ascending list of its residents' rows.
+  // Tenants without memory join no socket and get an empty memory grant.
+  const auto no_memory = [](const TenantDemand& d) { return d.numa_node == kNoMemoryTenant; };
+  if (cfg_.sockets == 1 && std::none_of(demands.begin(), demands.end(), no_memory)) {
+    memory_.front().compute(dt, demands, cpu_sec, mem);
+  } else {
+    for (int s = 0; s < cfg_.sockets; ++s) {
+      members.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (no_memory(demands[i])) {
+          if (s == 0) mem[i] = MemoryGrant{};
+        } else if (std::clamp(demands[i].numa_node, 0, cfg_.sockets - 1) == s) {
+          members.push_back(i);
+        }
+      }
+      memory_[static_cast<std::size_t>(s)].compute(dt, demands, cpu_sec, mem, members);
     }
-    if (k == 0) continue;
-    memory_[static_cast<std::size_t>(s)].compute(dt, {socket_demands.data(), k},
-                                                 {socket_cpu.data(), k}, {socket_mem.data(), k});
-    for (std::size_t j = 0; j < k; ++j) mem[index[j]] = socket_mem[j];
   }
 
-  thread_local std::vector<DiskGrant> disk;
-  sim::refill(disk, n);
   disk_.serve(dt, demands, disk);
 
   const double clock = cpu_.config().clock_hz;

@@ -43,8 +43,8 @@ class Server {
 
   /// Arbitrate one tick: writes one grant per demand into `grants` (same
   /// size as `demands`) and advances each demand's `noise`. Scratch is
-  /// reused per-thread vectors (see sim/scratch.hpp), so a warmed tick
-  /// never allocates.
+  /// reused per-thread vectors, so a warmed tick never allocates; a call
+  /// must not start on a thread where another is still running.
   void arbitrate(double dt, std::span<const TenantDemand> demands,
                  std::span<TenantGrant> grants);
 

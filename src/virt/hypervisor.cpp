@@ -1,13 +1,11 @@
 #include "virt/hypervisor.hpp"
 
-#include <atomic>
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 #include <string>
-
-#include "sim/scratch.hpp"
+#include <vector>
 
 namespace perfcloud::virt {
 
@@ -104,65 +102,80 @@ void Hypervisor::end_migration_in(int vm_id) {
   std::erase_if(migration_in_, [&](const MigrationInflow& f) { return f.vm_id == vm_id; });
 }
 
-bool Hypervisor::is_quiescent(sim::SimTime now) const {
+namespace {
+/// A resident VM leaves its host quiescent when it presents no demand
+/// (`idle`), is not paused and carries no cgroup cap.
+bool stays_quiet(const Vm& vm, bool idle) {
+  const Cgroup& cg = vm.cgroup();
+  return idle && !vm.paused() && cg.cpu_quota_cores() == hw::kNoCap &&
+         cg.blkio_throttle_bps() == hw::kNoCap;
+}
+}  // namespace
+
+bool Hypervisor::host_may_be_quiet() const {
   // An incoming pre-copy stream keeps the disk busy every tick.
-  if (!migration_in_.empty()) return false;
-  if (server_.disk_degradation() != 1.0) return false;
-  for (const auto& vm : vms_) {
-    if (vm->paused()) return false;
-    const GuestWorkload* guest = vm->guest();
-    if (guest != nullptr && !guest->finished(now)) return false;
-    const Cgroup& cg = vm->cgroup();
-    if (cg.cpu_quota_cores() != hw::kNoCap || cg.blkio_throttle_bps() != hw::kNoCap) return false;
-  }
-  return true;
+  return migration_in_.empty() && server_.disk_degradation() == 1.0;
+}
+
+bool Hypervisor::is_quiescent(sim::SimTime now) const {
+  return host_may_be_quiet() && std::all_of(vms_.begin(), vms_.end(), [now](const auto& vm) {
+           return stays_quiet(*vm, vm->idle(now));
+         });
 }
 
 void Hypervisor::tick(sim::SimTime now, double dt) {
+  const std::size_t residents = vms_.size();
+  const std::size_t rows = residents + migration_in_.size();
+  demands_.resize(rows);
+  grants_.resize(rows);
+  idle_.resize(residents);
+
+  // The one guest scan: each VM's idle flag (the only finished() call its
+  // guest gets this tick), its demand row, and whether the host is
+  // quiescent. Socket, pause, guest and caps are read here every tick, so
+  // changes made straight on a Vm or its cgroup bind on the next tick.
+  bool quiet = host_may_be_quiet();
+  for (std::size_t i = 0; i < residents; ++i) {
+    Vm& vm = *vms_[i];
+    const bool idle = vm.idle(now);
+    idle_[i] = idle;
+    quiet = quiet && stays_quiet(vm, idle);
+    hw::TenantDemand& d = demands_[i];
+    d = idle ? hw::TenantDemand{} : vm.guest()->demand(now, dt);
+    // The guest can never demand more CPU than its vCPUs can run.
+    d.cpu_core_seconds = std::min(d.cpu_core_seconds, static_cast<double>(vm.vcpus()) * dt);
+    // Attach the cgroup's caps.
+    const Cgroup& cg = vm.cgroup();
+    d.cpu_cap_cores = std::min(cg.cpu_quota_cores(), static_cast<double>(vm.vcpus()));
+    d.io_cap_bytes_per_sec = cg.blkio_throttle_bps();
+    d.numa_node = vm.numa_node();
+    d.noise = &vm.noise();
+  }
   // Idle-host early-out: a quiescent host has all-zero demand, so the whole
   // arbitrate/account/apply round changes no counter — skip it (at the cost
   // of the noise-stream shift documented on tick()).
-  if (idle_fastpath_enabled() && is_quiescent(now)) return;
-
-  thread_local std::vector<hw::TenantDemand> demands;
-  demands.clear();
-  for (const auto& vm : vms_) {
-    hw::TenantDemand d{};
-    if (!vm->idle(now)) {
-      d = vm->guest()->demand(now, dt);
-    }
-    // The guest can never demand more CPU than its vCPUs can run.
-    d.cpu_core_seconds = std::min(d.cpu_core_seconds, static_cast<double>(vm->vcpus()) * dt);
-    // Attach the cgroup's caps.
-    const Cgroup& cg = vm->cgroup();
-    d.cpu_cap_cores = std::min(cg.cpu_quota_cores(), static_cast<double>(vm->vcpus()));
-    d.io_cap_bytes_per_sec = cg.blkio_throttle_bps();
-    d.numa_node = vm->numa_node();
-    d.noise = &vm->noise();
-    demands.push_back(d);
-  }
+  if (quiet && idle_fastpath_enabled()) return;
 
   // Incoming pre-copy streams, after the resident VMs. Pages land as large
-  // sequential writes; the grants routed back to these slots are discarded
-  // below. A stream only writes to disk, so it stays out of the memory
-  // model and moves no resident's CPI noise.
+  // sequential writes; the grants routed back to these rows are discarded.
+  // A stream only writes to disk, so it stays out of the memory model and
+  // moves no resident's CPI noise.
   constexpr double kMigrationIoBlockBytes = 1.0 * 1024 * 1024;
-  for (MigrationInflow& f : migration_in_) {
-    hw::TenantDemand d{};
+  for (std::size_t k = 0; k < migration_in_.size(); ++k) {
+    MigrationInflow& f = migration_in_[k];
+    hw::TenantDemand& d = demands_[residents + k];
+    d = hw::TenantDemand{};
     d.io_bytes = f.bytes_per_sec * dt;
     d.io_ops = d.io_bytes / kMigrationIoBlockBytes;
     d.numa_node = hw::kNoMemoryTenant;
     d.noise = &f.noise;
-    demands.push_back(d);
   }
 
-  thread_local std::vector<hw::TenantGrant> grants;
-  sim::refill(grants, demands.size());
-  server_.arbitrate(dt, demands, grants);
-  for (std::size_t i = 0; i < vms_.size(); ++i) {
+  server_.arbitrate(dt, demands_, grants_);
+  for (std::size_t i = 0; i < residents; ++i) {
     Vm& vm = *vms_[i];
-    vm.cgroup().account(grants[i]);
-    if (!vm.idle(now)) vm.guest()->apply(grants[i], now, dt);
+    vm.cgroup().account(grants_[i]);
+    if (!idle_[i]) vm.guest()->apply(grants_[i], now, dt);
   }
 }
 

@@ -61,13 +61,22 @@ class Hypervisor {
   /// counters (and the deviation signals built on them) therefore differ
   /// from an always-full tick; its grants do not.
   /// Quiescence.ReactivatedHostNoiseDiffersFromFullTick pins this.
+  ///
+  /// One scan over the residents per tick fills their demand rows and idle
+  /// flags (asking each guest's finished() once) and decides quiescence,
+  /// all from current state, so a Vm's socket, pause flag or guest changed
+  /// without going through the hypervisor binds on the next tick. The rows
+  /// are kept by the host, sized here to residents plus inflows: they
+  /// change size only after boot/evict/adopt/begin_/end_migration_in, and
+  /// keep their capacity, so a warmed host's tick does not allocate.
   void tick(sim::SimTime now, double dt);
 
   /// True when nothing on this host can change a counter during a tick:
   /// every resident VM is unpaused with no guest (or a finished one) and
   /// carries no cgroup cap, no migration stream is landing, and the disk is
-  /// not degraded by a fault. Computed from current state on every call,
-  /// O(#vms).
+  /// not degraded by a fault. A side-effect-free query, computed from
+  /// current state on every call, O(#vms); tick() decides the same thing in
+  /// its own scan.
   [[nodiscard]] bool is_quiescent(sim::SimTime now) const;
 
   // --- Live-migration inflows (destination side, DESIGN.md §5j) ---
@@ -102,6 +111,8 @@ class Hypervisor {
   Vm& require(int vm_id);
   [[nodiscard]] const Vm& require(int vm_id) const;
   [[nodiscard]] int pick_numa_node() const;
+  /// No inflow and a healthy disk: the host-level half of is_quiescent.
+  [[nodiscard]] bool host_may_be_quiet() const;
 
   struct MigrationInflow {
     int vm_id = 0;
@@ -114,6 +125,11 @@ class Hypervisor {
   /// Active incoming pre-copy streams, in begin order; their demands follow
   /// the resident VMs' each tick.
   std::vector<MigrationInflow> migration_in_;
+  /// Tick rows: one per resident VM (in vms_ order), then one per inflow.
+  /// Rewritten in full each tick; only their sizes carry over.
+  std::vector<hw::TenantDemand> demands_;
+  std::vector<hw::TenantGrant> grants_;
+  std::vector<unsigned char> idle_;  ///< Per resident: no demand, no apply this tick.
 };
 
 }  // namespace perfcloud::virt

@@ -34,8 +34,9 @@ hw::TenantDemand ScaleOutWorker::demand(sim::SimTime /*now*/, double dt) {
   total.cpi_base = 1.0;
   total.mem_sensitivity = 1.0;
 
-  cpu_share_.assign(attempts_.size(), 0.0);
-  io_share_.assign(attempts_.size(), 0.0);
+  // Sized, not cleared: the loop below writes every share.
+  cpu_share_.resize(attempts_.size());
+  io_share_.resize(attempts_.size());
 
   double cpu_sum = 0.0;
   double io_sum = 0.0;

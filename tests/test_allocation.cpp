@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -134,6 +136,16 @@ std::vector<double> reference_allocate(double capacity, std::span<const Claim> c
   return granted;
 }
 
+void expect_matches_reference(double capacity, std::span<const Claim> claims, int trial) {
+  const std::vector<double> expected = reference_allocate(capacity, claims);
+  const std::vector<double> got = allocate(capacity, claims);
+  ASSERT_EQ(got.size(), expected.size());
+  if (!claims.empty()) {
+    ASSERT_EQ(std::memcmp(got.data(), expected.data(), claims.size() * sizeof(double)), 0)
+        << "trial " << trial << ", n " << claims.size() << ", capacity " << capacity;
+  }
+}
+
 TEST(WeightedFairAllocate, MatchesReferenceBitForBit) {
   // 2000 seeded claim sets covering every branch: empty sets, zero and
   // negative capacity, zero demand, zero/negative/kNoCap caps, caps equal to
@@ -166,13 +178,39 @@ TEST(WeightedFairAllocate, MatchesReferenceBitForBit) {
                             : pick < 0.25 ? total_demand
                                           : rng.uniform(0.0, 1.5 * total_demand + 1.0);
 
-    const std::vector<double> expected = reference_allocate(capacity, claims);
-    const std::vector<double> got = allocate(capacity, claims);
-    ASSERT_EQ(got.size(), expected.size());
-    if (n > 0) {
-      ASSERT_EQ(std::memcmp(got.data(), expected.data(), n * sizeof(double)), 0)
-          << "trial " << trial << ", n " << n << ", capacity " << capacity;
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(capacity, claims, trial));
+  }
+
+  // The round that freezes every active claimant returns at once. Drive it
+  // at its edges: capacity exactly the total want and one ulp either side
+  // of it, with unequal weights (one ulp short leaves at least one claimant
+  // a hair under its want, so a second round runs), and the all-fit CPU
+  // shape, uncapped demands far below capacity.
+  sim::Rng edge(0xed9e5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<std::size_t>(edge.uniform_int(1, 40));
+    std::vector<Claim> claims(n);
+    const bool all_fit = trial % 4 == 3;
+    double total_want = 0.0;
+    for (Claim& c : claims) {
+      if (all_fit) {
+        c.demand = edge.bernoulli(0.1) ? 0.0 : edge.uniform(0.0, 0.5);
+        c.weight = 1.0;
+        c.cap = edge.bernoulli(0.5) ? kNoCap : 2.0;
+      } else {
+        c.demand = edge.bernoulli(0.1) ? 0.0 : edge.uniform(0.0, 20.0);
+        c.weight = edge.uniform(0.1, 10.0);
+        c.cap = edge.bernoulli(0.5) ? kNoCap : edge.uniform(0.0, 15.0);
+      }
+      total_want += std::min(c.demand, std::max(0.0, c.cap));
     }
+    double capacity = 48.0 * 0.25;
+    if (!all_fit) {
+      capacity = trial % 4 == 0   ? total_want
+                 : trial % 4 == 1 ? std::nextafter(total_want, kNoCap)
+                                  : std::nextafter(total_want, -kNoCap);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(capacity, claims, trial));
   }
 }
 

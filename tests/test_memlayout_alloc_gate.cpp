@@ -7,11 +7,14 @@
 // deviation-signal appends, incremental identification against a live
 // suspect, identification bookkeeping — allocates nothing. The same holds for
 // one warmed host tick — demand collection, CPU/memory/disk arbitration and
-// accounting — whose scratch is reused per-thread vectors, for the
+// accounting — whose rows the host keeps and whose model scratch is reused
+// per-thread vectors (also once re-warmed after residency changes), for the
 // engine's periodic re-arm and for its windowed sweep dispatch. check.sh
 // runs these tests as a release-build gate.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
 #include <string_view>
 #include <vector>
 
@@ -108,62 +111,107 @@ TEST(AllocGate, SteadyStateQuantumPerformsZeroHeapAllocations) {
   EXPECT_EQ(after.frees - before.frees, 0u);
 }
 
+/// A busy host: six Hadoop workers inside terasort tasks far too long to
+/// finish in the window (task churn is episodic and may allocate), fio
+/// under a blkio throttle, STREAM, and an incoming migration page stream
+/// (VM 9999). Two sockets take the per-socket path of Server::arbitrate.
+exp::Cluster make_busy_host(int sockets) {
+  exp::ClusterParams p;
+  p.workers = 6;
+  p.seed = 43;
+  p.shards = 1;
+  p.server.sockets = sockets;
+  exp::Cluster c = exp::make_cluster(p);
+  const int fio = exp::add_fio(c, "host-0");
+  exp::add_stream(c, "host-0", wl::StreamBenchmark::Params{.threads = 4});
+  wl::JobSpec job = wl::make_terasort(12, 6);
+  for (wl::StageSpec& stage : job.stages) {
+    for (wl::PhaseSpec& phase : stage.task.phases) {
+      phase.instructions *= 1000.0;
+      phase.io_ops *= 1000.0;
+      phase.io_bytes *= 1000.0;
+    }
+  }
+  c.framework->submit(job);
+  exp::run_for(c, 20.0);  // tasks placed and running
+
+  virt::Hypervisor& hv = c.cloud->host("host-0");
+  hv.set_blkio_throttle(fio, 20.0e6);
+  hv.begin_migration_in(9999, 50.0e6);
+  return c;
+}
+
+/// Ticks `hv` by hand `ticks` times from `now` (the engine is idle, so this
+/// thread owns the host) and returns the heap allocations they made.
+sim::AllocGaugeSnapshot tick_allocs(virt::Hypervisor& hv, sim::SimTime& now, int ticks) {
+  constexpr double kDt = 0.1;
+  const sim::AllocGaugeSnapshot before = sim::alloc_gauge_read();
+  for (int i = 0; i < ticks; ++i) {
+    now += kDt;
+    hv.tick(now, kDt);
+  }
+  const sim::AllocGaugeSnapshot after = sim::alloc_gauge_read();
+  return {.allocs = after.allocs - before.allocs,
+          .frees = after.frees - before.frees,
+          .bytes = after.bytes - before.bytes};
+}
+
 TEST(AllocGate, WarmedHostTickPerformsZeroHeapAllocations) {
   ASSERT_TRUE(sim::alloc_gauge_linked());
-
-  // A busy host: six Hadoop workers inside terasort tasks far too long to
-  // finish in the window (task churn is episodic and may allocate), fio
-  // under a blkio throttle, STREAM, and an incoming migration page stream.
-  // Two sockets take the per-socket gather path of Server::arbitrate.
   for (const int sockets : {1, 2}) {
     SCOPED_TRACE(sockets);
-    exp::ClusterParams p;
-    p.workers = 6;
-    p.seed = 43;
-    p.shards = 1;
-    p.server.sockets = sockets;
-    exp::Cluster c = exp::make_cluster(p);
-    const int fio = exp::add_fio(c, "host-0");
-    exp::add_stream(c, "host-0", wl::StreamBenchmark::Params{.threads = 4});
-    wl::JobSpec job = wl::make_terasort(12, 6);
-    for (wl::StageSpec& stage : job.stages) {
-      for (wl::PhaseSpec& phase : stage.task.phases) {
-        phase.instructions *= 1000.0;
-        phase.io_ops *= 1000.0;
-        phase.io_bytes *= 1000.0;
-      }
-    }
-    c.framework->submit(job);
-    exp::run_for(c, 20.0);  // tasks placed and running
-
+    exp::Cluster c = make_busy_host(sockets);
     virt::Hypervisor& hv = c.cloud->host("host-0");
-    hv.set_blkio_throttle(fio, 20.0e6);
-    hv.begin_migration_in(9999, 50.0e6);
     ASSERT_FALSE(hv.is_quiescent(c.engine->now()));
 
-    // Drive ticks by hand (the engine is idle, so this thread owns the host).
-    constexpr double kDt = 0.1;
     sim::SimTime now = c.engine->now();
-    for (int i = 0; i < 20; ++i) {
-      now += kDt;
-      hv.tick(now, kDt);
-    }
+    (void)tick_allocs(hv, now, 20);
     const double cpu_before = hv.dom_stats(c.worker_vm_ids.front()).cpu_time_s;
 
-    const sim::AllocGaugeSnapshot before = sim::alloc_gauge_read();
     constexpr int kTicks = 50;
-    for (int i = 0; i < kTicks; ++i) {
-      now += kDt;
-      hv.tick(now, kDt);
-    }
-    const sim::AllocGaugeSnapshot after = sim::alloc_gauge_read();
+    const sim::AllocGaugeSnapshot d = tick_allocs(hv, now, kTicks);
 
     // The window really arbitrated work.
     EXPECT_GT(hv.dom_stats(c.worker_vm_ids.front()).cpu_time_s, cpu_before);
-    EXPECT_EQ(after.allocs - before.allocs, 0u)
-        << "warmed host tick allocated: " << (after.allocs - before.allocs) << " allocations, "
-        << (after.bytes - before.bytes) << " bytes over " << kTicks << " ticks";
-    EXPECT_EQ(after.frees - before.frees, 0u);
+    EXPECT_EQ(d.allocs, 0u) << "warmed host tick allocated: " << d.allocs << " allocations, "
+                            << d.bytes << " bytes over " << kTicks << " ticks";
+    EXPECT_EQ(d.frees, 0u);
+  }
+}
+
+TEST(AllocGate, HostTickRewarmsInOneTickAfterResidencyChanges) {
+  // The host keeps its tick rows across ticks and resizes them when its
+  // residents or inflows change. After each such change one tick may
+  // allocate (re-warming); the 50 after it must not.
+  ASSERT_TRUE(sim::alloc_gauge_linked());
+  for (const int sockets : {1, 2}) {
+    SCOPED_TRACE(sockets);
+    exp::Cluster c = make_busy_host(sockets);
+    virt::Hypervisor& hv = c.cloud->host("host-0");
+    sim::SimTime now = c.engine->now();
+    (void)tick_allocs(hv, now, 20);
+
+    const int worker = c.worker_vm_ids.front();
+    const std::function<void()> changes[] = {
+        [&] { hv.adopt(hv.evict(worker)); },
+        [&] { hv.begin_migration_in(9998, 80.0e6); },
+        [&] { hv.end_migration_in(9999); },
+        [&] { hv.end_migration_in(9998); },
+    };
+    for (std::size_t k = 0; k < std::size(changes); ++k) {
+      SCOPED_TRACE(k);
+      changes[k]();
+      (void)tick_allocs(hv, now, 1);
+      const double cpu_before = hv.dom_stats(worker).cpu_time_s;
+      constexpr int kTicks = 50;
+      const sim::AllocGaugeSnapshot d = tick_allocs(hv, now, kTicks);
+      EXPECT_GT(hv.dom_stats(worker).cpu_time_s, cpu_before);
+      EXPECT_EQ(d.allocs, 0u) << "re-warmed host tick allocated: " << d.allocs
+                              << " allocations, " << d.bytes << " bytes over " << kTicks
+                              << " ticks";
+      EXPECT_EQ(d.frees, 0u);
+    }
+    EXPECT_EQ(hv.migration_inflow_count(), 0u);
   }
 }
 

@@ -361,5 +361,65 @@ TEST(Hypervisor, AdoptedVmDrawsFreshPlacement) {
   EXPECT_EQ(migrant->last_cpi, twin->last_cpi);
 }
 
+TEST(Hypervisor, VmStateChangedOutsideTheHypervisorBindsNextTick) {
+  // The hypervisor reads a VM's socket, pause flag and guest every tick, so
+  // changes made straight on the Vm (NUMA remapping, a fault's stall, a
+  // guest attached or detached) bind on the very next tick.
+  hw::ServerConfig cfg = quiet_server();
+  cfg.sockets = 2;
+  Hypervisor hv(cfg, sim::Rng(3));
+  ConstantGuest* workers[] = {
+      boot_with(hv, VmConfig{.id = 1, .numa_node = 0}, probe_demand()),
+      boot_with(hv, VmConfig{.id = 2, .numa_node = 0}, probe_demand()),
+  };
+  (void)boot_with(hv, VmConfig{.id = 3, .vcpus = 8, .numa_node = 0}, hog_demand());
+  Vm& stream = *hv.find(3);
+  int t = 0;
+  tick_at(hv, ++t);
+  tick_at(hv, ++t);
+  const double shared_cpi[] = {workers[0]->last_cpi, workers[1]->last_cpi};
+
+  // STREAM moves off the workers' socket: their CPI falls on the next tick,
+  // and is back where it was on the tick after STREAM returns.
+  stream.set_numa_node(1);
+  tick_at(hv, ++t);
+  for (int i = 0; i < 2; ++i) EXPECT_LT(workers[i]->last_cpi, shared_cpi[i]) << i;
+  stream.set_numa_node(0);
+  tick_at(hv, ++t);
+  for (int i = 0; i < 2; ++i) EXPECT_EQ(workers[i]->last_cpi, shared_cpi[i]) << i;
+
+  // A paused VM gets a zero grant from the next tick on; grants resume on
+  // the tick after the pause is lifted.
+  Vm& paused = *hv.find(1);
+  paused.set_paused(true);
+  const CgroupStats before_pause = hv.dom_stats(1);
+  const double instructions_before_pause = workers[0]->total_instructions;
+  tick_at(hv, ++t);
+  EXPECT_EQ(hv.dom_stats(1).cpu_time_s, before_pause.cpu_time_s);
+  EXPECT_EQ(hv.dom_stats(1).io_serviced_ops, before_pause.io_serviced_ops);
+  EXPECT_EQ(workers[0]->total_instructions, instructions_before_pause);
+  EXPECT_GT(workers[1]->total_instructions, 0.0);
+  paused.set_paused(false);
+  tick_at(hv, ++t);
+  EXPECT_GT(hv.dom_stats(1).cpu_time_s, before_pause.cpu_time_s);
+  EXPECT_GT(workers[0]->total_instructions, instructions_before_pause);
+
+  // A guest attached to an idle VM runs from the next tick; once detached,
+  // its VM accrues nothing.
+  Vm& spare = hv.boot(VmConfig{.id = 4, .numa_node = 1});
+  tick_at(hv, ++t);
+  EXPECT_EQ(hv.dom_stats(4).cpu_time_s, 0.0);
+  auto guest = std::make_unique<ConstantGuest>(busy_demand());
+  const ConstantGuest* attached = guest.get();
+  spare.attach(std::move(guest));
+  tick_at(hv, ++t);
+  EXPECT_GT(hv.dom_stats(4).cpu_time_s, 0.0);
+  EXPECT_GT(attached->total_instructions, 0.0);
+  spare.detach();
+  const double cpu_at_detach = hv.dom_stats(4).cpu_time_s;
+  tick_at(hv, ++t);
+  EXPECT_EQ(hv.dom_stats(4).cpu_time_s, cpu_at_detach);
+}
+
 }  // namespace
 }  // namespace perfcloud::virt
