@@ -29,9 +29,8 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
   const double inv_bw = 1.0 / (cfg_.bw_capacity * degradation_);  // transfer cost per byte
 
   // Advance each tenant's AR(1) jitter state (stationary standard normal).
-  ar1_.update(cfg_.jitter_correlation_time, dt);
-  const double phi = ar1_.phi;
-  const double innov = ar1_.innov;
+  const double phi = std::exp(-dt / cfg_.jitter_correlation_time);
+  const double innov = std::sqrt(std::max(0.0, 1.0 - phi * phi));
   for (const TenantDemand& d : demands) {
     assert(d.noise != nullptr);
     d.noise->disk_z = phi * d.noise->disk_z + innov * rng_.normal();

@@ -94,7 +94,6 @@ class BlockDevice {
   sim::Rng rng_;
   double last_utilization_ = 0.0;
   double degradation_ = 1.0;  ///< Fault-injected throughput multiplier.
-  Ar1Step ar1_;               ///< Jitter step for the last tick length.
 };
 
 }  // namespace perfcloud::hw

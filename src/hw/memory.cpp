@@ -49,9 +49,8 @@ void MemorySystem::model(double dt, std::size_t n, Row row, std::span<const Tena
       noise->placement = std::exp(cfg_.placement_spread_sigma * rng_.normal());
     }
   }
-  ar1_.update(cfg_.jitter_correlation_time, dt);
-  const double phi = ar1_.phi;
-  const double innov = ar1_.innov;
+  const double phi = std::exp(-dt / cfg_.jitter_correlation_time);
+  const double innov = std::sqrt(std::max(0.0, 1.0 - phi * phi));
   for (std::size_t j = 0; j < n; ++j) {
     TenantNoise* noise = demands[row(j)].noise;
     noise->mem_z = phi * noise->mem_z + innov * rng_.normal();

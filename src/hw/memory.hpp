@@ -90,7 +90,6 @@ class MemorySystem {
   MemoryConfig cfg_;
   sim::Rng rng_;
   double last_bw_utilization_ = 0.0;
-  Ar1Step ar1_;  ///< Jitter step for the last tick length.
 };
 
 }  // namespace perfcloud::hw

@@ -2,8 +2,6 @@
 // layer and the hardware models each arbitration tick.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "sim/types.hpp"
@@ -24,25 +22,6 @@ struct TenantNoise {
   double disk_z = 0.0;     ///< Disk wait-jitter AR(1) state (standard normal).
   double mem_z = 0.0;      ///< CPI-jitter AR(1) state (standard normal).
   double placement = 0.0;  ///< CPI placement factor exp(sigma * N) > 0; 0 = not drawn yet.
-};
-
-/// Coefficients of the AR(1) step z' = phi * z + innov * N(0, 1) that the
-/// disk and memory models apply to every tenant's jitter state each tick:
-/// phi = exp(-dt / tau) and innov = sqrt(1 - phi^2), so z stays standard
-/// normal. A model keeps them for the last tick length it saw and redoes
-/// the two calls only when dt changes (the same expressions give the same
-/// doubles).
-struct Ar1Step {
-  double dt = std::numeric_limits<double>::quiet_NaN();
-  double phi = 0.0;
-  double innov = 0.0;
-
-  void update(double tau, double tick_dt) {
-    if (tick_dt == dt) return;
-    dt = tick_dt;
-    phi = std::exp(-tick_dt / tau);
-    innov = std::sqrt(std::max(0.0, 1.0 - phi * phi));
-  }
 };
 
 /// What one tenant (cgroup/VM) asks of the physical server for one tick.
