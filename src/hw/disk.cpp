@@ -68,7 +68,7 @@ void BlockDevice::serve(double dt, std::span<const TenantDemand> demands,
     total_need += need;
     // "Burstiness" of a stream: the fraction of its queue occupancy beyond
     // a fair shallow queue, 1 - 1/weight, times its offered device time.
-    bursty_need += (1.0 - 1.0 / std::max(demands[i].io_weight, 1.0)) * need;
+    bursty_need += (1.0 - 1.0 / std::max(d.io_weight, 1.0)) * need;
   }
   weighted_fair_allocate(dt, claims, granted_sec);
 
