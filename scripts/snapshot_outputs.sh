@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Snapshot every deterministic output of the simulator into OUT_DIR: the
-# stdout of all figure/ablation/extension benches and of the five examples,
-# plus the trace/event files chaos_resilience and perfcloud_sim write.
+# stdout of all figure/ablation/extension benches, of the migration and
+# policy micro benches, and of the five examples, plus the trace/event files
+# chaos_resilience and perfcloud_sim write.
 # Builds the release preset of the checkout the script lives in, or, given
 # BUILD_DIR, runs the binaries already built there and builds nothing.
 # Last, it writes OUT_DIR/outputs.sha256: one `sha256sum` line per output
@@ -34,11 +35,16 @@ benches=(
   fig11_large_scale fig12_variability ext_heterogeneous ext_numa
   ext_shared_memory ablation_identification ablation_controller
 )
+# Their stdout is pure simulation output (escalation, live and
+# instantaneous migration, the migration policy); their wall-clock
+# BENCH_*.json files are written to a throwaway cwd, outside the manifest.
+micros=(micro_migrate micro_policy)
 examples=(quickstart noisy_neighbor straggler_mitigation perfcloud_sim chaos_resilience)
 
 if [[ -z $build ]]; then
   cmake --preset release > /dev/null
-  cmake --build --preset release -j "$(nproc)" --target "${benches[@]}" "${examples[@]}"
+  cmake --build --preset release -j "$(nproc)" --target "${benches[@]}" "${micros[@]}" \
+    "${examples[@]}"
   build=$(pwd)/build-release
 fi
 
@@ -46,6 +52,12 @@ fi
 for b in "${benches[@]}"; do
   echo "bench/$b"
   "$build"/bench/"$b" > "$out/$b.txt" 2> /dev/null
+done
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+for m in "${micros[@]}"; do
+  echo "bench/$m"
+  ( cd "$scratch" && "$build"/bench/"$m" > "$out/$m.txt" 2> /dev/null )
 done
 bin=$build/examples
 for e in quickstart noisy_neighbor straggler_mitigation perfcloud_sim; do
