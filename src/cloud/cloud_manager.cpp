@@ -7,6 +7,14 @@
 #include <stdexcept>
 
 namespace perfcloud::cloud {
+namespace {
+
+template <class T>
+void sort_by_id(std::vector<T>& v) {
+  std::sort(v.begin(), v.end(), [](const T& a, const T& b) { return a.id < b.id; });
+}
+
+}  // namespace
 
 virt::Hypervisor& CloudManager::add_host(hw::ServerConfig cfg) {
   if (find_host(cfg.name) != nullptr) {
@@ -52,22 +60,18 @@ virt::Vm& CloudManager::boot_vm(const std::string& host_name, virt::VmConfig cfg
   if (!h->up) throw std::invalid_argument("host " + host_name + " is down");
   cfg.id = next_vm_id_++;
   virt::Vm& vm = h->hypervisor->boot(cfg);
-  const sim::Interner::Id app =
-      vm.app_id().empty() ? sim::Interner::kInvalid : app_interner_.intern(vm.app_id());
-  registry_.push_back(VmRecord{vm.id(), vm.name(), host_name, vm.priority(), vm.app_id(), app});
+  // Interned here, on the engine thread, so records built in shard tasks
+  // only ever look it up.
+  if (!vm.app_id().empty()) app_interner_.intern(vm.app_id());
   ++registry_version_;
   return vm;
 }
 
-VmRecord* CloudManager::find_record(int vm_id) {
-  for (VmRecord& r : registry_) {
-    if (r.id == vm_id) return &r;
+CloudManager::Host* CloudManager::host_of(int vm_id) {
+  for (Host& h : hosts_) {
+    if (h.hypervisor->find(vm_id) != nullptr) return &h;
   }
   return nullptr;
-}
-
-const VmRecord* CloudManager::find_record(int vm_id) const {
-  return const_cast<CloudManager*>(this)->find_record(vm_id);
 }
 
 CloudManager::Migration* CloudManager::find_migration(int vm_id) {
@@ -111,18 +115,17 @@ void CloudManager::notify_migration(int vm_id, MigrationPhase phase, const std::
   for (const MigrationListener& listener : migration_listeners_) listener(ev);
 }
 
-void CloudManager::complete_handoff(VmRecord& record, Host& src, Host& dst) {
+void CloudManager::complete_handoff(int vm_id, Host& src, Host& dst) {
   // kDeparting while the VM is still resident on the source: listeners
   // (node managers) retire caps through the source hypervisor here.
-  notify_migration(record.id, MigrationPhase::kDeparting, src.name, dst.name);
-  dst.hypervisor->adopt(src.hypervisor->evict(record.id));
-  record.host = dst.name;
+  notify_migration(vm_id, MigrationPhase::kDeparting, src.name, dst.name);
+  dst.hypervisor->adopt(src.hypervisor->evict(vm_id));
   ++registry_version_;
   ++migrations_completed_;
-  notify_migration(record.id, MigrationPhase::kArrived, src.name, dst.name);
+  notify_migration(vm_id, MigrationPhase::kArrived, src.name, dst.name);
   if (sink_ != nullptr) {
     sink_->emit_event(sink_source_, engine_.now(),
-                      "migrate vm=" + std::to_string(record.id) + " dst=" + dst.name, 1.0);
+                      "migrate vm=" + std::to_string(vm_id) + " dst=" + dst.name, 1.0);
     sink_->bump_counter(sink_source_, "migrations");
   }
 }
@@ -131,43 +134,35 @@ void CloudManager::migrate_vm(int vm_id, const std::string& dst_host) {
   Host* dst = find_host(dst_host);
   if (dst == nullptr) throw std::invalid_argument("unknown host " + dst_host);
   if (!dst->up) throw std::invalid_argument("host " + dst_host + " is down");
-  VmRecord* record = find_record(vm_id);
-  if (record == nullptr) {
-    throw std::invalid_argument("unknown VM id " + std::to_string(vm_id));
-  }
-  if (record->host == dst_host) {
+  Host* src = host_of(vm_id);
+  if (src == nullptr) throw std::invalid_argument("unknown VM id " + std::to_string(vm_id));
+  if (src == dst) {
     throw std::invalid_argument("VM " + std::to_string(vm_id) + " is already on host " +
                                 dst_host + "; self-migration is a caller bug");
   }
   if (migration_in_flight(vm_id)) {
     throw std::logic_error("VM " + std::to_string(vm_id) + " is already migrating");
   }
-  Host* src = find_host(record->host);
   ++migrations_started_;
   if (!migration_model_.enabled()) {
-    complete_handoff(*record, *src, *dst);
+    complete_handoff(vm_id, *src, *dst);
     return;
   }
-  start_live_migration(*record, *src, *dst);
+  start_live_migration(vm_id, *src, *dst);
 }
 
-void CloudManager::start_live_migration(VmRecord& record, Host& src, Host& dst) {
-  const virt::Vm* vm = src.hypervisor->find(record.id);
-  if (vm == nullptr) {
-    throw std::logic_error("registry/hypervisor mismatch: VM " + std::to_string(record.id) +
-                           " is registered on host " + src.name + " but not resident");
-  }
-  const double copy_s = vm->config().memory / migration_model_.bandwidth_bps;
+void CloudManager::start_live_migration(int vm_id, Host& src, Host& dst) {
+  const double copy_s =
+      src.hypervisor->find(vm_id)->config().memory / migration_model_.bandwidth_bps;
   const double downtime_s = migration_model_.downtime_s;
 
   Migration m;
-  m.vm_id = record.id;
+  m.vm_id = vm_id;
   m.src = src.name;
   m.dst = dst.name;
   // The destination starts serving the page stream now; its node manager
   // sees the traffic in arbitration from the next tick on.
-  dst.hypervisor->begin_migration_in(record.id, migration_model_.bandwidth_bps);
-  const int vm_id = record.id;
+  dst.hypervisor->begin_migration_in(vm_id, migration_model_.bandwidth_bps);
   if (downtime_s > 0.0) {
     m.pause_event = engine_.at(engine_.now() + copy_s,
                                [this, vm_id](sim::SimTime) { pause_for_migration(vm_id); });
@@ -206,8 +201,7 @@ void CloudManager::finish_migration(int vm_id) {
   Host* src = find_host(m.src);
   Host* dst = find_host(m.dst);
   dst->hypervisor->end_migration_in(vm_id);
-  VmRecord* record = find_record(vm_id);
-  complete_handoff(*record, *src, *dst);
+  complete_handoff(vm_id, *src, *dst);
   if (m.paused && m.resume_on_finish) {
     virt::Vm* vm = dst->hypervisor->find(vm_id);
     vm->set_paused(false);
@@ -253,28 +247,19 @@ std::vector<virt::VmConfig> CloudManager::crash_host(const std::string& name) {
 
   // In-flight migrations touching this host die with it: an inbound copy
   // loses its destination (the VM stays on its source, unpaused), and an
-  // outbound VM is a crash victim below (it is still registered here).
+  // outbound VM is a crash victim below (it is still resident here).
   abort_migrations_touching(name);
 
-  // Victims in registry (= boot) order, so re-placement order is stable.
+  // Victims in id (= boot) order, so re-placement order is stable. Each
+  // config keeps its id so the caller can map old id -> replacement.
   std::vector<virt::VmConfig> lost;
-  for (const VmRecord& r : registry_) {
-    if (r.host != name) continue;
-    const virt::Vm* vm = h->hypervisor->find(r.id);
-    if (vm == nullptr) {
-      throw std::logic_error("registry/hypervisor mismatch: VM " + std::to_string(r.id) +
-                             " is registered on host " + name + " but not resident");
-    }
-    virt::VmConfig cfg = vm->config();
-    cfg.id = r.id;  // preserved so the caller can map old id -> replacement
-    lost.push_back(std::move(cfg));
-  }
+  for (const auto& vm : h->hypervisor->vms()) lost.push_back(vm->config());
+  sort_by_id(lost);
   for (const virt::VmConfig& cfg : lost) {
     // The evicted VM is dropped on the floor: it and its guest die here.
     auto victim = h->hypervisor->evict(cfg.id);
     victim.reset();
   }
-  std::erase_if(registry_, [&](const VmRecord& r) { return r.host == name; });
   ++registry_version_;
   h->up = false;
 
@@ -366,45 +351,34 @@ int CloudManager::resolve_high_priority_collision(const std::string& host_name) 
   // Conflict of a host for this app: high-priority VMs of *other* apps
   // there, counting inbound in-flight migrations (they are tomorrow's
   // residents — ignoring them would stack two colliding apps onto the same
-  // "clean" destination while the copies run).
-  const auto conflict = [&](const std::string& h) {
+  // "clean" destination while the copies run). An in-flight VM is still
+  // resident on its source.
+  const auto rival = [&](const virt::Vm& vm) {
+    return vm.priority() == virt::Priority::kHigh && !vm.app_id().empty() &&
+           vm.app_id() != moving_app;
+  };
+  const auto conflict = [&](const Host& h) {
     std::size_t n = 0;
-    for (const VmRecord& r : vms_on_host(h)) {
-      if (r.priority == virt::Priority::kHigh && !r.app_id.empty() && r.app_id != moving_app) ++n;
-    }
+    for (const auto& vm : h.hypervisor->vms()) n += rival(*vm) ? 1 : 0;
     for (const Migration& m : migrations_) {
-      if (m.dst != h) continue;
-      const VmRecord* r = find_record(m.vm_id);
-      if (r != nullptr && r->priority == virt::Priority::kHigh && !r->app_id.empty() &&
-          r->app_id != moving_app) {
-        ++n;
-      }
+      if (m.dst == h.name && rival(*find_host(m.src)->hypervisor->find(m.vm_id))) ++n;
     }
     return n;
   };
-  const auto population = [&](const std::string& h) {
-    std::size_t n = 0;
-    for (const VmRecord& r : registry_) {
-      if (r.host == h) ++n;
-    }
-    for (const Migration& m : migrations_) {
-      if (m.dst == h) ++n;
-    }
+  const auto population = [&](const Host& h) {
+    std::size_t n = h.hypervisor->vms().size();
+    for (const Migration& m : migrations_) n += m.dst == h.name ? 1 : 0;
     return n;
   };
-  const std::size_t here = conflict(host_name);
+  const Host& src = *find_host(host_name);
+  const std::size_t here = conflict(src);
 
   int moved = 0;
   for (const int vm_id : smallest->second) {
     // A VM already on its way out resolves itself; re-migrating it would
     // throw and the collision is already being worked on.
     if (migration_in_flight(vm_id)) continue;
-    const Host* src = find_host(host_name);
-    const virt::Vm* vm = src == nullptr ? nullptr : src->hypervisor->find(vm_id);
-    if (vm == nullptr) {
-      throw std::logic_error("registry/hypervisor mismatch: VM " + std::to_string(vm_id) +
-                             " is registered on host " + host_name + " but not resident");
-    }
+    const virt::Vm& vm = *src.hypervisor->find(vm_id);
     // Destination with the fewest conflicting high-priority VMs (ties by
     // total population, then provisioning order). Only move on strict
     // improvement — otherwise two node managers would ping-pong the VM
@@ -414,10 +388,10 @@ int CloudManager::resolve_high_priority_collision(const std::string& host_name) 
     std::size_t best_count = 0;
     for (const Host& h : hosts_) {
       if (h.name == host_name || !h.up) continue;
-      const std::size_t c = conflict(h.name);
+      const std::size_t c = conflict(h);
       if (c >= here) continue;
-      if (!host_has_capacity(h, vm->config())) continue;
-      const std::size_t count = population(h.name);
+      if (!host_has_capacity(h, vm.config())) continue;
+      const std::size_t count = population(h);
       if (best == nullptr || c < best_conflict || (c == best_conflict && count < best_count)) {
         best = &h;
         best_conflict = c;
@@ -438,26 +412,33 @@ int CloudManager::resolve_high_priority_collision(const std::string& host_name) 
   return moved;
 }
 
+void CloudManager::append_records(const Host& h, std::vector<VmRecord>& out) const {
+  for (const auto& vm : h.hypervisor->vms()) {
+    const virt::VmConfig& cfg = vm->config();
+    const sim::Interner::Id app =
+        cfg.app_id.empty() ? sim::Interner::kInvalid : app_interner_.lookup(cfg.app_id);
+    out.push_back(VmRecord{cfg.id, cfg.name, h.name, cfg.priority, cfg.app_id, app, cfg.vcpus,
+                           cfg.memory});
+  }
+}
+
 std::vector<VmRecord> CloudManager::vms_on_host(const std::string& host_name) const {
   std::vector<VmRecord> out;
-  for (const VmRecord& r : registry_) {
-    if (r.host == host_name) out.push_back(r);
-  }
+  if (const Host* h = find_host(host_name); h != nullptr) append_records(*h, out);
+  sort_by_id(out);
   return out;
 }
 
-void CloudManager::for_each_vm_on_host(const std::string& host_name,
-                                       const std::function<void(const VmRecord&)>& fn) const {
-  for (const VmRecord& r : registry_) {
-    if (r.host == host_name) fn(r);
-  }
+std::vector<VmRecord> CloudManager::all_vms() const {
+  std::vector<VmRecord> out;
+  for (const Host& h : hosts_) append_records(h, out);
+  sort_by_id(out);
+  return out;
 }
-
-std::vector<VmRecord> CloudManager::all_vms() const { return registry_; }
 
 std::vector<std::string> CloudManager::hosts_of_app(const std::string& app_id) const {
   std::vector<std::string> out;
-  for (const VmRecord& r : registry_) {
+  for (const VmRecord& r : all_vms()) {
     if (r.app_id == app_id && std::find(out.begin(), out.end(), r.host) == out.end()) {
       out.push_back(r.host);
     }

@@ -1,9 +1,10 @@
 // Cloud manager: the OpenStack-Nova-like registry the node managers query.
 //
-// Owns the physical hosts (hypervisors) and knows, for every VM: its host,
+// Owns the physical hosts (hypervisors) and answers, for every VM: its host,
 // its priority, and which high-priority application it belongs to. This is
 // the information Algorithm 1 fetches each control interval so that node
-// managers stay aware of placement changes.
+// managers stay aware of placement changes. The hypervisors are the one
+// record of residency: every answer is derived from their residents.
 #pragma once
 
 #include <cstdint>
@@ -19,18 +20,22 @@
 
 namespace perfcloud::cloud {
 
-/// What the Nova-like API reports about one VM.
+/// What the Nova-like API reports about one VM, built on demand from the
+/// hypervisor it is resident on.
 struct VmRecord {
   int id = 0;
   std::string name;
   std::string host;
   virt::Priority priority = virt::Priority::kLow;
   std::string app_id;
-  /// `app_id` interned through the manager's app interner at boot
+  /// `app_id`'s id in the manager's app interner, which boot fills
   /// (kInvalid when the VM belongs to no application). Node managers key
   /// their per-app hot-path state by this dense id; the string stays for
   /// emission and reporting.
   sim::Interner::Id app = sim::Interner::kInvalid;
+  // The flavor: the shape the policy layer packs hosts by.
+  int vcpus = 0;
+  sim::Bytes memory = 0.0;
 };
 
 /// Live-migration cost model (§IV-D escalation made non-free; DESIGN.md
@@ -79,14 +84,14 @@ class CloudManager {
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 
   // --- Host failure lifecycle (fault hooks, HostCrash) ---
-  /// Kill a host: every resident VM is destroyed (guest state lost), its
-  /// registry records are erased, and the host is marked down — it rejects
-  /// boots and migrations and is skipped as an escalation destination until
-  /// restored. The hypervisor object survives (its arbitration task keeps
-  /// ticking an empty server, which is harmless and keeps per-host random
-  /// streams untouched). Returns the victims' configs in boot order, each
-  /// with `id` still set to the OLD VM id so callers can map old -> new
-  /// after re-placement. Throws on unknown or already-down host.
+  /// Kill a host: every resident VM is destroyed (guest state lost) and the
+  /// host is marked down — it rejects boots and migrations and is skipped
+  /// as an escalation destination until restored. The hypervisor object
+  /// survives (its arbitration task keeps ticking an empty server, which is
+  /// harmless and keeps per-host random streams untouched). Returns the
+  /// victims' configs in id (= boot) order, each with `id` still set to the
+  /// OLD VM id so callers can map old -> new after re-placement. Throws on
+  /// unknown or already-down host.
   std::vector<virt::VmConfig> crash_host(const std::string& name);
   /// Bring a crashed host back, empty: it only rejoins placement. Throws on
   /// unknown or already-up host.
@@ -110,7 +115,7 @@ class CloudManager {
   /// With the migration model disabled (default) the handoff is
   /// instantaneous. With it enabled, this only STARTS the migration: the
   /// VM keeps running on the source during the pre-copy, pauses for the
-  /// stop-and-copy window, and switches hosts (registry update, listeners,
+  /// stop-and-copy window, and switches hosts (evict → adopt, listeners,
   /// "migrate" event) only when the copy finishes. Throws if the VM is
   /// already migrating.
   void migrate_vm(int vm_id, const std::string& dst_host);
@@ -147,25 +152,25 @@ class CloudManager {
   [[nodiscard]] bool has_capacity(const std::string& host, const virt::VmConfig& shape) const;
 
   // --- Nova-like queries (what the node manager fetches, §III-D.2) ---
-  /// Bumped on every registry mutation (boot, migration, crash, restore).
-  /// Node managers cache per-host registry summaries against it so their
-  /// per-interval step skips the linear vms_on_host scan between placement
-  /// changes.
+  // Records are built from the hypervisors' residents on every call, in
+  // ascending VM id (= boot) order: a hypervisor lists its VMs in boot or
+  // adoption order, which depends on migration history.
+  /// Bumped on every placement change (boot, migration, crash, restore).
+  /// Node managers and the policy's cluster view cache per-host summaries
+  /// against it, so their per-interval steps skip vms_on_host between
+  /// placement changes.
   [[nodiscard]] std::uint64_t registry_version() const { return registry_version_; }
+  /// Empty for an unknown or down host.
   [[nodiscard]] std::vector<VmRecord> vms_on_host(const std::string& host_name) const;
-  /// Visit this host's records in registry (boot) order without building a
-  /// vector of string copies — what the node managers' registry-view cache
-  /// rebuild uses.
-  void for_each_vm_on_host(const std::string& host_name,
-                           const std::function<void(const VmRecord&)>& fn) const;
   /// The application-id interner shared by every node manager on this
   /// cloud. Mutable access because sinks may be attached (and their app
   /// names interned) before any VM of the app has booted.
   [[nodiscard]] sim::Interner& app_interner() { return app_interner_; }
   [[nodiscard]] const sim::Interner& app_interner() const { return app_interner_; }
-  /// All registered VMs across the cloud.
+  /// Every VM across the cloud.
   [[nodiscard]] std::vector<VmRecord> all_vms() const;
-  /// Hosts that currently run at least one VM of the given application.
+  /// Hosts that currently run at least one VM of the given application, in
+  /// the order of their lowest such VM id.
   [[nodiscard]] std::vector<std::string> hosts_of_app(const std::string& app_id) const;
 
   /// Register the arbitration ticks of all hosts with the engine as ONE
@@ -219,9 +224,11 @@ class CloudManager {
 
   [[nodiscard]] const Host* find_host(const std::string& name) const;
   [[nodiscard]] Host* find_host(const std::string& name);
-  [[nodiscard]] VmRecord* find_record(int vm_id);
-  [[nodiscard]] const VmRecord* find_record(int vm_id) const;
+  /// The host `vm_id` is resident on; nullptr when no host runs it.
+  [[nodiscard]] Host* host_of(int vm_id);
   [[nodiscard]] Migration* find_migration(int vm_id);
+  /// Append `h`'s residents to `out` as records, in hypervisor order.
+  void append_records(const Host& h, std::vector<VmRecord>& out) const;
 
   /// Admission check for migration destinations: resident vCPUs + memory,
   /// plus every inbound in-flight migration, plus `shape`, must fit the
@@ -232,9 +239,9 @@ class CloudManager {
                         const std::string& dst);
   /// The actual host switch, shared by the instantaneous path and
   /// finish_migration: kDeparting notification (VM still on src), evict →
-  /// adopt, registry update, kArrived notification, "migrate" emission.
-  void complete_handoff(VmRecord& record, Host& src, Host& dst);
-  void start_live_migration(VmRecord& record, Host& src, Host& dst);
+  /// adopt, kArrived notification, "migrate" emission.
+  void complete_handoff(int vm_id, Host& src, Host& dst);
+  void start_live_migration(int vm_id, Host& src, Host& dst);
   void pause_for_migration(int vm_id);
   void finish_migration(int vm_id);
   /// Kill every in-flight migration touching `host` (it is about to crash):
@@ -247,7 +254,6 @@ class CloudManager {
   sim::EmitSink* sink_ = nullptr;
   sim::EmitSink::SourceId sink_source_ = 0;
   std::vector<Host> hosts_;
-  std::vector<VmRecord> registry_;
   std::uint64_t registry_version_ = 1;
   MigrationModel migration_model_;
   std::vector<Migration> migrations_;

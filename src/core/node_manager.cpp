@@ -157,7 +157,7 @@ void NodeManager::refresh_view() {
   view_suspects_.clear();
   // Fetch the current VM registry for this host (Nova API in the paper):
   // placement or priority changes since the last interval are picked up here.
-  cloud_.for_each_vm_on_host(host_, [this](const cloud::VmRecord& r) {
+  for (const cloud::VmRecord& r : cloud_.vms_on_host(host_)) {
     if (r.priority == virt::Priority::kHigh && r.app != sim::Interner::kInvalid) {
       AppGroup* group = nullptr;
       for (AppGroup& g : view_apps_) {
@@ -174,7 +174,7 @@ void NodeManager::refresh_view() {
     } else if (r.priority == virt::Priority::kLow) {
       view_suspects_.push_back(r.id);
     }
-  });
+  }
   // Name order, not AppId order: the emission and iteration order of the
   // string-keyed maps this view replaced — byte-identity depends on it.
   // (AppId order follows interning order, i.e. boot order, which differs.)

@@ -14,14 +14,11 @@ ClusterView::ClusterView(cloud::CloudManager& cloud, std::vector<core::NodeManag
                                 std::to_string(names.size()) + " hosts)");
   }
   hosts_.resize(names.size());
-  hvs_.reserve(names.size());
   for (std::size_t i = 0; i < names.size(); ++i) {
-    virt::Hypervisor& hv = cloud_.host(names[i]);
-    hvs_.push_back(&hv);
     HostView& h = hosts_[i];
     h.name = names[i];
     h.index = i;
-    const hw::ServerConfig& cfg = hv.server().config();
+    const hw::ServerConfig& cfg = cloud_.host(names[i]).server().config();
     h.cores = cfg.cpu.cores;
     h.dram = cfg.dram;
     h.disk_bw = cfg.disk.bw_capacity;
@@ -44,21 +41,10 @@ const VmUsage* ClusterView::find_vm(std::size_t host_index, int vm_id) const {
 
 void ClusterView::rebuild_residents(HostView& h) {
   h.vms.clear();
-  for (const auto& vm : hvs_[h.index]->vms()) {
-    const virt::VmConfig& cfg = vm->config();
-    VmUsage u;
-    u.vm_id = cfg.id;
-    u.vcpus = cfg.vcpus;
-    u.memory = cfg.memory;
-    u.priority = cfg.priority;
-    u.app = cloud_.app_interner().lookup(cfg.app_id);
-    h.vms.push_back(u);
+  for (const cloud::VmRecord& r : cloud_.vms_on_host(h.name)) {
+    h.vms.push_back(VmUsage{.vm_id = r.id, .vcpus = r.vcpus, .memory = r.memory,
+                            .priority = r.priority, .app = r.app});
   }
-  // Hypervisor order is adoption order, which depends on migration history;
-  // VM ids are cloud-unique and monotone, so id order is the deterministic
-  // canonical order.
-  std::sort(h.vms.begin(), h.vms.end(),
-            [](const VmUsage& a, const VmUsage& b) { return a.vm_id < b.vm_id; });
 }
 
 void ClusterView::refresh_host(HostView& h, core::NodeManager& nm) {

@@ -22,7 +22,7 @@
 #include "core/node_manager.hpp"
 #include "sim/interner.hpp"
 #include "sim/types.hpp"
-#include "virt/hypervisor.hpp"
+#include "virt/vm.hpp"
 
 namespace perfcloud::policy {
 
@@ -63,8 +63,9 @@ struct HostView {
   /// Worst deviation signal per resource over the host's protected apps;
   /// negative when no protected app has samples here.
   core::PerResource<double> max_dev{-1.0, -1.0};
-  /// Residents in ascending VM-id order (deterministic regardless of
-  /// adoption history). Rebuilt only when the cloud registry changes.
+  /// Residents in the cloud's record order, ascending VM id (deterministic
+  /// regardless of adoption history). Rebuilt only when the cloud registry
+  /// changes.
   std::vector<VmUsage> vms;
 };
 
@@ -102,7 +103,6 @@ class ClusterView {
 
   cloud::CloudManager& cloud_;
   std::vector<core::NodeManager*> nms_;
-  std::vector<virt::Hypervisor*> hvs_;  ///< By host index; survive crashes.
   std::vector<HostView> hosts_;
   std::uint64_t seen_registry_version_ = 0;
   sim::SimTime last_refresh_ = sim::SimTime(-1.0);

@@ -59,6 +59,43 @@ TEST(CloudManager, RegistryReflectsBootedVms) {
   EXPECT_TRUE(cloud.hosts_of_app("nothing").empty());
 }
 
+std::vector<int> ids_of(const std::vector<VmRecord>& records) {
+  std::vector<int> ids;
+  for (const VmRecord& r : records) ids.push_back(r.id);
+  return ids;
+}
+
+TEST(CloudManager, RecordsComeInIdOrderAfterAdoption) {
+  sim::Engine e;
+  CloudManager cloud(e);
+  cloud.add_host(host_cfg("h0"));
+  cloud.add_host(host_cfg("h1"));
+  virt::VmConfig high{.vcpus = 4, .priority = virt::Priority::kHigh, .app_id = "a"};
+  const int first = cloud.boot_vm("h0", high).id();
+  cloud.boot_vm("h1", virt::VmConfig{.priority = virt::Priority::kHigh, .app_id = "b"});
+  cloud.boot_vm("h1", virt::VmConfig{.name = "fio"});
+  cloud.boot_vm("h0", high);
+  // Adoption appends the lowest id last on h1's hypervisor, and leaves h0
+  // (first in provisioning order) holding only a later VM of app "a".
+  cloud.migrate_vm(first, "h1");
+  ASSERT_EQ(cloud.host("h1").vms().back()->id(), first);
+
+  const std::vector<VmRecord> on_h1 = cloud.vms_on_host("h1");
+  EXPECT_EQ(ids_of(on_h1), (std::vector<int>{1, 2, 3}));
+  const VmRecord& moved = on_h1.front();
+  EXPECT_EQ(moved.host, "h1");
+  EXPECT_EQ(moved.app, cloud.app_interner().lookup("a"));
+  EXPECT_EQ(moved.vcpus, 4);
+  EXPECT_EQ(moved.memory, high.memory);
+  EXPECT_EQ(ids_of(cloud.all_vms()), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(cloud.hosts_of_app("a"), (std::vector<std::string>{"h1", "h0"}));
+
+  std::vector<int> victims;
+  for (const virt::VmConfig& cfg : cloud.crash_host("h1")) victims.push_back(cfg.id);
+  EXPECT_EQ(victims, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(ids_of(cloud.all_vms()), (std::vector<int>{4}));
+}
+
 TEST(CloudManager, StartTickingRunsHypervisors) {
   sim::Engine e;
   CloudManager cloud(e);
