@@ -50,9 +50,9 @@ std::vector<Replacement> place_replacements(CloudManager& cloud,
   for (const virt::VmConfig& victim : lost) {
     std::string dst = hosts.front();
     if (!packed) {
-      std::size_t best = cloud.vms_on_host(dst).size();
+      std::size_t best = cloud.host(dst).vms().size();
       for (std::size_t i = 1; i < hosts.size(); ++i) {
-        const std::size_t n = cloud.vms_on_host(hosts[i]).size();
+        const std::size_t n = cloud.host(hosts[i]).vms().size();
         if (n < best) {
           best = n;
           dst = hosts[i];
