@@ -1,5 +1,6 @@
 #include "faults/fault_plan.hpp"
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -49,7 +50,14 @@ bool intervals_overlap(const FaultSpec& a, const FaultSpec& b) {
 }  // namespace
 
 FaultPlan& FaultPlan::add(FaultSpec spec) {
-  if (spec.inject_at_s < 0.0) reject(spec, "inject time must be >= 0");
+  // Negated so NaN is rejected too: a NaN duration reads as "never
+  // recovers", a NaN rate injects nothing, and an infinite time never fires.
+  if (!(spec.inject_at_s >= 0.0 && std::isfinite(spec.inject_at_s))) {
+    reject(spec, "inject time must be finite and >= 0");
+  }
+  if (!(spec.duration_s < 0.0 || std::isfinite(spec.duration_s))) {
+    reject(spec, "duration must be finite (or negative: never recovers)");
+  }
   if (needs_host(spec.kind) && spec.host.empty()) reject(spec, "target host required");
   if (spec.kind == FaultKind::kVmStall && spec.vm_id < 0) reject(spec, "target VM required");
   switch (spec.kind) {
@@ -67,7 +75,9 @@ FaultPlan& FaultPlan::add(FaultSpec spec) {
       }
       break;
     case FaultKind::kTaskFailure:
-      if (spec.magnitude < 0.0) reject(spec, "failure rate must be >= 0");
+      if (!(spec.magnitude >= 0.0 && std::isfinite(spec.magnitude))) {
+        reject(spec, "failure rate must be finite and >= 0");
+      }
       break;
     case FaultKind::kHostCrash:
     case FaultKind::kMonitorBlackout:

@@ -30,8 +30,14 @@ MigrationPolicy::MigrationPolicy(cloud::CloudManager& cloud,
   if (params_.max_in_flight < 1) {
     throw std::invalid_argument("PolicyParams::max_in_flight must be >= 1");
   }
-  if (params_.dwell_min_s < 0.0 || params_.host_cooldown_s < 0.0 || params_.blacklist_s < 0.0) {
+  // Negated so NaN is rejected too: a NaN duration would never suppress a
+  // move or blacklist a bounce.
+  if (!(params_.dwell_min_s >= 0.0 && params_.host_cooldown_s >= 0.0 &&
+        params_.blacklist_s >= 0.0)) {
     throw std::invalid_argument("PolicyParams durations must be non-negative");
+  }
+  if (!std::isfinite(params_.interval_s)) {
+    throw std::invalid_argument("PolicyParams::interval_s must be finite");
   }
   // "Never": no host has migrated yet, and the cooldown guard subtracts.
   host_last_migration_s_.assign(view_.host_count(), -1e300);

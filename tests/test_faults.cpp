@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "exp/cluster.hpp"
@@ -34,6 +35,19 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(plan.cap_command_loss("host-0", 0.0, 10.0, 1.5), std::invalid_argument);
   EXPECT_THROW(plan.host_crash("", 0.0), std::invalid_argument);
   EXPECT_THROW(plan.task_failure(-0.1, 0.0), std::invalid_argument);
+  // Non-finite values: a NaN duration would silently never recover, a NaN
+  // or infinite inject time would never fire, a NaN rate would inject
+  // nothing.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Each row has its own target, so none is rejected for overlapping another.
+  EXPECT_THROW(plan.host_crash("host-0", 0.0, nan), std::invalid_argument);
+  EXPECT_THROW(plan.cap_command_loss("host-1", 0.0, nan, 0.5), std::invalid_argument);
+  EXPECT_THROW(plan.disk_degrade("host-2", 0.0, inf, 0.5), std::invalid_argument);
+  EXPECT_THROW(plan.monitor_blackout("host-3", nan, 10.0), std::invalid_argument);
+  EXPECT_THROW(plan.monitor_blackout("host-4", inf, 10.0), std::invalid_argument);
+  EXPECT_THROW(plan.task_failure(nan, 0.0), std::invalid_argument);
+  EXPECT_THROW(faults::FaultPlan{}.task_failure(inf, 0.0), std::invalid_argument);
   EXPECT_TRUE(plan.empty());
 
   // Degenerate-but-legal magnitudes are accepted.

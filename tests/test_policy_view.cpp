@@ -3,6 +3,7 @@
 // rebuilds, and the pluggable scorers' preferences.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "exp/cluster.hpp"
@@ -167,6 +168,18 @@ TEST(MigrationPolicy, ValidatesParameters) {
   EXPECT_THROW(MigrationPolicy(*c.cloud, managers(c), bad), std::invalid_argument);
   bad = PolicyParams{};
   bad.dwell_min_s = -1.0;
+  EXPECT_THROW(MigrationPolicy(*c.cloud, managers(c), bad), std::invalid_argument);
+  // NaN durations would never suppress a move or blacklist a bounce; a
+  // non-finite interval has no whole number of control intervals.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double PolicyParams::*field : {&PolicyParams::dwell_min_s, &PolicyParams::host_cooldown_s,
+                                      &PolicyParams::blacklist_s, &PolicyParams::interval_s}) {
+    bad = PolicyParams{};
+    bad.*field = nan;
+    EXPECT_THROW(MigrationPolicy(*c.cloud, managers(c), bad), std::invalid_argument);
+  }
+  bad = PolicyParams{};
+  bad.interval_s = std::numeric_limits<double>::infinity();
   EXPECT_THROW(MigrationPolicy(*c.cloud, managers(c), bad), std::invalid_argument);
   EXPECT_THROW(MigrationPolicy(*c.cloud, {}, PolicyParams{}), std::invalid_argument);
 
