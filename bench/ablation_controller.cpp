@@ -38,7 +38,7 @@ Outcome run(const core::PerfCloudConfig& cfg, bool use_aimd, std::uint64_t seed)
     exp::enable_perfcloud(c, cfg, /*control=*/false);
     c.engine->every(cfg.sample_interval_s, [&c, &aimd, fio, &cfg](sim::SimTime) {
       core::NodeManager& nm = c.node_manager(0);
-      const auto& sig = nm.io_signal("hadoop");
+      const auto& sig = nm.deviation_signal(core::kIo, "hadoop");
       if (sig.empty()) return;
       const bool contended = sig.value(sig.size() - 1) > cfg.io_deviation_threshold;
       if (!aimd) {
@@ -61,7 +61,7 @@ Outcome run(const core::PerfCloudConfig& cfg, bool use_aimd, std::uint64_t seed)
   Outcome o;
   o.jct = exp::run_job(c, wl::make_spark_logreg(40, 8));
   o.fio_iops = dynamic_cast<const wl::FioRandomRead*>(c.vm(fio).guest())->achieved_iops();
-  const auto& sig = c.node_manager(0).io_signal("hadoop");
+  const auto& sig = c.node_manager(0).deviation_signal(core::kIo, "hadoop");
   for (std::size_t i = 0; i < sig.size(); ++i) {
     if (sig.value(i) > cfg.io_deviation_threshold) o.over_threshold_s += cfg.sample_interval_s;
   }

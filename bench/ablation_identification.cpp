@@ -9,6 +9,7 @@
 //     controller;
 //   - bystander safety: whether any sysbench-cpu VM was ever throttled;
 //   - mean job completion time of the stream.
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
@@ -79,18 +80,20 @@ Outcome run(const core::PerfCloudConfig& cfg, std::uint64_t seed) {
       sim::SimTime(20000.0));
 
   Outcome o;
+  // A VM counts as throttled once any resource's controller capped it.
+  const auto throttled = [&c](std::size_t host, int vm) {
+    return std::ranges::any_of(core::kResources, [&](core::Resource r) {
+      return !c.node_manager(host).cap_series(r, vm).empty();
+    });
+  };
   int covered = 0;
   for (const Episode& e : episodes) {
-    core::NodeManager& nm = c.node_manager(e.host);
-    if (!nm.io_cap_series(e.vm).empty() || !nm.cpu_cap_series(e.vm).empty()) ++covered;
+    if (throttled(e.host, e.vm)) ++covered;
   }
   o.coverage = static_cast<double>(covered) / static_cast<double>(episodes.size());
   for (std::size_t h = 0; h < c.hosts.size(); ++h) {
     for (const int vm : innocents) {
-      core::NodeManager& nm = c.node_manager(h);
-      if (!nm.io_cap_series(vm).empty() || !nm.cpu_cap_series(vm).empty()) {
-        ++o.innocents_throttled;
-      }
+      if (throttled(h, vm)) ++o.innocents_throttled;
     }
   }
   double total = 0.0;

@@ -45,7 +45,7 @@ Outcome run(bool numa_separate, bool perfcloud, std::uint64_t seed) {
   Outcome o;
   o.jct = exp::run_job(c, wl::make_spark_logreg(30, 8));
   o.stream_bw = dynamic_cast<const wl::StreamBenchmark*>(c.vm(stream).guest())->achieved_bw();
-  if (perfcloud) o.throttled = !c.node_manager(0).cpu_cap_series(stream).empty();
+  if (perfcloud) o.throttled = !c.node_manager(0).cap_series(core::kCpu, stream).empty();
   return o;
 }
 

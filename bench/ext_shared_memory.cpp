@@ -30,7 +30,9 @@ Outcome run(const std::string& job_name, bool shm, bool with_fio, bool perfcloud
   if (perfcloud) exp::enable_perfcloud(c, core::PerfCloudConfig{});
   Outcome o;
   o.jct = exp::run_job(c, wl::make_benchmark(job_name, 20));
-  if (perfcloud && fio >= 0) o.fio_throttled = !c.node_manager(0).io_cap_series(fio).empty();
+  if (perfcloud && fio >= 0) {
+    o.fio_throttled = !c.node_manager(0).cap_series(core::kIo, fio).empty();
+  }
   return o;
 }
 

@@ -22,7 +22,7 @@ sim::TimeSeries signal_for(const wl::JobSpec& job, bool with_fio, std::uint64_t 
   if (with_fio) exp::add_fio(c, "host-0");  // present for the whole run
   exp::enable_perfcloud(c, core::PerfCloudConfig{}, /*control=*/false);
   exp::run_job(c, job);
-  return c.node_manager(0).io_signal("hadoop");
+  return c.node_manager(0).deviation_signal(core::kIo, "hadoop");
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ sim::TimeSeries cpi_signal_for(const wl::JobSpec& job, bool with_stream, std::ui
   }
   exp::enable_perfcloud(c, core::PerfCloudConfig{}, /*control=*/false);
   exp::run_job(c, job);
-  return c.node_manager(0).cpi_signal("hadoop");
+  return c.node_manager(0).deviation_signal(core::kCpu, "hadoop");
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ int main() {
   exp::run_job(c, wl::make_terasort(30, 30));
 
   core::NodeManager& nm = c.node_manager(0);
-  const sim::TimeSeries& victim = nm.io_signal("hadoop");
+  const sim::TimeSeries& victim = nm.deviation_signal(core::kIo, "hadoop");
 
   // --- (a)/(b): normalized victim signal and suspect throughputs ---
   exp::print_banner(std::cout, "Fig 5(a,b)",
@@ -51,7 +51,7 @@ int main() {
   exp::Table ts({"t (s)", "iowait dev (norm)", "fio IO (norm)", "oltp IO (norm)", "cpu IO (norm)"});
   const auto vn = victim.normalized_by_peak();
   const auto norm_suspect = [&](int vm) {
-    const sim::TimeSeries& s = nm.monitor().io_throughput_series(vm);
+    const sim::TimeSeries& s = nm.monitor().suspect_series(core::kIo, vm);
     std::vector<double> aligned = sim::align_to(victim, s);
     double peak = 0.0;
     for (double v : aligned) peak = std::max(peak, std::abs(v));
@@ -85,8 +85,8 @@ int main() {
   for (const std::size_t window : {std::size_t{3}, std::size_t{6}, std::size_t{9},
                                    std::size_t{12}, std::size_t{15}}) {
     const auto corr = [&](int vm) {
-      return sim::pearson_missing_as_zero(online_victim, nm.monitor().io_throughput_series(vm),
-                                          window);
+      return sim::pearson_missing_as_zero(online_victim,
+                                          nm.monitor().suspect_series(core::kIo, vm), window);
     };
     t.add_row(std::to_string(window), {corr(fio), corr(oltp), corr(cpu)}, 3);
   }

@@ -29,7 +29,7 @@ int main() {
   exp::run_job(c, wl::make_spark_logreg(30, 8));
 
   core::NodeManager& nm = c.node_manager(0);
-  const sim::TimeSeries& victim = nm.cpi_signal("hadoop");
+  const sim::TimeSeries& victim = nm.deviation_signal(core::kCpu, "hadoop");
 
   // --- (a)/(b): normalized signals ---
   exp::print_banner(std::cout, "Fig 6(a,b)",
@@ -37,7 +37,8 @@ int main() {
   exp::Table ts({"t (s)", "CPI dev (norm)", "stream-1", "stream-2", "oltp", "cpu"});
   const auto vn = victim.normalized_by_peak();
   const auto norm_llc = [&](int vm) {
-    std::vector<double> aligned = sim::align_to(victim, nm.monitor().llc_miss_series(vm));
+    std::vector<double> aligned =
+        sim::align_to(victim, nm.monitor().suspect_series(core::kCpu, vm));
     double peak = 0.0;
     for (double v : aligned) peak = std::max(peak, std::abs(v));
     if (peak > 0.0) {
@@ -79,7 +80,7 @@ int main() {
                                                           {"sysbench-oltp", oltp},
                                                           {"sysbench-cpu", cpu}};
   for (const auto& [label, vm] : named) {
-    sig.push_back(core::SuspectSignal{vm, &nm.monitor().llc_miss_series(vm)});
+    sig.push_back(core::SuspectSignal{vm, &nm.monitor().suspect_series(core::kCpu, vm)});
   }
   std::vector<core::SuspectScore> scores;
   ident.score(online_victim, sig, scores);

@@ -23,8 +23,7 @@ struct Outcome {
   double jct = 0.0;
   double fio_iops = 0.0;
   double stream_bw = 0.0;
-  sim::TimeSeries io_signal;
-  sim::TimeSeries cpi_signal;
+  core::PerResource<sim::TimeSeries> signal;  ///< Deviation signal per resource.
 };
 
 enum class Mode { kDefault, kStatic, kPerfCloud };
@@ -55,8 +54,9 @@ Outcome run(Mode mode, std::uint64_t seed, double fio_solo_iops) {
   exp::run_for(c, 60.0);
   o.fio_iops = dynamic_cast<const wl::FioRandomRead*>(c.vm(fio).guest())->achieved_iops();
   o.stream_bw = dynamic_cast<const wl::StreamBenchmark*>(c.vm(stream).guest())->achieved_bw();
-  o.io_signal = c.node_manager(0).io_signal("hadoop");
-  o.cpi_signal = c.node_manager(0).cpi_signal("hadoop");
+  for (const core::Resource r : core::kResources) {
+    o.signal[r] = c.node_manager(0).deviation_signal(r, "hadoop");
+  }
   return o;
 }
 
@@ -70,28 +70,20 @@ int main() {
   const Outcome stat = run(Mode::kStatic, kSeed, fio_solo);
   const Outcome perf = run(Mode::kPerfCloud, kSeed, fio_solo);
 
-  exp::print_banner(std::cout, "Fig 9(a)",
-                    "std-dev of block iowait ratio, default vs PerfCloud");
-  exp::Table a({"t (s)", "default", "PerfCloud"});
-  const std::size_t na = std::max(def.io_signal.size(), perf.io_signal.size());
-  for (std::size_t i = 0; i < na; ++i) {
-    a.add_row(exp::fmt(5.0 * static_cast<double>(i + 1), 0),
-              {i < def.io_signal.size() ? def.io_signal.value(i) : 0.0,
-               i < perf.io_signal.size() ? perf.io_signal.value(i) : 0.0},
-              2);
-  }
-  a.print(std::cout);
-
-  exp::print_banner(std::cout, "Fig 9(b)", "std-dev of CPI, default vs PerfCloud");
-  exp::Table b({"t (s)", "default", "PerfCloud"});
-  const std::size_t nb = std::max(def.cpi_signal.size(), perf.cpi_signal.size());
-  for (std::size_t i = 0; i < nb; ++i) {
-    b.add_row(exp::fmt(5.0 * static_cast<double>(i + 1), 0),
-              {i < def.cpi_signal.size() ? def.cpi_signal.value(i) : 0.0,
-               i < perf.cpi_signal.size() ? perf.cpi_signal.value(i) : 0.0},
-              3);
-  }
-  b.print(std::cout);
+  const auto signal_table = [&](core::Resource r, const char* figure, const char* title,
+                                int digits) {
+    exp::print_banner(std::cout, figure, title);
+    exp::Table t({"t (s)", "default", "PerfCloud"});
+    const sim::TimeSeries& d = def.signal[r];
+    const sim::TimeSeries& p = perf.signal[r];
+    for (std::size_t i = 0; i < std::max(d.size(), p.size()); ++i) {
+      t.add_row(exp::fmt(5.0 * static_cast<double>(i + 1), 0),
+                {i < d.size() ? d.value(i) : 0.0, i < p.size() ? p.value(i) : 0.0}, digits);
+    }
+    t.print(std::cout);
+  };
+  signal_table(core::kIo, "Fig 9(a)", "std-dev of block iowait ratio, default vs PerfCloud", 2);
+  signal_table(core::kCpu, "Fig 9(b)", "std-dev of CPI, default vs PerfCloud", 3);
 
   exp::print_banner(std::cout, "Fig 9(c)", "job completion time and antagonist cost per scheme");
   exp::Table t({"scheme", "Spark logreg JCT (s)", "improvement vs default %", "fio IOPS",

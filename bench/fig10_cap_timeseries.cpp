@@ -27,8 +27,8 @@ int main() {
   exp::run_for(c, 60.0);  // let the caps recover and lift after the job
 
   core::NodeManager& nm = c.node_manager(0);
-  const sim::TimeSeries& io_caps = nm.io_cap_series(fio);
-  const sim::TimeSeries& cpu_caps = nm.cpu_cap_series(stream);
+  const sim::TimeSeries& io_caps = nm.cap_series(core::kIo, fio);
+  const sim::TimeSeries& cpu_caps = nm.cap_series(core::kCpu, stream);
 
   exp::print_banner(std::cout, "Fig 10(a)", "normalized I/O cap on the fio VM over time");
   exp::Table a({"t (s)", "I/O cap (x baseline)"});

@@ -32,6 +32,8 @@ int main() {
 
   exp::enable_perfcloud(cluster, core::PerfCloudConfig{});
   core::NodeManager& nm = cluster.node_manager(0);
+  // The antagonist each resource's loop should identify and cap.
+  const core::PerResource<int> watched{fio, stream};
 
   const wl::JobId job = cluster.framework->submit(wl::make_spark_logreg(30, 8));
 
@@ -40,26 +42,26 @@ int main() {
   while (true) {
     exp::run_for(cluster, 5.0);
     const wl::Job* j = cluster.framework->find_job(job);
-    const auto& io_sig = nm.io_signal("hadoop");
-    const auto& cpi_sig = nm.cpi_signal("hadoop");
-    double corr_fio = 0.0;
-    double corr_stream = 0.0;
-    for (const core::SuspectScore& s : nm.last_io_scores()) {
-      if (s.vm_id == fio) corr_fio = s.correlation;
+    // Per resource: the latest deviation, the watched antagonist's latest
+    // correlation, and its latest cap ("-" until a controller starts).
+    core::PerResource<double> dev{};
+    core::PerResource<double> corr{};
+    core::PerResource<std::string> cap{};
+    for (const core::Resource r : core::kResources) {
+      const sim::TimeSeries& sig = nm.deviation_signal(r, "hadoop");
+      if (!sig.empty()) dev[r] = sig.value(sig.size() - 1);
+      for (const core::SuspectScore& s : nm.last_scores(r)) {
+        if (s.vm_id == watched[r]) corr[r] = s.correlation;
+      }
+      const sim::TimeSeries& caps = nm.cap_series(r, watched[r]);
+      cap[r] = caps.empty() ? std::string("-") : exp::fmt(caps.value(caps.size() - 1), 2);
     }
-    for (const core::SuspectScore& s : nm.last_cpu_scores()) {
-      if (s.vm_id == stream) corr_stream = s.correlation;
-    }
-    const auto cap_of = [](const sim::TimeSeries& caps) {
-      return caps.empty() ? std::string("-") : exp::fmt(caps.value(caps.size() - 1), 2);
-    };
     std::cout << std::setw(4) << exp::fmt(cluster.engine->now().seconds(), 0) << "  "
-              << std::setw(7) << exp::fmt(io_sig.empty() ? 0.0 : io_sig.value(io_sig.size() - 1), 1)
-              << "  " << std::setw(7)
-              << exp::fmt(cpi_sig.empty() ? 0.0 : cpi_sig.value(cpi_sig.size() - 1), 2) << "  "
-              << std::setw(9) << exp::fmt(corr_fio, 2) << "  " << std::setw(12)
-              << exp::fmt(corr_stream, 2) << "  " << std::setw(8) << cap_of(nm.io_cap_series(fio))
-              << "  " << std::setw(8) << cap_of(nm.cpu_cap_series(stream)) << "\n";
+              << std::setw(7) << exp::fmt(dev[core::kIo], 1) << "  " << std::setw(7)
+              << exp::fmt(dev[core::kCpu], 2) << "  " << std::setw(9)
+              << exp::fmt(corr[core::kIo], 2) << "  " << std::setw(12)
+              << exp::fmt(corr[core::kCpu], 2) << "  " << std::setw(8) << cap[core::kIo] << "  "
+              << std::setw(8) << cap[core::kCpu] << "\n";
     if (j->finished()) break;
   }
 

@@ -162,13 +162,13 @@ double run_once(const Options& o, std::uint64_t seed, bool dump_csv) {
   }
   if (dump_csv && !o.csv.empty() && o.scheme == "perfcloud") {
     exp::TraceRecorder rec;
-    rec.add("iowait_dev", c.node_manager(0).io_signal("hadoop"));
-    rec.add("cpi_dev", c.node_manager(0).cpi_signal("hadoop"));
+    rec.add("iowait_dev", c.node_manager(0).deviation_signal(core::kIo, "hadoop"));
+    rec.add("cpi_dev", c.node_manager(0).deviation_signal(core::kCpu, "hadoop"));
     for (const int vm : fio_vms) {
-      rec.add("io_cap_vm" + std::to_string(vm), c.node_manager(0).io_cap_series(vm));
+      rec.add("io_cap_vm" + std::to_string(vm), c.node_manager(0).cap_series(core::kIo, vm));
     }
     for (const int vm : stream_vms) {
-      rec.add("cpu_cap_vm" + std::to_string(vm), c.node_manager(0).cpu_cap_series(vm));
+      rec.add("cpu_cap_vm" + std::to_string(vm), c.node_manager(0).cap_series(core::kCpu, vm));
     }
     rec.write_csv(o.csv);
     std::cout << "trace written to " << o.csv << "\n";

@@ -74,6 +74,11 @@ CloudManager::Host* CloudManager::host_of(int vm_id) {
   return nullptr;
 }
 
+virt::Vm* CloudManager::find_vm(int vm_id) {
+  Host* h = host_of(vm_id);
+  return h == nullptr ? nullptr : h->hypervisor->find(vm_id);
+}
+
 CloudManager::Migration* CloudManager::find_migration(int vm_id) {
   for (Migration& m : migrations_) {
     if (m.vm_id == vm_id) return &m;
@@ -181,15 +186,12 @@ void CloudManager::start_live_migration(int vm_id, Host& src, Host& dst) {
 void CloudManager::pause_for_migration(int vm_id) {
   Migration* m = find_migration(vm_id);
   if (m == nullptr) return;  // aborted; the event should have been cancelled
-  Host* src = find_host(m->src);
-  virt::Vm* vm = src->hypervisor->find(vm_id);
+  virt::Vm* vm = find_host(m->src)->hypervisor->find(vm_id);
   if (vm == nullptr) return;
-  // Stop-and-copy: freeze the guest for the downtime window. A VM a fault
-  // already paused stays paused afterwards — the migration must not lift a
-  // VmStall on its way out.
-  m->resume_on_finish = !vm->paused();
-  vm->set_paused(true);
-  m->paused = true;
+  // Stop-and-copy: freeze the guest for the downtime window. Only the
+  // migration's own cause is set, so a VmStall before, during or after the
+  // window keeps its own hold on the VM.
+  vm->set_paused(virt::PauseCause::kMigrationCopy, true);
 }
 
 void CloudManager::finish_migration(int vm_id) {
@@ -202,10 +204,7 @@ void CloudManager::finish_migration(int vm_id) {
   Host* dst = find_host(m.dst);
   dst->hypervisor->end_migration_in(vm_id);
   complete_handoff(vm_id, *src, *dst);
-  if (m.paused && m.resume_on_finish) {
-    virt::Vm* vm = dst->hypervisor->find(vm_id);
-    vm->set_paused(false);
-  }
+  dst->hypervisor->find(vm_id)->set_paused(virt::PauseCause::kMigrationCopy, false);
 }
 
 void CloudManager::abort_migrations_touching(const std::string& host) {
@@ -222,12 +221,12 @@ void CloudManager::abort_migrations_touching(const std::string& host) {
       dst->hypervisor->end_migration_in(m.vm_id);
     }
     // The VM survives only when its source survives: an inbound copy loses
-    // its destination and the VM just keeps running on the source (undo
-    // our stop-and-copy pause); an outbound VM is about to die with the
-    // crashing source, so there is nothing to restore.
-    if (m.src != host && m.paused && m.resume_on_finish) {
+    // its destination and the VM just keeps running on the source (lift
+    // our stop-and-copy cause, if the pause had begun); an outbound VM is
+    // about to die with the crashing source, so there is nothing to restore.
+    if (m.src != host) {
       if (virt::Vm* vm = find_host(m.src)->hypervisor->find(m.vm_id); vm != nullptr) {
-        vm->set_paused(false);
+        vm->set_paused(virt::PauseCause::kMigrationCopy, false);
       }
     }
     ++migrations_aborted_;
@@ -246,8 +245,9 @@ std::vector<virt::VmConfig> CloudManager::crash_host(const std::string& name) {
   if (!h->up) throw std::invalid_argument("host " + name + " is already down");
 
   // In-flight migrations touching this host die with it: an inbound copy
-  // loses its destination (the VM stays on its source, unpaused), and an
-  // outbound VM is a crash victim below (it is still resident here).
+  // loses its destination (the VM stays on its source, the copy's pause
+  // lifted), and an outbound VM is a crash victim below (it is still
+  // resident here).
   abort_migrations_touching(name);
 
   // Victims in id (= boot) order, so re-placement order is stable. Each
@@ -433,16 +433,6 @@ std::vector<VmRecord> CloudManager::all_vms() const {
   std::vector<VmRecord> out;
   for (const Host& h : hosts_) append_records(h, out);
   sort_by_id(out);
-  return out;
-}
-
-std::vector<std::string> CloudManager::hosts_of_app(const std::string& app_id) const {
-  std::vector<std::string> out;
-  for (const VmRecord& r : all_vms()) {
-    if (r.app_id == app_id && std::find(out.begin(), out.end(), r.host) == out.end()) {
-      out.push_back(r.host);
-    }
-  }
   return out;
 }
 

@@ -44,7 +44,8 @@ struct VmRecord {
 /// is a timed two-phase process: a pre-copy of `memory / bandwidth_bps`
 /// seconds during which the VM keeps running on the source while the
 /// DESTINATION host's disk serves the page stream, then a stop-and-copy
-/// pause of `downtime_s` (Vm::set_paused) before the VM switches hosts.
+/// pause of `downtime_s` (PauseCause::kMigrationCopy) before the VM switches
+/// hosts.
 struct MigrationModel {
   /// 0 disables the model (instantaneous). set_migration_model throws
   /// std::invalid_argument unless this is finite and >= 0, and, when the
@@ -102,6 +103,9 @@ class CloudManager {
 
   /// Boot a VM on the named host; VM ids are assigned by the manager.
   virt::Vm& boot_vm(const std::string& host_name, virt::VmConfig cfg);
+  /// The VM with this id on whichever host runs it; nullptr when none does
+  /// (never booted, or died in a host crash).
+  [[nodiscard]] virt::Vm* find_vm(int vm_id);
 
   /// Live-migrate a VM to another host (§IV-D: the cloud manager's
   /// complementary remedy when node managers report problems they cannot
@@ -169,9 +173,6 @@ class CloudManager {
   [[nodiscard]] const sim::Interner& app_interner() const { return app_interner_; }
   /// Every VM across the cloud.
   [[nodiscard]] std::vector<VmRecord> all_vms() const;
-  /// Hosts that currently run at least one VM of the given application, in
-  /// the order of their lowest such VM id.
-  [[nodiscard]] std::vector<std::string> hosts_of_app(const std::string& app_id) const;
 
   /// Register the arbitration ticks of all hosts with the engine as ONE
   /// sharded periodic (a host-shard sweep, not one periodic per hypervisor):
@@ -210,16 +211,14 @@ class CloudManager {
     bool up = true;
   };
 
-  /// One in-flight live migration: the pre-copy/pause/finish events plus
-  /// what finish/abort need to restore (whether WE paused the VM).
+  /// One in-flight live migration: its hosts and the pending stop-and-copy
+  /// pause and finish events.
   struct Migration {
     int vm_id = 0;
     std::string src;
     std::string dst;
     sim::EventHandle pause_event;
     sim::EventHandle finish_event;
-    bool paused = false;            ///< Stop-and-copy pause currently applied.
-    bool resume_on_finish = true;   ///< False when a fault had it paused already.
   };
 
   [[nodiscard]] const Host* find_host(const std::string& name) const;
@@ -245,8 +244,8 @@ class CloudManager {
   void pause_for_migration(int vm_id);
   void finish_migration(int vm_id);
   /// Kill every in-flight migration touching `host` (it is about to crash):
-  /// cancel the pending events, end the destination inflow, unpause the VM
-  /// if the source survives and we paused it, notify kAborted.
+  /// cancel the pending events, end the destination inflow, lift the
+  /// stop-and-copy pause cause if the source survives, notify kAborted.
   void abort_migrations_touching(const std::string& host);
 
   sim::Engine& engine_;

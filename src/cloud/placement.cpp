@@ -40,8 +40,7 @@ std::vector<int> place_packed(CloudManager& cloud, const std::vector<std::string
 }
 
 std::vector<Replacement> place_replacements(CloudManager& cloud,
-                                            const std::vector<virt::VmConfig>& lost,
-                                            bool packed) {
+                                            const std::vector<virt::VmConfig>& lost) {
   std::vector<Replacement> out;
   if (lost.empty()) return out;
   const std::vector<std::string> hosts = cloud.up_hosts();
@@ -49,14 +48,12 @@ std::vector<Replacement> place_replacements(CloudManager& cloud,
   out.reserve(lost.size());
   for (const virt::VmConfig& victim : lost) {
     std::string dst = hosts.front();
-    if (!packed) {
-      std::size_t best = cloud.host(dst).vms().size();
-      for (std::size_t i = 1; i < hosts.size(); ++i) {
-        const std::size_t n = cloud.host(hosts[i]).vms().size();
-        if (n < best) {
-          best = n;
-          dst = hosts[i];
-        }
+    std::size_t best = cloud.host(dst).vms().size();
+    for (std::size_t i = 1; i < hosts.size(); ++i) {
+      const std::size_t n = cloud.host(hosts[i]).vms().size();
+      if (n < best) {
+        best = n;
+        dst = hosts[i];
       }
     }
     virt::VmConfig cfg = victim;  // boot_vm assigns the fresh id

@@ -33,11 +33,10 @@ struct Replacement {
 /// `lost` configs come from CloudManager::crash_host — each carries the old
 /// VM id, preserved in the returned mapping; the booted replacements get
 /// fresh ids and keep their old names, shapes, priorities, and app ids, but
-/// come back with NO guest attached (the guest died with the host). Spread
-/// mode places each victim on the least-populated up host (ties broken by
-/// provisioning order); packed mode piles every victim onto the first up
-/// host. Throws when no host survives.
+/// come back with NO guest attached (the guest died with the host). Each
+/// victim goes to the least-populated up host (ties broken by provisioning
+/// order). Throws when no host survives.
 std::vector<Replacement> place_replacements(CloudManager& cloud,
-                                            const std::vector<virt::VmConfig>& lost, bool packed);
+                                            const std::vector<virt::VmConfig>& lost);
 
 }  // namespace perfcloud::cloud

@@ -53,9 +53,9 @@ void PerformanceMonitor::sample(sim::SimTime now) {
     if (d_cpu > 0.05 * dt) {
       const double v = st.ew_llc.update(d_misses / dt);
       s.llc_miss_rate = v;
-      st.llc_series.add(now, v);
+      st.suspect[kCpu].add(now, v);
     }
-    st.io_series.add(now, s.io_throughput_bps);
+    st.suspect[kIo].add(now, s.io_throughput_bps);
   }
 }
 
@@ -80,14 +80,9 @@ const VmSample* PerformanceMonitor::latest(int vm_id) const {
   return st == nullptr || !st->latest ? nullptr : &*st->latest;
 }
 
-const sim::TimeSeries& PerformanceMonitor::io_throughput_series(int vm_id) const {
+const sim::TimeSeries& PerformanceMonitor::suspect_series(Resource r, int vm_id) const {
   const VmState* st = vms_.find(vm_id);
-  return st == nullptr ? kEmptySeries : st->io_series;
-}
-
-const sim::TimeSeries& PerformanceMonitor::llc_miss_series(int vm_id) const {
-  const VmState* st = vms_.find(vm_id);
-  return st == nullptr ? kEmptySeries : st->llc_series;
+  return st == nullptr ? kEmptySeries : st->suspect[r];
 }
 
 double PerformanceMonitor::observed_io_bps(int vm_id) const {

@@ -11,8 +11,9 @@
 //     used to initialize resource caps.
 //
 // Per-VM state is one VmState row per VM, keyed by VM id in a SlotMap: the
-// counter baseline, one EWMA per metric, the latest sample and the two
-// suspect-side series. A sample is one walk over the resident VMs.
+// counter baseline, one EWMA per metric, the latest sample and one
+// suspect-side series per core::Resource. A sample is one walk over the
+// resident VMs.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +52,9 @@ class PerformanceMonitor {
   /// the rows).
   [[nodiscard]] const VmSample* latest(int vm_id) const;
 
-  /// Suspect-side series used by the antagonist identifier.
-  [[nodiscard]] const sim::TimeSeries& io_throughput_series(int vm_id) const;
-  [[nodiscard]] const sim::TimeSeries& llc_miss_series(int vm_id) const;
+  /// Suspect-side series the antagonist identifier correlates for resource
+  /// r: I/O throughput (bytes/s) for kIo, LLC miss rate (misses/s) for kCpu.
+  [[nodiscard]] const sim::TimeSeries& suspect_series(Resource r, int vm_id) const;
 
   /// Observation baselines for cap initialization ("the VM's observed CPU
   /// usage or I/O throughput", §III-C); smoothed current values. The LLC
@@ -89,7 +90,7 @@ class PerformanceMonitor {
   struct VmState {
     VmState(double alpha, std::size_t series_capacity)
         : ew_iowait(alpha), ew_cpi(alpha), ew_io_bps(alpha), ew_llc(alpha), ew_cpu(alpha),
-          io_series({}, series_capacity), llc_series({}, series_capacity) {}
+          suspect{sim::TimeSeries({}, series_capacity), sim::TimeSeries({}, series_capacity)} {}
 
     std::optional<virt::CgroupStats> prev;  ///< Cumulative-counter baseline.
     sim::Ewma ew_iowait;
@@ -100,8 +101,7 @@ class PerformanceMonitor {
     std::uint32_t iowait_updates = 0;
     std::uint32_t cpi_updates = 0;
     std::optional<VmSample> latest;
-    sim::TimeSeries io_series;
-    sim::TimeSeries llc_series;
+    PerResource<sim::TimeSeries> suspect;  ///< See suspect_series.
   };
 
   virt::Hypervisor& hv_;

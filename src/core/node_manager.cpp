@@ -211,8 +211,9 @@ void NodeManager::local_step(sim::SimTime now) {
   thread_local PerResource<std::vector<SuspectSignal>> suspects;
   for (std::vector<SuspectSignal>& v : suspects) v.clear();
   for (const int id : view_suspects_) {
-    suspects[kIo].push_back(SuspectSignal{id, &monitor_.io_throughput_series(id)});
-    suspects[kCpu].push_back(SuspectSignal{id, &monitor_.llc_miss_series(id)});
+    for (const Resource r : kResources) {
+      suspects[r].push_back(SuspectSignal{id, &monitor_.suspect_series(r, id)});
+    }
   }
 
   for (const AppGroup& g : view_apps_) {

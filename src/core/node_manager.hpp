@@ -133,6 +133,7 @@ class NodeManager {
   [[nodiscard]] const std::map<int, sim::SimTime>& first_identified(Resource r) const {
     return loops_[r].first_identified;
   }
+  // Kept only because e2e_bench/e2e.cpp, which changes with the benchmark, reads them.
   [[nodiscard]] const std::map<int, sim::SimTime>& io_first_identified() const {
     return first_identified(kIo);
   }
@@ -181,26 +182,14 @@ class NodeManager {
   /// temporary std::string and no string-keyed tree walk.
   [[nodiscard]] const sim::TimeSeries& deviation_signal(Resource r,
                                                         std::string_view app_id) const;
-  [[nodiscard]] const sim::TimeSeries& io_signal(std::string_view app_id) const {
-    return deviation_signal(kIo, app_id);
+  /// Normalized-cap series of a throttled VM for resource r (1.0 =
+  /// baseline usage); empty if the VM was never throttled for it.
+  [[nodiscard]] const sim::TimeSeries& cap_series(Resource r, int vm_id) const {
+    return or_empty(loops_[r].cap_history.find(vm_id));
   }
-  [[nodiscard]] const sim::TimeSeries& cpi_signal(std::string_view app_id) const {
-    return deviation_signal(kCpu, app_id);
-  }
-  /// Normalized-cap series of a throttled VM (1.0 = baseline usage); empty
-  /// if the VM was never throttled for that resource.
-  [[nodiscard]] const sim::TimeSeries& io_cap_series(int vm_id) const {
-    return or_empty(loops_[kIo].cap_history.find(vm_id));
-  }
-  [[nodiscard]] const sim::TimeSeries& cpu_cap_series(int vm_id) const {
-    return or_empty(loops_[kCpu].cap_history.find(vm_id));
-  }
-  /// Latest antagonist correlation scores (per resource), for Fig 5/6.
-  [[nodiscard]] const std::vector<SuspectScore>& last_io_scores() const {
-    return loops_[kIo].scores;
-  }
-  [[nodiscard]] const std::vector<SuspectScore>& last_cpu_scores() const {
-    return loops_[kCpu].scores;
+  /// Latest antagonist correlation scores for resource r, for Fig 5/6.
+  [[nodiscard]] const std::vector<SuspectScore>& last_scores(Resource r) const {
+    return loops_[r].scores;
   }
 
  private:

@@ -9,11 +9,9 @@
 namespace perfcloud::exp {
 
 virt::Vm& Cluster::vm(int vm_id) {
-  for (const std::string& h : hosts) {
-    virt::Vm* vm = cloud->host(h).find(vm_id);
-    if (vm != nullptr) return *vm;
-  }
-  throw std::invalid_argument("unknown VM id " + std::to_string(vm_id));
+  virt::Vm* vm = cloud->find_vm(vm_id);
+  if (vm == nullptr) throw std::invalid_argument("unknown VM id " + std::to_string(vm_id));
+  return *vm;
 }
 
 Cluster make_cluster(const ClusterParams& params) {

@@ -133,8 +133,7 @@ void FaultInjector::apply_host_crash(const FaultSpec& spec) {
   //    Replacements come back guest-less (the guest died with the host);
   //    worker replacements get a new ScaleOutWorker, bystanders stay empty.
   const std::vector<virt::VmConfig> lost = cloud_.crash_host(spec.host);
-  const std::vector<cloud::Replacement> placed =
-      cloud::place_replacements(cloud_, lost, spec.packed_replacement);
+  const std::vector<cloud::Replacement> placed = cloud::place_replacements(cloud_, lost);
   if (framework_ != nullptr) {
     for (const cloud::Replacement& r : placed) {
       if (!framework_->has_worker_vm(r.old_id)) continue;
@@ -145,14 +144,11 @@ void FaultInjector::apply_host_crash(const FaultSpec& spec) {
 }
 
 void FaultInjector::apply_vm_stall(const FaultSpec& spec, bool paused) {
-  // Resolve the VM through the registry each time: it may have migrated (or
-  // died in a crash) between inject and recover.
-  for (const cloud::VmRecord& r : cloud_.all_vms()) {
-    if (r.id != spec.vm_id) continue;
-    cloud_.host(r.host).find(r.id)->set_paused(paused);
-    return;
-  }
-  throw std::invalid_argument("VM " + std::to_string(spec.vm_id) + " not found");
+  // Resolve the VM by id each time: it may have migrated (or died in a
+  // crash) between inject and recover.
+  virt::Vm* vm = cloud_.find_vm(spec.vm_id);
+  if (vm == nullptr) throw std::invalid_argument("VM " + std::to_string(spec.vm_id) + " not found");
+  vm->set_paused(virt::PauseCause::kStall, paused);
 }
 
 void FaultInjector::apply_disk_degrade(const FaultSpec& spec, double factor) {

@@ -93,13 +93,11 @@ FaultPlan& FaultPlan::add(FaultSpec spec) {
   return *this;
 }
 
-FaultPlan& FaultPlan::host_crash(std::string host, double at_s, double duration_s,
-                                 bool packed_replacement) {
+FaultPlan& FaultPlan::host_crash(std::string host, double at_s, double duration_s) {
   return add(FaultSpec{.kind = FaultKind::kHostCrash,
                        .host = std::move(host),
                        .inject_at_s = at_s,
-                       .duration_s = duration_s,
-                       .packed_replacement = packed_replacement});
+                       .duration_s = duration_s});
 }
 
 FaultPlan& FaultPlan::vm_stall(int vm_id, double at_s, double duration_s) {

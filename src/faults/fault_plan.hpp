@@ -17,7 +17,7 @@ namespace perfcloud::faults {
 /// Everything the chaos layer knows how to break.
 enum class FaultKind {
   /// The hypervisor dies and takes every resident VM with it. The cloud
-  /// manager re-places the victims on surviving hosts (spread or packed),
+  /// manager re-places each victim on the least-populated surviving host,
   /// the framework kills the lost attempts and re-runs those tasks.
   /// Recovery brings the host back empty; it only rejoins placement.
   kHostCrash,
@@ -56,9 +56,6 @@ struct FaultSpec {
   /// Seconds until recovery; < 0 means the fault never recovers.
   double duration_s = -1.0;
   double magnitude = 1.0;
-  /// kHostCrash only: re-place victims packed onto the least-index surviving
-  /// host instead of spread over the least-populated ones.
-  bool packed_replacement = false;
 
   [[nodiscard]] bool recovers() const { return duration_s >= 0.0; }
   [[nodiscard]] double recover_at_s() const { return inject_at_s + duration_s; }
@@ -77,8 +74,7 @@ class FaultPlan {
   explicit FaultPlan(std::uint64_t seed) : seed_(seed) {}
 
   // --- Builder helpers (validated; all throw std::invalid_argument) ---
-  FaultPlan& host_crash(std::string host, double at_s, double duration_s = -1.0,
-                        bool packed_replacement = false);
+  FaultPlan& host_crash(std::string host, double at_s, double duration_s = -1.0);
   FaultPlan& vm_stall(int vm_id, double at_s, double duration_s);
   FaultPlan& disk_degrade(std::string host, double at_s, double duration_s, double factor);
   FaultPlan& monitor_blackout(std::string host, double at_s, double duration_s, int vm_id = -1);

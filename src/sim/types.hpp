@@ -55,10 +55,4 @@ inline constexpr double kTimeAlignTolS = 1e-6;
 /// per-tick quantities, not addressable storage.
 using Bytes = double;
 
-constexpr Bytes operator""_KiB(unsigned long long v) { return static_cast<double>(v) * 1024.0; }
-constexpr Bytes operator""_MiB(unsigned long long v) { return static_cast<double>(v) * 1024.0 * 1024.0; }
-constexpr Bytes operator""_GiB(unsigned long long v) {
-  return static_cast<double>(v) * 1024.0 * 1024.0 * 1024.0;
-}
-
 }  // namespace perfcloud::sim

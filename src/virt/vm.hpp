@@ -2,6 +2,7 @@
 // optionally attached guest workload.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -16,6 +17,12 @@ namespace perfcloud::virt {
 /// Cloud-administrator-assigned priority (§III): PerfCloud protects
 /// high-priority applications by throttling low-priority antagonists only.
 enum class Priority { kHigh, kLow };
+
+/// Why a VM is paused (Vm::set_paused); one bit each.
+enum class PauseCause : std::uint8_t {
+  kStall = 1,          ///< A VmStall fault (faults::FaultInjector).
+  kMigrationCopy = 2,  ///< A live migration's stop-and-copy window.
+};
 
 struct VmConfig {
   int id = 0;
@@ -61,13 +68,18 @@ class Vm {
   [[nodiscard]] GuestWorkload* guest() { return guest_.get(); }
   [[nodiscard]] const GuestWorkload* guest() const { return guest_.get(); }
   [[nodiscard]] bool idle(sim::SimTime now) const {
-    return paused_ || guest_ == nullptr || guest_->finished(now);
+    return paused() || guest_ == nullptr || guest_->finished(now);
   }
 
-  /// Fault hook (VmStall): a paused VM presents no demand and receives no
-  /// grants — its guest's progress freezes until the pause is lifted.
-  void set_paused(bool paused) { paused_ = paused; }
-  [[nodiscard]] bool paused() const { return paused_; }
+  /// A paused VM presents no demand and receives no grants — its guest's
+  /// progress freezes while any cause holds. Each writer sets and clears
+  /// only its own cause, so a stall and a stop-and-copy that overlap in
+  /// either order never lift each other.
+  void set_paused(PauseCause cause, bool on) {
+    const auto bit = static_cast<std::uint8_t>(cause);
+    pause_causes_ = static_cast<std::uint8_t>(on ? pause_causes_ | bit : pause_causes_ & ~bit);
+  }
+  [[nodiscard]] bool paused() const { return pause_causes_ != 0; }
 
  private:
   VmConfig cfg_;
@@ -75,7 +87,7 @@ class Vm {
   std::unique_ptr<GuestWorkload> guest_;
   hw::TenantNoise noise_;
   int numa_node_ = 0;
-  bool paused_ = false;
+  std::uint8_t pause_causes_ = 0;  ///< Bitset of PauseCause.
 };
 
 }  // namespace perfcloud::virt

@@ -40,6 +40,15 @@ TEST(CloudManager, BootAssignsUniqueIds) {
   EXPECT_NE(a.id(), b.id());
 }
 
+/// Host of each VM of `app`, in all_vms() (ascending VM id) order.
+std::vector<std::string> app_hosts(const CloudManager& cloud, const std::string& app) {
+  std::vector<std::string> hosts;
+  for (const VmRecord& r : cloud.all_vms()) {
+    if (r.app_id == app) hosts.push_back(r.host);
+  }
+  return hosts;
+}
+
 TEST(CloudManager, RegistryReflectsBootedVms) {
   sim::Engine e;
   CloudManager cloud(e);
@@ -55,8 +64,8 @@ TEST(CloudManager, RegistryReflectsBootedVms) {
   const auto on_h0 = cloud.vms_on_host("h0");
   EXPECT_EQ(on_h0.size(), 2u);
   EXPECT_EQ(cloud.all_vms().size(), 3u);
-  EXPECT_EQ(cloud.hosts_of_app("hadoop"), (std::vector<std::string>{"h0", "h1"}));
-  EXPECT_TRUE(cloud.hosts_of_app("nothing").empty());
+  EXPECT_EQ(app_hosts(cloud, "hadoop"), (std::vector<std::string>{"h0", "h1"}));
+  EXPECT_TRUE(app_hosts(cloud, "nothing").empty());
 }
 
 std::vector<int> ids_of(const std::vector<VmRecord>& records) {
@@ -88,7 +97,7 @@ TEST(CloudManager, RecordsComeInIdOrderAfterAdoption) {
   EXPECT_EQ(moved.vcpus, 4);
   EXPECT_EQ(moved.memory, high.memory);
   EXPECT_EQ(ids_of(cloud.all_vms()), (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(cloud.hosts_of_app("a"), (std::vector<std::string>{"h1", "h0"}));
+  EXPECT_EQ(app_hosts(cloud, "a"), (std::vector<std::string>{"h1", "h0"}));
 
   std::vector<int> victims;
   for (const virt::VmConfig& cfg : cloud.crash_host("h1")) victims.push_back(cfg.id);

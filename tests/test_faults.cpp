@@ -172,20 +172,20 @@ TEST(FaultInjector, MonitorBlackoutDropsSamplesAndReprimesWithoutSpike) {
   exp::attach_faults(c, injector);
 
   exp::run_for(c, 50.0);
-  const std::size_t before = nm.monitor().io_throughput_series(fio).size();
+  const std::size_t before = nm.monitor().suspect_series(core::kIo, fio).size();
   ASSERT_GT(before, 0u);
   double peak_before = 0.0;
   for (std::size_t i = 0; i < before; ++i) {
-    peak_before = std::max(peak_before, nm.monitor().io_throughput_series(fio).value(i));
+    peak_before = std::max(peak_before, nm.monitor().suspect_series(core::kIo, fio).value(i));
   }
 
   exp::run_for(c, 48.0);  // inside the blackout
-  EXPECT_EQ(nm.monitor().io_throughput_series(fio).size(), before);
+  EXPECT_EQ(nm.monitor().suspect_series(core::kIo, fio).size(), before);
   EXPECT_EQ(nm.monitor().latest(fio), nullptr);
   EXPECT_TRUE(nm.monitor().blacked_out(fio));
 
   exp::run_for(c, 52.0);  // recovered; samples flow again
-  const sim::TimeSeries& series = nm.monitor().io_throughput_series(fio);
+  const sim::TimeSeries& series = nm.monitor().suspect_series(core::kIo, fio);
   EXPECT_GT(series.size(), before);
   EXPECT_FALSE(nm.monitor().blacked_out(fio));
   // Re-priming, not catch-up: the first post-blackout samples must be in
@@ -213,7 +213,7 @@ TEST(FaultInjector, CapCommandLossEatsEveryActuation) {
   exp::attach_faults(c, injector);
 
   (void)exp::run_job(c, wl::make_spark_logreg(30, 8));
-  ASSERT_FALSE(nm.io_cap_series(fio).empty()) << "controller never engaged";
+  ASSERT_FALSE(nm.cap_series(core::kIo, fio).empty()) << "controller never engaged";
   EXPECT_GT(nm.cap_commands_dropped(), 0L);
   EXPECT_EQ(c.vm(fio).cgroup().blkio_throttle_bps(), hw::kNoCap);
 }

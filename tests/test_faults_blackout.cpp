@@ -133,14 +133,14 @@ TEST(NodeManagerBlackout, DarkSuspectIsOnlyIdentifiedAfterSamplesResume) {
     }
 
     exp::run_for(c, kDarkUntil);
-    EXPECT_FALSE(nm.io_first_identified().contains(fio))
+    EXPECT_FALSE(nm.first_identified(core::kIo).contains(fio))
         << "seed " << seed << ": a dark suspect must not be newly identified on zero-filled data";
-    EXPECT_FALSE(nm.cpu_first_identified().contains(fio)) << "seed " << seed;
+    EXPECT_FALSE(nm.first_identified(core::kCpu).contains(fio)) << "seed " << seed;
 
     exp::run_for(c, kFioStart + kFioDuration - kDarkUntil);
-    ASSERT_TRUE(nm.io_first_identified().contains(fio))
+    ASSERT_TRUE(nm.first_identified(core::kIo).contains(fio))
         << "seed " << seed << ": identification must recover once samples resume";
-    EXPECT_GE(nm.io_first_identified().at(fio).seconds(), kDarkUntil) << "seed " << seed;
+    EXPECT_GE(nm.first_identified(core::kIo).at(fio).seconds(), kDarkUntil) << "seed " << seed;
   }
 }
 

@@ -86,6 +86,52 @@ TEST(FaultMigration, DestinationCrashMidPauseLeavesVmOnSource) {
   EXPECT_EQ(c.cloud->migrations_completed(), 1);
 }
 
+// A VmStall and a migration's stop-and-copy window each hold their own pause
+// cause: whichever ends first must not lift the other. Default 8 GiB VM at
+// 1 GB/s, migration started at t=10: pause [18.59, 20.59), then handoff.
+constexpr double kMigrateAt = 10.0;
+constexpr double kCopyEnd = kMigrateAt + 8.0 * 1024 * 1024 * 1024 / 1.0e9;
+constexpr double kHandoff = kCopyEnd + 2.0;
+
+/// A fio VM on host-0 whose migration to host-1 starts at kMigrateAt, and a
+/// VmStall of it over [stall_at, stall_at + stall_s).
+struct StallAcrossCopyRig {
+  exp::Cluster c;
+  int vm;
+  faults::FaultInjector injector;
+
+  StallAcrossCopyRig(double stall_at, double stall_s)
+      : c(exp::make_cluster(exp::ClusterParams{
+            .hosts = 2, .workers = 2, .migration = {.bandwidth_bps = 1.0e9, .downtime_s = 2.0}})),
+        vm(exp::add_fio(c, "host-0", wl::FioRandomRead::Params{.duration_s = 500.0})),
+        injector(*c.cloud, faults::FaultPlan().vm_stall(vm, stall_at, stall_s)) {
+    exp::attach_faults(c, injector);
+    c.engine->at(sim::SimTime(kMigrateAt),
+                 [this](sim::SimTime) { c.cloud->migrate_vm(vm, "host-1"); });
+  }
+  void run_until(double t) { c.engine->run_until(sim::SimTime(t)); }
+};
+
+TEST(FaultMigration, StallInjectedDuringStopAndCopySurvivesHandoff) {
+  StallAcrossCopyRig rig(kCopyEnd + 0.5, 10.0);
+  rig.run_until(kHandoff + 1.0);
+  ASSERT_NE(rig.c.cloud->host("host-1").find(rig.vm), nullptr);
+  EXPECT_TRUE(rig.c.vm(rig.vm).paused()) << "handoff lifted a stall that is still active";
+  rig.run_until(kCopyEnd + 11.0);
+  EXPECT_FALSE(rig.c.vm(rig.vm).paused());
+}
+
+TEST(FaultMigration, StallEndingDuringStopAndCopyKeepsTheCopyPaused) {
+  StallAcrossCopyRig rig(kMigrateAt + 2.0, kCopyEnd + 0.5 - (kMigrateAt + 2.0));
+  rig.run_until(kCopyEnd + 1.0);
+  ASSERT_NE(rig.c.cloud->host("host-0").find(rig.vm), nullptr);
+  EXPECT_TRUE(rig.c.vm(rig.vm).paused()) << "stall recovery unpaused a stop-and-copy";
+  rig.run_until(kHandoff + 1.0);
+  ASSERT_NE(rig.c.cloud->host("host-1").find(rig.vm), nullptr);
+  EXPECT_FALSE(rig.c.vm(rig.vm).paused());
+  EXPECT_EQ(rig.injector.recovered(), 1);
+}
+
 /// One fingerprint of a chaos run: crash a migration destination while a
 /// migration is in flight, with escalation-driven migrations earlier and a
 /// disk degradation later.
@@ -156,11 +202,11 @@ Fingerprint run_chaos(unsigned shards) {
   }
   for (std::size_t h = 0; h < c.hosts.size(); ++h) {
     core::NodeManager& nm = c.node_manager(h);
-    const sim::TimeSeries& io = nm.io_signal(p.app_id);
+    const sim::TimeSeries& io = nm.deviation_signal(core::kIo, p.app_id);
     for (std::size_t i = 0; i < io.size(); ++i) {
       fp.samples.emplace_back(io.time(i).seconds(), io.value(i));
     }
-    const sim::TimeSeries& mon = nm.monitor().io_throughput_series(fio);
+    const sim::TimeSeries& mon = nm.monitor().suspect_series(core::kIo, fio);
     for (std::size_t i = 0; i < mon.size(); ++i) {
       fp.samples.emplace_back(mon.time(i).seconds(), mon.value(i));
     }

@@ -90,8 +90,8 @@ TEST(Integration, MultiHostClusterOnlyThrottlesAffectedHost) {
   exp::enable_perfcloud(c, core::PerfCloudConfig{});
   exp::run_job(c, wl::make_terasort(16, 16));
   // Node manager 1 (host-1) saw the antagonist; node manager 0 did not.
-  EXPECT_TRUE(c.node_manager(0).io_cap_series(fio).empty());
-  EXPECT_FALSE(c.node_manager(1).io_cap_series(fio).empty());
+  EXPECT_TRUE(c.node_manager(0).cap_series(core::kIo, fio).empty());
+  EXPECT_FALSE(c.node_manager(1).cap_series(core::kIo, fio).empty());
 }
 
 TEST(Integration, ThrottledFioStillMakesProgress) {

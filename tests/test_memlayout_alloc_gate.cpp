@@ -84,8 +84,8 @@ TEST(AllocGate, SteadyStateQuantumPerformsZeroHeapAllocations) {
   // pair states built, identification episodes (map inserts) done.
   exp::run_for(c, 200.0);
   NodeManager& nm = c.node_manager(0);
-  ASSERT_GT(nm.io_signal("hadoop").size(), 20u);
-  ASSERT_FALSE(nm.monitor().io_throughput_series(fio).empty());
+  ASSERT_GT(nm.deviation_signal(kIo, "hadoop").size(), 20u);
+  ASSERT_FALSE(nm.monitor().suspect_series(kIo, fio).empty());
 
   // Drive further control intervals by hand (the engine is idle, so this
   // thread owns all node-manager state). Two warm-up steps grow this

@@ -145,7 +145,7 @@ TEST(SlotReuse, CrashedVmStateDoesNotResurrectUnderNewIds) {
   exp::run_for(c, 100.0);
 
   core::NodeManager& nm = c.node_manager(1);
-  const std::size_t stale_samples = nm.monitor().io_throughput_series(fio).size();
+  const std::size_t stale_samples = nm.monitor().suspect_series(core::kIo, fio).size();
   ASSERT_GT(stale_samples, 3u);
 
   // Crash the host (destroys the fio VM) and run the HostCrash cleanup the
@@ -162,8 +162,8 @@ TEST(SlotReuse, CrashedVmStateDoesNotResurrectUnderNewIds) {
 
   // The new VM accumulated only its own samples; the dead VM's series is
   // frozen at its crash-time length (lingering, unreachable, harmless).
-  const sim::TimeSeries& fresh = nm.monitor().io_throughput_series(fio2);
-  const sim::TimeSeries& stale = nm.monitor().io_throughput_series(fio);
+  const sim::TimeSeries& fresh = nm.monitor().suspect_series(core::kIo, fio2);
+  const sim::TimeSeries& stale = nm.monitor().suspect_series(core::kIo, fio);
   ASSERT_FALSE(fresh.empty());
   EXPECT_EQ(stale.size(), stale_samples);
   EXPECT_LT(fresh.size(), stale_samples + 1);

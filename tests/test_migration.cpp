@@ -21,6 +21,15 @@ hw::ServerConfig host_cfg(const std::string& name) {
   return cfg;
 }
 
+/// Host of each VM of `app`, in all_vms() (ascending VM id) order.
+std::vector<std::string> app_hosts(const CloudManager& cloud, const std::string& app) {
+  std::vector<std::string> hosts;
+  for (const VmRecord& r : cloud.all_vms()) {
+    if (r.app_id == app) hosts.push_back(r.host);
+  }
+  return hosts;
+}
+
 struct TwoHostRig {
   sim::Engine engine{1};
   CloudManager cloud{engine};
@@ -106,8 +115,8 @@ TEST(CollisionResolution, SeparatesTwoHighPriorityApps) {
 
   const int moved = rig.cloud.resolve_high_priority_collision("h0");
   EXPECT_EQ(moved, 2);  // the smaller group (app-b) moved
-  EXPECT_EQ(rig.cloud.hosts_of_app("app-a"), (std::vector<std::string>{"h0"}));
-  EXPECT_EQ(rig.cloud.hosts_of_app("app-b"), (std::vector<std::string>{"h1"}));
+  EXPECT_EQ(app_hosts(rig.cloud, "app-a"), (std::vector<std::string>{"h0", "h0", "h0"}));
+  EXPECT_EQ(app_hosts(rig.cloud, "app-b"), (std::vector<std::string>{"h1", "h1"}));
 }
 
 TEST(CollisionResolution, NoCollisionIsNoop) {
@@ -337,8 +346,8 @@ TEST(CollisionResolution, SkipsDestinationsWithoutCapacity) {
   // The population tie-break would prefer h1 (1 VM < 2 VMs), but h1 cannot
   // admit the mover; the feasible h2 must win.
   EXPECT_EQ(cloud.resolve_high_priority_collision("h0"), 1);
-  EXPECT_EQ(cloud.hosts_of_app("app-a"), (std::vector<std::string>{"h0"}));
-  EXPECT_EQ(cloud.hosts_of_app("app-b"), (std::vector<std::string>{"h2"}));
+  EXPECT_EQ(app_hosts(cloud, "app-a"), (std::vector<std::string>{"h0", "h0"}));
+  EXPECT_EQ(app_hosts(cloud, "app-b"), (std::vector<std::string>{"h2"}));
 }
 
 TEST(CollisionResolution, NoFeasibleDestinationMovesNothing) {
@@ -360,8 +369,8 @@ TEST(CollisionResolution, NoFeasibleDestinationMovesNothing) {
 
   EXPECT_EQ(cloud.resolve_high_priority_collision("h0"), 0);
   EXPECT_EQ(cloud.resolve_high_priority_collision("h0"), 0);  // stable no-op
-  EXPECT_EQ(cloud.hosts_of_app("app-a"), (std::vector<std::string>{"h0"}));
-  EXPECT_EQ(cloud.hosts_of_app("app-b"), (std::vector<std::string>{"h0"}));
+  EXPECT_EQ(app_hosts(cloud, "app-a"), (std::vector<std::string>{"h0"}));
+  EXPECT_EQ(app_hosts(cloud, "app-b"), (std::vector<std::string>{"h0"}));
 }
 
 TEST(CollisionResolution, SkipsVmsAlreadyInFlight) {
@@ -410,8 +419,8 @@ TEST(MigrationHandoff, CapsAreRetiredAndSourceForgets) {
     waited += 20.0;
   }
   ASSERT_NE(c.vm(fio).cgroup().blkio_throttle_bps(), hw::kNoCap) << "controller never engaged";
-  ASSERT_FALSE(src.monitor().io_throughput_series(fio).empty());
-  const std::size_t cap_points = src.io_cap_series(fio).size();
+  ASSERT_FALSE(src.monitor().suspect_series(core::kIo, fio).empty());
+  const std::size_t cap_points = src.cap_series(core::kIo, fio).size();
   ASSERT_GT(cap_points, 0u);
 
   c.cloud->migrate_vm(fio, "host-1");
@@ -420,15 +429,15 @@ TEST(MigrationHandoff, CapsAreRetiredAndSourceForgets) {
   // controller travels with the VM, so nothing may stay throttled)...
   EXPECT_EQ(c.vm(fio).cgroup().blkio_throttle_bps(), hw::kNoCap);
   // ...the source's monitor state is gone (a returning VM must re-prime)...
-  EXPECT_TRUE(src.monitor().io_throughput_series(fio).empty());
+  EXPECT_TRUE(src.monitor().suspect_series(core::kIo, fio).empty());
   EXPECT_EQ(src.monitor().latest(fio), nullptr);
   // ...but cap history survives: it is plot data, not control state.
-  EXPECT_EQ(src.io_cap_series(fio).size(), cap_points);
+  EXPECT_EQ(src.cap_series(core::kIo, fio).size(), cap_points);
 
   // The run continues cleanly (no stale controller actuating a departed VM
   // id) and the destination starts monitoring the arrival.
   exp::run_for(c, 60.0);
-  EXPECT_FALSE(dst.monitor().io_throughput_series(fio).empty());
+  EXPECT_FALSE(dst.monitor().suspect_series(core::kIo, fio).empty());
 }
 
 TEST(MigrationHandoff, ReturningVmRePrimesTheCounterBaseline) {
@@ -448,7 +457,7 @@ TEST(MigrationHandoff, ReturningVmRePrimesTheCounterBaseline) {
   exp::run_for(c, 100.0);
   double peak_before = 0.0;
   {
-    const sim::TimeSeries& series = nm.monitor().io_throughput_series(fio);
+    const sim::TimeSeries& series = nm.monitor().suspect_series(core::kIo, fio);
     ASSERT_GT(series.size(), 3u);
     for (std::size_t i = 0; i < series.size(); ++i) {
       peak_before = std::max(peak_before, series.value(i));
@@ -461,7 +470,7 @@ TEST(MigrationHandoff, ReturningVmRePrimesTheCounterBaseline) {
   c.cloud->migrate_vm(fio, "host-0");
   exp::run_for(c, 30.0);
 
-  const sim::TimeSeries& after = nm.monitor().io_throughput_series(fio);
+  const sim::TimeSeries& after = nm.monitor().suspect_series(core::kIo, fio);
   ASSERT_GT(after.size(), 1u);
   for (std::size_t i = 0; i < after.size(); ++i) {
     EXPECT_LT(after.value(i), 3.0 * peak_before);

@@ -89,8 +89,8 @@ TEST(Monitor, SuspectSeriesGrowPerInterval) {
   rig.run_interval(0.0);
   rig.run_interval(5.0);
   rig.run_interval(10.0);
-  EXPECT_EQ(rig.mon->io_throughput_series(1).size(), 3u);
-  EXPECT_EQ(rig.mon->llc_miss_series(1).size(), 3u);
+  EXPECT_EQ(rig.mon->suspect_series(kIo, 1).size(), 3u);
+  EXPECT_EQ(rig.mon->suspect_series(kCpu, 1).size(), 3u);
 }
 
 TEST(Monitor, IdleVmContributesNoLlcSamples) {
@@ -101,8 +101,8 @@ TEST(Monitor, IdleVmContributesNoLlcSamples) {
   rig.run_interval(5.0);
   // The IO-throughput series still records zeros; the LLC series records
   // nothing ("not counted when the VM is not running any workload").
-  EXPECT_EQ(rig.mon->io_throughput_series(1).size(), 2u);
-  EXPECT_EQ(rig.mon->llc_miss_series(1).size(), 0u);
+  EXPECT_EQ(rig.mon->suspect_series(kIo, 1).size(), 2u);
+  EXPECT_EQ(rig.mon->suspect_series(kCpu, 1).size(), 0u);
 }
 
 TEST(Monitor, ObservedBaselinesReflectUsage) {
@@ -118,8 +118,8 @@ TEST(Monitor, ObservedBaselinesReflectUsage) {
 TEST(Monitor, UnknownVmQueriesAreSafe) {
   MonitorRig rig;
   EXPECT_EQ(rig.mon->latest(42), nullptr);
-  EXPECT_TRUE(rig.mon->io_throughput_series(42).empty());
-  EXPECT_TRUE(rig.mon->llc_miss_series(42).empty());
+  EXPECT_TRUE(rig.mon->suspect_series(kIo, 42).empty());
+  EXPECT_TRUE(rig.mon->suspect_series(kCpu, 42).empty());
   EXPECT_DOUBLE_EQ(rig.mon->observed_io_bps(42), 0.0);
 }
 
@@ -171,8 +171,8 @@ TEST(Monitor, LlcSamplesSuppressedBelowCpuFloor) {
   const VmSample* s = rig.mon->latest(1);
   ASSERT_NE(s, nullptr);
   EXPECT_FALSE(s->llc_miss_rate.has_value());
-  EXPECT_EQ(rig.mon->llc_miss_series(1).size(), 0u);
-  EXPECT_EQ(rig.mon->io_throughput_series(1).size(), 2u);
+  EXPECT_EQ(rig.mon->suspect_series(kCpu, 1).size(), 0u);
+  EXPECT_EQ(rig.mon->suspect_series(kIo, 1).size(), 2u);
   EXPECT_GT(s->io_throughput_bps, 0.0);
 }
 
@@ -186,7 +186,7 @@ TEST(Monitor, BoundedSeriesEvictsOldestSamples) {
   // Six sampled intervals at t = 5, 10, ..., 30; capacity 4 must keep only
   // the newest four (15..30), evicting in arrival order.
   for (int i = 0; i < 6; ++i) rig.run_interval(5.0 * i);
-  const sim::TimeSeries& io = rig.mon->io_throughput_series(1);
+  const sim::TimeSeries& io = rig.mon->suspect_series(kIo, 1);
   ASSERT_EQ(io.size(), 4u);
   EXPECT_DOUBLE_EQ(io.time(0).seconds(), 15.0);
   EXPECT_DOUBLE_EQ(io.time(3).seconds(), 30.0);

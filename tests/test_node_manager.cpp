@@ -93,8 +93,8 @@ TEST(NodeManager, QuietClusterNeverTriggers) {
   exp::run_until_done(c, 600.0);
 
   NodeManager& nm = c.node_manager(0);
-  const sim::TimeSeries& io_sig = nm.io_signal("hadoop");
-  const sim::TimeSeries& cpi_sig = nm.cpi_signal("hadoop");
+  const sim::TimeSeries& io_sig = nm.deviation_signal(kIo, "hadoop");
+  const sim::TimeSeries& cpi_sig = nm.deviation_signal(kCpu, "hadoop");
   ASSERT_GT(io_sig.size(), 3u);
   // Paper §III-A: deviations stay below the thresholds when running alone.
   EXPECT_LT(io_sig.peak(), 10.0);
@@ -114,9 +114,9 @@ TEST(NodeManager, DetectsAndThrottlesIoAntagonist) {
   exp::run_until_done(c, 600.0);
 
   NodeManager& nm = c.node_manager(0);
-  EXPECT_GT(nm.io_signal("hadoop").peak(), 10.0);
+  EXPECT_GT(nm.deviation_signal(kIo, "hadoop").peak(), 10.0);
   // fio was identified and its cap history shows a decrease below 1.
-  const sim::TimeSeries& caps = nm.io_cap_series(fio);
+  const sim::TimeSeries& caps = nm.cap_series(kIo, fio);
   ASSERT_FALSE(caps.empty());
   double min_cap = 1e9;
   for (std::size_t i = 0; i < caps.size(); ++i) min_cap = std::min(min_cap, caps.value(i));
@@ -151,8 +151,8 @@ TEST(NodeManager, MonitoringOnlyModeNeverActuates) {
   exp::run_until_done(c, 600.0);
 
   NodeManager& nm = c.node_manager(0);
-  EXPECT_GT(nm.io_signal("hadoop").peak(), 10.0);  // detection still works
-  EXPECT_TRUE(nm.io_cap_series(fio).empty());      // but no control
+  EXPECT_GT(nm.deviation_signal(kIo, "hadoop").peak(), 10.0);  // detection still works
+  EXPECT_TRUE(nm.cap_series(kIo, fio).empty());      // but no control
   EXPECT_EQ(c.vm(fio).cgroup().blkio_throttle_bps(), hw::kNoCap);
 }
 
@@ -164,9 +164,9 @@ TEST(NodeManager, CpuAntagonistGetsCpuCapNotIoCap) {
   exp::run_until_done(c, 600.0);
 
   NodeManager& nm = c.node_manager(0);
-  EXPECT_GT(nm.cpi_signal("hadoop").peak(), 1.0);
-  EXPECT_FALSE(nm.cpu_cap_series(stream).empty());
-  EXPECT_TRUE(nm.io_cap_series(stream).empty());
+  EXPECT_GT(nm.deviation_signal(kCpu, "hadoop").peak(), 1.0);
+  EXPECT_FALSE(nm.cap_series(kCpu, stream).empty());
+  EXPECT_TRUE(nm.cap_series(kIo, stream).empty());
 }
 
 TEST(NodeManager, InnocentBystanderNotThrottled) {
@@ -178,8 +178,8 @@ TEST(NodeManager, InnocentBystanderNotThrottled) {
   exp::run_until_done(c, 600.0);
 
   NodeManager& nm = c.node_manager(0);
-  EXPECT_TRUE(nm.io_cap_series(cpu_vm).empty());
-  EXPECT_TRUE(nm.cpu_cap_series(cpu_vm).empty());
+  EXPECT_TRUE(nm.cap_series(kIo, cpu_vm).empty());
+  EXPECT_TRUE(nm.cap_series(kCpu, cpu_vm).empty());
 }
 
 TEST(NodeManager, CapLiftsAfterJobEnds) {
@@ -201,13 +201,13 @@ TEST(NodeManager, SuspectScoresExposeCorrelations) {
   exp::run_for(c, 60.0);
   // fio appears in the score list every interval...
   bool found = false;
-  for (const SuspectScore& s : c.node_manager(0).last_io_scores()) {
+  for (const SuspectScore& s : c.node_manager(0).last_scores(kIo)) {
     found |= s.vm_id == fio;
   }
   EXPECT_TRUE(found);
   // ...and its correlation crossed the 0.8 threshold at some point (a
   // controller exists), even though throttling then flattens its signal.
-  EXPECT_FALSE(c.node_manager(0).io_cap_series(fio).empty());
+  EXPECT_FALSE(c.node_manager(0).cap_series(kIo, fio).empty());
 }
 
 }  // namespace

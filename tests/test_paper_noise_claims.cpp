@@ -66,7 +66,7 @@ double peak_signal(const std::string& benchmark, Neighbor neighbor, bool cpi,
   exp::enable_perfcloud(c, kCfg, /*control=*/false);
   exp::run_job(c, wl::make_benchmark(benchmark, 20));
   const core::NodeManager& nm = c.node_manager(0);
-  return (cpi ? nm.cpi_signal("hadoop") : nm.io_signal("hadoop")).peak();
+  return nm.deviation_signal(cpi ? core::kCpu : core::kIo, "hadoop").peak();
 }
 
 double io_peak(const std::string& b, Neighbor n, std::uint64_t seed) {
@@ -233,14 +233,14 @@ Fig5Correlations fig5_at_three_samples(std::uint64_t seed) {
   exp::run_job(c, wl::make_terasort(30, 30));
 
   core::NodeManager& nm = c.node_manager(0);
-  const sim::TimeSeries& victim = nm.io_signal("hadoop");
+  const sim::TimeSeries& victim = nm.deviation_signal(core::kIo, "hadoop");
   sim::TimeSeries online;
   for (std::size_t i = 0; i < victim.size(); ++i) {
     online.add(victim.time(i), victim.value(i));
     if (victim.time(i).seconds() > 30.0 && victim.value(i) > kHio) break;
   }
   const auto corr = [&](int vm) {
-    return sim::pearson_missing_as_zero(online, nm.monitor().io_throughput_series(vm), 3);
+    return sim::pearson_missing_as_zero(online, nm.monitor().suspect_series(core::kIo, vm), 3);
   };
   return {corr(fio), corr(oltp), corr(cpu)};
 }

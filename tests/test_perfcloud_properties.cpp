@@ -61,8 +61,8 @@ TEST_P(PipelineProperties, HighPriorityVmsAreNeverCapped) {
     const virt::Cgroup& cg = s.cluster.vm(id).cgroup();
     EXPECT_EQ(cg.blkio_throttle_bps(), hw::kNoCap) << "worker VM " << id;
     EXPECT_EQ(cg.cpu_quota_cores(), hw::kNoCap) << "worker VM " << id;
-    EXPECT_TRUE(s.cluster.node_manager(0).io_cap_series(id).empty());
-    EXPECT_TRUE(s.cluster.node_manager(0).cpu_cap_series(id).empty());
+    EXPECT_TRUE(s.cluster.node_manager(0).cap_series(kIo, id).empty());
+    EXPECT_TRUE(s.cluster.node_manager(0).cap_series(kCpu, id).empty());
   }
 }
 

@@ -111,7 +111,7 @@ TEST(ThrottleEscalation, MigratesAntagonistAndVictimRecovers) {
   }
 
   // With the antagonist gone the victim's deviation signal recovered.
-  const sim::TimeSeries& dev = c.node_manager(0).io_signal("hadoop");
+  const sim::TimeSeries& dev = c.node_manager(0).deviation_signal(core::kIo, "hadoop");
   ASSERT_FALSE(dev.empty());
   EXPECT_LT(dev.value(dev.size() - 1), control_cfg(s).io_deviation_threshold);
 
@@ -191,7 +191,7 @@ TEST(ThrottleEscalation, MigratesCpuAntagonistOnCpiSignal) {
       }
     }
   }
-  EXPECT_TRUE(c.node_manager(0).io_cap_series(stream).empty());
+  EXPECT_TRUE(c.node_manager(0).cap_series(core::kIo, stream).empty());
 
   sink.close();
   const std::string events = slurp(jsonl);

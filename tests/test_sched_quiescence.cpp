@@ -68,9 +68,9 @@ TEST(Quiescence, HypervisorTracksActivityTransitions) {
   EXPECT_TRUE(hv.is_quiescent(sim::SimTime(10.0)));
   EXPECT_TRUE(hv.is_quiescent(sim::SimTime(11.0)));
 
-  vm.set_paused(true);
+  vm.set_paused(virt::PauseCause::kStall, true);
   EXPECT_FALSE(hv.is_quiescent(sim::SimTime(11.0)));
-  vm.set_paused(false);
+  vm.set_paused(virt::PauseCause::kStall, false);
   EXPECT_TRUE(hv.is_quiescent(sim::SimTime(11.0)));
 
   hv.set_vcpu_quota(1, 1.0);
@@ -112,11 +112,11 @@ IdleRunTrace run_mostly_idle(bool fastpath) {
   trace.final_time_s = c.engine->now().seconds();
   for (std::size_t h = 0; h < c.hosts.size(); ++h) {
     core::NodeManager& nm = c.node_manager(h);
-    const sim::TimeSeries& io = nm.io_signal(p.app_id);
+    const sim::TimeSeries& io = nm.deviation_signal(core::kIo, p.app_id);
     for (std::size_t i = 0; i < io.size(); ++i) {
       trace.samples.emplace_back(io.time(i).seconds(), io.value(i));
     }
-    const sim::TimeSeries& fio_io = nm.monitor().io_throughput_series(fio);
+    const sim::TimeSeries& fio_io = nm.monitor().suspect_series(core::kIo, fio);
     for (std::size_t i = 0; i < fio_io.size(); ++i) {
       trace.samples.emplace_back(fio_io.time(i).seconds(), fio_io.value(i));
     }

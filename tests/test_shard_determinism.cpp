@@ -103,12 +103,12 @@ RunTrace run_scenario(unsigned shards, const std::string& sink_tag = "",
   }
   for (std::size_t h = 0; h < c.hosts.size(); ++h) {
     core::NodeManager& nm = c.node_manager(h);
-    append_series(trace, nm.io_signal(p.app_id));
-    append_series(trace, nm.cpi_signal(p.app_id));
-    append_series(trace, nm.monitor().io_throughput_series(fio));
-    append_series(trace, nm.monitor().llc_miss_series(stream));
-    append_series(trace, nm.io_cap_series(fio));
-    append_series(trace, nm.cpu_cap_series(stream));
+    append_series(trace, nm.deviation_signal(core::kIo, p.app_id));
+    append_series(trace, nm.deviation_signal(core::kCpu, p.app_id));
+    append_series(trace, nm.monitor().suspect_series(core::kIo, fio));
+    append_series(trace, nm.monitor().suspect_series(core::kCpu, stream));
+    append_series(trace, nm.cap_series(core::kIo, fio));
+    append_series(trace, nm.cap_series(core::kCpu, stream));
   }
   if (sink != nullptr) {
     exp::record(*sink, summary_src, exp::summarize(*c.framework));

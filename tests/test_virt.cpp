@@ -391,7 +391,7 @@ TEST(Hypervisor, VmStateChangedOutsideTheHypervisorBindsNextTick) {
   // A paused VM gets a zero grant from the next tick on; grants resume on
   // the tick after the pause is lifted.
   Vm& paused = *hv.find(1);
-  paused.set_paused(true);
+  paused.set_paused(PauseCause::kStall, true);
   const CgroupStats before_pause = hv.dom_stats(1);
   const double instructions_before_pause = workers[0]->total_instructions;
   tick_at(hv, ++t);
@@ -399,7 +399,7 @@ TEST(Hypervisor, VmStateChangedOutsideTheHypervisorBindsNextTick) {
   EXPECT_EQ(hv.dom_stats(1).io_serviced_ops, before_pause.io_serviced_ops);
   EXPECT_EQ(workers[0]->total_instructions, instructions_before_pause);
   EXPECT_GT(workers[1]->total_instructions, 0.0);
-  paused.set_paused(false);
+  paused.set_paused(PauseCause::kStall, false);
   tick_at(hv, ++t);
   EXPECT_GT(hv.dom_stats(1).cpu_time_s, before_pause.cpu_time_s);
   EXPECT_GT(workers[0]->total_instructions, instructions_before_pause);
