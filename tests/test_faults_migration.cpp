@@ -122,7 +122,8 @@ TEST(FaultMigration, StallInjectedDuringStopAndCopySurvivesHandoff) {
 }
 
 TEST(FaultMigration, StallEndingDuringStopAndCopyKeepsTheCopyPaused) {
-  StallAcrossCopyRig rig(kMigrateAt + 2.0, kCopyEnd + 0.5 - (kMigrateAt + 2.0));
+  constexpr double kStallAt = kMigrateAt + 2.0;
+  StallAcrossCopyRig rig(kStallAt, kCopyEnd + 0.5 - kStallAt);
   rig.run_until(kCopyEnd + 1.0);
   ASSERT_NE(rig.c.cloud->host("host-0").find(rig.vm), nullptr);
   EXPECT_TRUE(rig.c.vm(rig.vm).paused()) << "stall recovery unpaused a stop-and-copy";
